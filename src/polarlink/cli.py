@@ -24,7 +24,8 @@ from .errors import (
 from .ideals import Ideal
 from .oracle import default_cap, stable_colength, teissier_check
 from .parse import parse_polynomial
-from .polar import check_excluded, sample_frames
+from .polar import check_excluded, milnor_number, polar_ideal, sample_frames
+from .poly import INFINITE
 from .report import (
     ENGINE_VERSION,
     RunConfig,
@@ -186,11 +187,14 @@ def _cmd_oracle_teissier(args):
     results = []
     budget = 20 * wanted
     pool = sample_frames(len(varnames), budget, args.seed, args.bound)
+    if milnor_number(f) is INFINITE:
+        # No frame is usable, so no polar ideal needs building.
+        pool = []
     for fr in pool:
         if len(results) == wanted:
             break
         try:
-            v = teissier_check(f, fr)
+            v = teissier_check(f, polar_ideal(f, fr, 1))
         except (NonIsolated, ImproperIntersection):
             continue
         results.append(

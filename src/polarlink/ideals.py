@@ -7,6 +7,10 @@ On top of those sit normal form, quotient, intersection (tag variable plus
 elimination), saturation, Krull dimension of the leading ideal, and the
 local colength that realizes intersection numbers at the origin.
 
+Saturation is one Rabinowitsch elimination by a fixed combination of the
+generators, certified by exact membership tests; the quotient loop is kept
+as the fallback when certification fails.
+
 Everything is exact; bases are cached per (ideal, order).
 """
 
@@ -343,12 +347,18 @@ def intersect(I, J):
     n = I.nvars
     if I.is_zero() or J.is_zero():
         return Ideal((), n)
-    order = elimination(1)
     t = Polynomial.variable(n + 1, 0)
     one_minus_t = Polynomial.constant(n + 1, 1) - t
     tagged = [t * f.prepend_variable() for f in I.gens]
     tagged += [one_minus_t * g.prepend_variable() for g in J.gens]
-    raw = _standard_basis_raw(tagged, order, n + 1)
+    return _eliminate_tag(tagged, n)
+
+
+def _eliminate_tag(gens, n):
+    """The ideal of gens (in a tag variable t plus n more) intersected with
+    the ring without t: the t-free part of an elimination basis."""
+    order = elimination(1)
+    raw = _standard_basis_raw(gens, order, n + 1)
     basis = _reduce_global(raw, order, n + 1)
     kept = [
         g.drop_first_variable()
@@ -385,8 +395,71 @@ def canonical(I, order=GLOBAL):
     return Ideal(groebner_basis(I, order).basis, I.nvars)
 
 
+# Largest exponent the elimination result is certified against before the
+# quotient loop takes over; no workload has shown an exponent above 2.
+_CERTIFY_MAX_EXPONENT = 3
+
+
 def saturate(I, J, order=GLOBAL):
-    """I : J^infinity plus the number of quotient steps until stability.
+    """I : J^infinity and its saturation exponent.
+
+    The exponent is the least m with I : J^m = I : J^infinity, that is the
+    least m with J^m * (I : J^infinity) contained in I; it is 0 exactly
+    when I is already saturated.  The returned ideal is generated by its
+    reduced Groebner basis under order.
+
+    Method (Greuel-Pfister, section 1.8): S = I : g^infinity for the fixed
+    combination g = sum (i+1) * J_i, from one elimination of t in
+    I + (1 - t*g).  As g lies in J, S contains I : J^infinity; the least
+    m <= _CERTIFY_MAX_EXPONENT with J^m * S inside I proves equality and is
+    the exponent.  When no such m exists (g is a zero divisor on a
+    component J does not contain, or the exponent is larger) the quotient
+    loop decides.
+    """
+    if J.is_zero():
+        raise ValueError("saturation by the zero ideal")
+    n = I.nvars
+    g = Polynomial.zero(n)
+    for i, h in enumerate(J.gens):
+        g = g + h.scale(i + 1)
+    t = Polynomial.variable(n + 1, 0)
+    one_minus_tg = Polynomial.constant(n + 1, 1) - t * g.prepend_variable()
+    gens = [f.prepend_variable() for f in I.gens] + [one_minus_tg]
+    S = canonical(_eliminate_tag(gens, n), order)
+    exponent = _certified_exponent(I, S, J, order)
+    if exponent is None:
+        return _saturate_by_quotients(I, J, order)
+    return S, exponent
+
+
+def _certified_exponent(I, S, J, order):
+    """Least m <= _CERTIFY_MAX_EXPONENT with J^m * S inside I, else None.
+
+    S contains I, so m = 0 exactly when the reduced bases agree.  Beyond
+    that, pending holds the nonzero remainders modulo I of generators of
+    J^m * S; multiplying them by each generator of J gives those of
+    J^(m+1) * S.
+    """
+    gb = groebner_basis(I, order)
+    if S.gens == gb.basis:
+        return 0
+    reducers = _reducer_entries(gb.basis, order)
+
+    def remainders(polys):
+        rems = (_normal_form_global(p.terms, reducers, order) for p in polys)
+        return [Polynomial(I.nvars, r) for r in rems if r]
+
+    pending = remainders(S.gens)
+    for m in range(1, _CERTIFY_MAX_EXPONENT + 1):
+        pending = remainders([j * p for j in J.gens for p in pending])
+        if not pending:
+            return m
+    return None
+
+
+def _saturate_by_quotients(I, J, order=GLOBAL):
+    """I : J^infinity by repeated quotients, with the number of quotient
+    steps until stability; the fallback of saturate and its test oracle.
 
     Stability is detected by equality of reduced Groebner bases, which are
     canonical for (ideal, order).

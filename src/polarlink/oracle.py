@@ -22,7 +22,8 @@ from .errors import ImproperIntersection, NonIsolated
 from .ideals import Ideal, local_colength
 from .orders import GLOBAL, mono_deg, mono_mul
 from .poly import INFINITE
-from .polar import milnor_number, polar_ideal
+from .polar import milnor_number
+from .polar import polar_ideal  # unused; perfbench/tracer.py rebinds it (ROADMAP item 5)
 
 _F0 = Fraction(0)
 
@@ -159,23 +160,24 @@ def bezout_gamma(n, d, k):
     return (d - 1) ** (n + 1 - k)
 
 
-def teissier_check(f, frame):
+def teissier_check(f, pol):
     """Intersection number of the first polar curve with V(f) versus the
     sum of the Milnor numbers of f and its slice by z_0 = 0 in the frame.
 
-    The frame must be usable: f needs an isolated singularity, the slice
-    must keep one too, and the polar curve must cut V(f) in finite
-    colength.  NonIsolated or ImproperIntersection flag unusable frames.
+    pol is the first polar ideal of f (k = 1) in the frame to check, as
+    polar.polar_ideal builds it.  The frame must be usable: f needs an
+    isolated singularity, the slice must keep one too, and the polar curve
+    must cut V(f) in finite colength.  NonIsolated or ImproperIntersection
+    flag unusable frames.
     """
     mu = milnor_number(f)
     if mu is INFINITE:
         raise NonIsolated("f does not have an isolated singularity")
-    fM = frame.transform(f)
+    fM = pol.frame.transform(f)
     sliced = fM.substitute_zero([0])
     mu_slice = milnor_number(sliced)
     if mu_slice is INFINITE:
         raise NonIsolated("the hyperplane slice in this frame is not isolated")
-    pol = polar_ideal(f, frame, 1)
     if pol.ideal.is_zero():
         raise ImproperIntersection("first polar ideal is zero in this frame")
     meet = Ideal(pol.ideal.gens + (fM,), f.nvars)

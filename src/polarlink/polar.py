@@ -139,19 +139,27 @@ def polar_ideal(f, frame, k):
 
 
 def gamma_k(f, frame, k):
-    """Polar multiplicity for index k in one frame.
+    """Polar multiplicity for index k in one frame; see polar_multiplicity.
 
-    Raises WrongPolarDimension when the polar ideal does not define a
-    k-dimensional germ (empty germ counts as multiplicity 0), and
-    ImproperIntersection when the cut by z_0 = ... = z_(k-1) = 0 is not
-    finite.
+    gamma^0 = 0 and gamma^(n+1) = 1 by convention.
     """
     n = f.nvars - 1
     if k == 0:
         return 0
     if k == n + 1:
         return 1
-    pol = polar_ideal(f, frame, k)
+    return polar_multiplicity(polar_ideal(f, frame, k))
+
+
+def polar_multiplicity(pol):
+    """Local multiplicity of a polar ideal for index k = pol.k.
+
+    Raises WrongPolarDimension when the polar ideal does not define a
+    k-dimensional germ (empty germ counts as multiplicity 0), and
+    ImproperIntersection when the cut by z_0 = ... = z_(k-1) = 0 is not
+    finite.
+    """
+    k = pol.k
     if pol.ideal.is_zero():
         raise WrongPolarDimension(
             f"polar ideal for k={k} is zero in this frame"
@@ -165,7 +173,7 @@ def gamma_k(f, frame, k):
             f"polar ideal for k={k} has local dimension {d}"
         )
     cut = [g.substitute_zero(range(k)) for g in pol.ideal.gens]
-    restricted = Ideal([g for g in cut if not g.is_zero()], f.nvars - k)
+    restricted = Ideal([g for g in cut if not g.is_zero()], pol.ideal.nvars - k)
     c = local_colength(restricted)
     if c is INFINITE:
         raise ImproperIntersection(
@@ -181,6 +189,8 @@ class GammaProfile:
     per_trial[t][k-1] is the value gamma^k measured in frame t, or None if
     that frame was invalid for k.  witness[k-1] is the first trial index
     attaining the reported minimum and agreement[k-1] how many trials did.
+    polar_ideals[t][k-1] is the k-th polar ideal built in frame t, kept so
+    that later checks read it instead of building it again.
     """
 
     n: int
@@ -193,6 +203,7 @@ class GammaProfile:
     agreement: tuple
     witness: tuple
     frames: tuple
+    polar_ideals: tuple
 
     @property
     def nvars(self):
@@ -200,6 +211,9 @@ class GammaProfile:
 
     def witness_frame(self, k):
         return self.frames[self.witness[k - 1]]
+
+    def witness_polar_ideal(self, k):
+        return self.polar_ideals[self.witness[k - 1]][k - 1]
 
 
 def check_excluded(f):
@@ -231,14 +245,19 @@ def gamma_profile(f, trials=5, seed=0, bound=10):
     frames = tuple(sample_frames(f.nvars, trials, seed, bound))
 
     per_trial = []
+    polar_ideals = []
     for fr in frames:
         row = []
+        pols = []
         for k in range(1, n + 1):
+            pol = polar_ideal(f, fr, k)
+            pols.append(pol)
             try:
-                row.append(gamma_k(f, fr, k))
+                row.append(polar_multiplicity(pol))
             except (ImproperIntersection, WrongPolarDimension):
                 row.append(None)
         per_trial.append(tuple(row))
+        polar_ideals.append(tuple(pols))
     per_trial = tuple(per_trial)
 
     gamma = [0] * (n + 2)
@@ -274,4 +293,5 @@ def gamma_profile(f, trials=5, seed=0, bound=10):
         agreement=tuple(agreement),
         witness=tuple(witness),
         frames=frames,
+        polar_ideals=tuple(polar_ideals),
     )

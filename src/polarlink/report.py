@@ -45,7 +45,8 @@ from .oracle import (
     verdict,
 )
 from .parse import parse_polynomial
-from .polar import gamma_profile, jacobian_ideal, polar_ideal
+from .polar import gamma_profile, jacobian_ideal
+from .polar import polar_ideal  # unused; perfbench/tracer.py rebinds it (ROADMAP item 5)
 from .poly import INFINITE
 
 SCHEMA_VERSION = 1
@@ -116,8 +117,7 @@ def _oracle_diagnostics(f, profile, hard_cap):
     start = default_cap(f)
     exponents = []
     for k in range(1, profile.n + 1):
-        fr = profile.witness_frame(k)
-        pol = polar_ideal(f, fr, k)
+        pol = profile.witness_polar_ideal(k)
         exponents.append(pol.saturation_exponent)
         if pol.ideal.is_zero() or dimension(mora_standard_basis(pol.ideal)) == -1:
             continue
@@ -146,9 +146,9 @@ def _oracle_diagnostics(f, profile, hard_cap):
                 context=f"cap={r.cap}",
             )
         )
-        for fr in profile.frames:
+        for pols in profile.polar_ideals:
             try:
-                verdicts.append(teissier_check(f, fr))
+                verdicts.append(teissier_check(f, pols[0]))
                 break
             except (NonIsolated, ImproperIntersection):
                 continue

@@ -13,7 +13,7 @@ from polarlink.cli import main
 from polarlink.ideals import Ideal
 from polarlink.oracle import bezout_gamma, teissier_check
 from polarlink.parse import parse_polynomial
-from polarlink.polar import gamma_profile, sample_frames
+from polarlink.polar import gamma_profile, polar_ideal, sample_frames
 from polarlink.report import (
     RunConfig,
     bundled_corpus_path,
@@ -118,7 +118,7 @@ def test_criterion_5_teissier_on_isolated_members(corpus_entries):
             continue
         passed_frames = []
         for frame in sample_frames(len(varnames), 60, seed=7):
-            v = teissier_check(f, frame)
+            v = teissier_check(f, polar_ideal(f, frame, 1))
             assert v.passed, (entry["name"], frame.matrix, v)
             passed_frames.append(frame.matrix)
             if len(passed_frames) == 3:

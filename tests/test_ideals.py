@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import V2, nonzero_polynomials, p2, p3
+import polarlink.ideals as ideals
 from polarlink.ideals import (
     Ideal,
+    _saturate_by_quotients,
     canonical,
     dimension,
     exact_divide,
@@ -224,14 +226,49 @@ def test_saturation_by_unit_is_noop():
     assert e == 0
 
 
-@settings(max_examples=20)
-@given(
-    st.lists(nonzero_polynomials(nvars=2, max_terms=2, max_exp=2), min_size=1, max_size=2),
-    nonzero_polynomials(nvars=2, max_terms=2, max_exp=2),
+def test_saturation_falls_back_when_the_combination_is_a_zero_divisor(monkeypatch):
+    # For J = (x, y) the fixed combination is g = x + 2y, a factor of I, so
+    # I : g^infinity = (x) while I (two lines) is already saturated by J:
+    # certification must fail and the quotient loop decide.
+    loop = ideals._saturate_by_quotients
+    fallbacks = []
+
+    def spy(I, J, order=GLOBAL):
+        fallbacks.append(I)
+        return loop(I, J, order)
+
+    monkeypatch.setattr(ideals, "_saturate_by_quotients", spy)
+    I = ideal2("x^2 + 2*x*y")
+    sat, e = saturate(I, ideal2("x", "y"))
+    assert sat.gens == canonical(I).gens
+    assert e == 0
+    assert len(fallbacks) == 1
+
+
+ideal_gens = st.lists(
+    nonzero_polynomials(nvars=2, max_terms=2, max_exp=2), min_size=1, max_size=2
 )
-def test_quotient_and_saturation_grow(gens, g):
+saturator_gens = st.lists(
+    nonzero_polynomials(nvars=2, max_terms=2, max_exp=2), min_size=1, max_size=3
+)
+
+
+@settings(max_examples=25)
+@given(ideal_gens, saturator_gens)
+def test_saturation_matches_the_quotient_loop(gens, jgens):
     I = Ideal(tuple(gens), 2)
-    J = Ideal((g,), 2)
+    J = Ideal(tuple(jgens), 2)
+    sat, e = saturate(I, J)
+    loop_sat, loop_e = _saturate_by_quotients(I, J)
+    assert sat.gens == loop_sat.gens
+    assert e == loop_e
+
+
+@settings(max_examples=20)
+@given(ideal_gens, saturator_gens)
+def test_quotient_and_saturation_grow(gens, jgens):
+    I = Ideal(tuple(gens), 2)
+    J = Ideal(tuple(jgens), 2)
     Q = ideal_quotient(I, J)
     S, _ = saturate(I, J)
     for h in I.gens:

@@ -35,6 +35,7 @@ def fake_profile(gamma, mult=None, s=0):
         agreement=(1,) * n,
         witness=(0,) * n,
         frames=(),
+        polar_ideals=(),
     )
 
 

@@ -20,7 +20,7 @@ from polarlink.oracle import (
     truncated_colength,
     verdict,
 )
-from polarlink.polar import identity_frame, sample_frames
+from polarlink.polar import identity_frame, polar_ideal, sample_frames
 from polarlink.poly import INFINITE
 
 
@@ -110,7 +110,8 @@ def test_verdict_passes_iff_equal():
 
 
 def test_teissier_cusp_identity_frame():
-    v = teissier_check(p2("x^2+y^3"), identity_frame(2))
+    f = p2("x^2+y^3")
+    v = teissier_check(f, polar_ideal(f, identity_frame(2), 1))
     assert v.passed
     assert (v.expected, v.actual) == (4, 4)
 
@@ -118,7 +119,7 @@ def test_teissier_cusp_identity_frame():
 def test_teissier_cusp_generic_frames():
     f = p2("x^2+y^3")
     for fr in sample_frames(2, 3, seed=7):
-        v = teissier_check(f, fr)
+        v = teissier_check(f, polar_ideal(f, fr, 1))
         assert v.passed
         assert v.actual == 3  # mu 2 plus generic slice mu 1
 
@@ -126,10 +127,11 @@ def test_teissier_cusp_generic_frames():
 def test_teissier_rejects_nonisolated():
     f = p3("y^2 - x^2*z")
     with pytest.raises(NonIsolated):
-        teissier_check(f, identity_frame(3))
+        teissier_check(f, polar_ideal(f, identity_frame(3), 1))
 
 
 def test_teissier_rejects_degenerate_frame():
     # the identity frame slices xy along one of its own branches
+    f = p2("x*y")
     with pytest.raises(NonIsolated):
-        teissier_check(p2("x*y"), identity_frame(2))
+        teissier_check(f, polar_ideal(f, identity_frame(2), 1))
