@@ -6,6 +6,7 @@ from .errors import (
     EXIT_INPUT_ERROR,
     EXIT_OK,
     EXIT_UNSTABLE,
+    DegreeLimitError,
     ExcludedCaseError,
     GammaIdentityViolation,
     ImproperIntersection,
@@ -53,7 +54,7 @@ from .oracle import (
     teissier_check,
     truncated_colength,
 )
-from .orders import GLOBAL, LOCAL, MonomialOrder, elimination
+from .orders import DEGREE_LIMIT, GLOBAL, LOCAL, MonomialOrder, elimination
 from .parse import parse_polynomial
 from .polar import (
     CoordinateFrame,

@@ -56,3 +56,8 @@ class TelescopeViolation(PolarlinkError):
 class NonIsolated(PolarlinkError):
     """An operation requiring an isolated singularity met an infinite
     Milnor number."""
+
+
+class DegreeLimitError(PolarlinkError, ValueError):
+    """A monomial's total degree reached orders.DEGREE_LIMIT, beyond which
+    the packed order keys would no longer be exact."""

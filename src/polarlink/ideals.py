@@ -11,18 +11,27 @@ Saturation is one Rabinowitsch elimination by a fixed combination of the
 generators, certified by exact membership tests; the quotient loop is kept
 as the fallback when certification fails.
 
-Everything is exact; bases are cached per (ideal, order).
+Everything is exact; bases are cached per (ideal, order).  Reductions run
+fraction-free on integer coefficients: a polynomial being reduced is a
+dict {monomial: int} plus a heap of (-key, monomial) over its terms (stale
+entries are skipped when popped), and a remainder is the Fraction remainder
+times a tracked positive integer scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from heapq import heapify, heappop, heappush
 from itertools import combinations
+from math import gcd, lcm
+from operator import add
 
 from .orders import (
     GLOBAL,
     LOCAL,
+    check_degree,
     elimination,
     mono_deg,
     mono_div,
@@ -31,8 +40,6 @@ from .orders import (
     mono_mul,
 )
 from .poly import INFINITE, Polynomial
-
-_F0 = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -84,83 +91,107 @@ class StandardBasis:
 # --- division ---------------------------------------------------------
 
 
-def _reducer_entries(basis, order):
-    return [
-        (g.leading_monomial(order), g.leading_coefficient(order), g.terms)
-        for g in basis
-    ]
+def _working(terms, order):
+    """A term dict as (h, heap, scale), with integer coefficients."""
+    scale = lcm(*(c.denominator for c in terms.values()))
+    h = {m: c.numerator * (scale // c.denominator) for m, c in terms.items()}
+    heap = [(-order.key(m), m) for m in h]
+    heapify(heap)
+    return h, heap, scale
 
 
-def _cancel_lead(h, hm, hc, lm, lc, gterms):
-    """In place: h -= (hc/lc) * z^(hm-lm) * g; the hm term cancels."""
-    del h[hm]
+def _reducer(terms, order):
+    """A nonzero term dict, up to a scalar, as (lm, -key(lm), lc, tail,
+    spread): tail lists (-key, monomial, coeff) for the other terms, and
+    spread is the largest term degree minus deg(lm), the ecart under a
+    local order."""
+    h, heap, _ = _working(terms, order)
+    nk, lm = heap[0]
+    tail = [(k, m, h[m]) for k, m in heap[1:]]
+    return lm, nk, h[lm], tail, max(map(mono_deg, h)) - mono_deg(lm)
+
+
+def _reduce_step(h, heap, hm, nk, reducer, rem):
+    """Cancel the term hm (nk = -key(hm)) as h <- a*h - b*z^(hm-lm)*g with
+    a = lc/gcd(hc, lc) > 0, scaling the remainder rem by a too.  Returns the
+    factor by which h and rem grew: a, or a/c after dividing out their
+    content c, which keeps the integers from swelling over many steps."""
+    lm, nlk, lc, tail, spread = reducer
+    check_degree(mono_deg(hm) + spread)  # bounds every new term's degree
+    hc = h.pop(hm)
+    d = gcd(hc, lc) if lc > 0 else -gcd(hc, lc)
+    a, b = lc // d, hc // d
+    if a != 1:
+        for part in (h, rem):
+            for m in part:
+                part[m] *= a
     shift = mono_div(hm, lm)
-    factor = hc / lc
-    for gm, gc in gterms.items():
-        if gm == lm:
-            continue
-        m = mono_mul(gm, shift)
-        c = h.get(m, _F0) - factor * gc
-        if c:
-            h[m] = c
-        elif m in h:
-            del h[m]
-
-
-def _normal_form_global(pterms, reducers, order):
-    """Full division remainder under a global order, as a term dict."""
-    h = dict(pterms)
-    remainder = {}
-    keyf = order.key
-    while h:
-        hm = max(h, key=keyf)
-        hc = h[hm]
-        for lm, lc, gterms in reducers:
-            if mono_divides(lm, hm):
-                _cancel_lead(h, hm, hc, lm, lc, gterms)
-                break
+    off = nk - nlk
+    for ngk, gm, gc in tail:
+        m = tuple(map(add, gm, shift))
+        c = h.get(m)
+        if c is None:
+            h[m] = -b * gc
+            heappush(heap, (ngk + off, m))
         else:
-            remainder[hm] = hc
-            del h[hm]
-    return remainder
+            c -= b * gc
+            if c:
+                h[m] = c
+            else:
+                del h[m]
+    c = gcd(*h.values(), *rem.values()) if a != 1 else 1
+    if c <= 1:
+        return a
+    for part in (h, rem):
+        for m in part:
+            part[m] //= c
+    return Fraction(a, c)
 
 
-def _ecart(terms, lead):
-    return max(mono_deg(m) for m in terms) - mono_deg(lead)
+def _normal_form(h, heap, scale, reducers, order):
+    """Division remainder and its scale: the full remainder under a global
+    order, Mora's weak normal form under a local one.
 
-
-def _mora_normal_form(pterms, reducers, order):
-    """Mora weak normal form under a local order, as a term dict.
-
-    Reducers whose ecart exceeds the current ecart push a snapshot of the
-    intermediate result into the working set; that is what guarantees
-    termination on polynomial input.
+    Under a local order the reducer of least ecart is used, and one whose
+    ecart exceeds the current ecart pushes a snapshot of the intermediate
+    result into the working set; that is what guarantees termination.
     """
-    T = [(lm, lc, gterms, _ecart(gterms, lm)) for lm, lc, gterms in reducers]
-    h = dict(pterms)
-    keyf = order.key
-    while h:
-        hm = max(h, key=keyf)
+    local = not order.is_global
+    T = list(reducers)
+    rem = {}
+    while heap:
+        nk, hm = heappop(heap)
+        if hm not in h:
+            continue
         best = None
-        for entry in T:
-            if mono_divides(entry[0], hm) and (best is None or entry[3] < best[3]):
-                best = entry
+        for r in T:
+            if mono_divides(r[0], hm) and (best is None or r[4] < best[4]):
+                best = r
+                if not local:
+                    break
         if best is None:
-            break
-        h_ecart = _ecart(h, hm)
-        if best[3] > h_ecart:
-            T.append((hm, h[hm], dict(h), h_ecart))
-        _cancel_lead(h, hm, h[hm], best[0], best[1], best[2])
-    return h
+            if local:
+                return h, scale
+            rem[hm] = h.pop(hm)
+            continue
+        if local:
+            h_ecart = max(map(mono_deg, h)) - mono_deg(hm)
+            if best[4] > h_ecart:
+                tail = {m: k for k, m in heap if m in h and m != hm}
+                T.append((hm, nk, h[hm], [(k, m, h[m]) for m, k in tail.items()], h_ecart))
+        scale *= _reduce_step(h, heap, hm, nk, best, rem)
+    return rem, scale
 
 
-def _spoly(f, g, order):
-    lmf = f.leading_monomial(order)
-    lmg = g.leading_monomial(order)
-    big = mono_lcm(lmf, lmg)
-    a = f.mul_term(mono_div(big, lmf), 1 / f.terms[lmf])
-    b = g.mul_term(mono_div(big, lmg), 1 / g.terms[lmg])
-    return a - b
+def _spoly(ri, rj, big, order):
+    """The S-polynomial of two reducers with lcm big, as (h, heap, scale)
+    up to a scalar: the monomial big reduced by each, subtracted."""
+    nk, c = -order.key(big), lcm(ri[2], rj[2])
+    h, heap = {big: c}, []
+    _reduce_step(h, heap, big, nk, ri, {})
+    h[big] = -c
+    _reduce_step(h, heap, big, nk, rj, {})
+    return h, heap, 1
 
 
 def _is_unit_element(p, order):
@@ -174,88 +205,76 @@ def _is_unit_element(p, order):
 
 
 def _standard_basis_raw(gens, order, nvars):
-    """Buchberger / Mora pair loop; returns an unreduced basis list."""
-    G = []
-    seen = set()
-    for g in gens:
-        if g.is_zero():
-            continue
-        p = g.primitive(order)
-        if p not in seen:
-            seen.add(p)
-            G.append(p)
+    """Buchberger / Mora pair loop; returns an unreduced basis list.  Pairs
+    are taken by (deg lcm, i, j); pending holds those not yet taken."""
+    G = list(dict.fromkeys(g.primitive(order) for g in gens if not g.is_zero()))
     if not G:
         return []
     one = [Polynomial.constant(nvars, 1)]
     if any(_is_unit_element(g, order) for g in G):
         return one
 
-    nf = _normal_form_global if order.is_global else _mora_normal_form
-    lm = [g.leading_monomial(order) for g in G]
-    pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
+    reducers, pairs, pending = [], [], set()
 
-    def pair_key(ij):
-        i, j = ij
-        return (mono_deg(mono_lcm(lm[i], lm[j])), i, j)
+    def add_element(g):
+        t = len(reducers)
+        reducers.append(_reducer(g.terms, order))
+        for k in range(t):
+            heappush(pairs, (mono_deg(mono_lcm(reducers[k][0], reducers[t][0])), k, t))
+            pending.add((k, t))
 
+    for g in G:
+        add_element(g)
     while pairs:
-        i, j = min(pairs, key=pair_key)
-        pairs.discard((i, j))
-        big = mono_lcm(lm[i], lm[j])
-        if order.is_global and big == mono_mul(lm[i], lm[j]):
+        _, i, j = heappop(pairs)
+        pending.discard((i, j))
+        lmi, lmj = reducers[i][0], reducers[j][0]
+        big = mono_lcm(lmi, lmj)
+        if order.is_global and big == mono_mul(lmi, lmj):
             continue  # product criterion: coprime leading monomials
-        skip = False
-        for k in range(len(G)):
-            if k in (i, j) or not mono_divides(lm[k], big):
-                continue
-            if (min(i, k), max(i, k)) not in pairs and (min(j, k), max(j, k)) not in pairs:
-                skip = True  # chain criterion
-                break
-        if skip:
-            continue
-        s = _spoly(G[i], G[j], order)
-        if s.is_zero():
-            continue
-        reducers = _reducer_entries(G, order)
-        h = nf(s.terms, reducers, order)
+        if any(
+            k not in (i, j)
+            and mono_divides(reducers[k][0], big)
+            and (min(i, k), max(i, k)) not in pending
+            and (min(j, k), max(j, k)) not in pending
+            for k in range(len(G))
+        ):
+            continue  # chain criterion
+        h = _normal_form(*_spoly(reducers[i], reducers[j], big, order), reducers, order)[0]
         if not h:
             continue
         hp = Polynomial(nvars, h).primitive(order)
         if _is_unit_element(hp, order):
             return one
-        t = len(G)
         G.append(hp)
-        lm.append(hp.leading_monomial(order))
-        pairs.update((k, t) for k in range(t))
+        add_element(hp)
     return G
 
 
 def _minimalize(G, order):
-    """Drop basis elements whose leading monomial another one divides."""
-    ranked = sorted(G, key=lambda g: order.key(g.leading_monomial(order)))
-    kept = []
-    kept_lms = []
-    for g in ranked:
+    """Drop basis elements whose leading monomial another one divides; the
+    rest sorted by leading monomial."""
+    kept = {}
+    for g in sorted(G, key=lambda g: order.key(g.leading_monomial(order))):
         m = g.leading_monomial(order)
-        if not any(mono_divides(x, m) for x in kept_lms):
-            kept.append(g)
-            kept_lms.append(m)
-    return kept
+        if not any(mono_divides(x, m) for x in kept):
+            kept[m] = g
+    return list(kept.values())
 
 
 def _reduce_global(G, order, nvars):
-    """Minimal basis, tails fully reduced, primitive scaling, sorted."""
+    """Minimal basis of the primitive elements G, tails fully reduced,
+    primitive scaling, sorted by leading monomial."""
     kept = _minimalize(G, order)
-    out = list(kept)
-    for i in range(len(out)):
-        others = [out[k] for k in range(len(out)) if k != i]
-        if not others:
-            continue
-        reducers = _reducer_entries(others, order)
-        rem = _normal_form_global(out[i].terms, reducers, order)
-        out[i] = Polynomial(nvars, rem)
-    out = [g.primitive(order) for g in out if not g.is_zero()]
-    out.sort(key=lambda g: order.key(g.leading_monomial(order)))
+    reducers = [_reducer(g.terms, order) for g in kept]
+    out = []
+    for i, g in enumerate(kept):
+        others = reducers[:i] + reducers[i + 1 :]
+        if others:
+            rem = _normal_form(*_working(g.terms, order), others, order)[0]
+            g = Polynomial(nvars, rem).primitive(order)
+            reducers[i] = _reducer(g.terms, order)
+        out.append(g)
     return tuple(out)
 
 
@@ -286,13 +305,7 @@ def mora_standard_basis(I, order=LOCAL):
     if hit is not None:
         return hit
     raw = _standard_basis_raw(I.gens, order, I.nvars)
-    kept = _minimalize(raw, order)
-    basis = tuple(
-        sorted(
-            (g.primitive(order) for g in kept),
-            key=lambda g: order.key(g.leading_monomial(order)),
-        )
-    )
+    basis = tuple(g.primitive(order) for g in _minimalize(raw, order))
     sb = StandardBasis(I, order, basis, False)
     _BASIS_CACHE[key] = sb
     return sb
@@ -306,12 +319,9 @@ def normal_form(p, sb):
     """
     if not sb.basis:
         return p
-    reducers = _reducer_entries(sb.basis, sb.order)
-    if sb.order.is_global:
-        rem = _normal_form_global(p.terms, reducers, sb.order)
-    else:
-        rem = _mora_normal_form(p.terms, reducers, sb.order)
-    return Polynomial(p.nvars, rem)
+    reducers = [_reducer(g.terms, sb.order) for g in sb.basis]
+    rem, scale = _normal_form(*_working(p.terms, sb.order), reducers, sb.order)
+    return Polynomial(p.nvars, {m: Fraction(c, scale) for m, c in rem.items()})
 
 
 def is_member(p, I, order=GLOBAL):
@@ -326,17 +336,21 @@ def exact_divide(p, g, order=GLOBAL):
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     lm = g.leading_monomial(order)
-    lc = g.terms[lm]
     q = {}
     h = dict(p.terms)
-    keyf = order.key
     while h:
-        hm = max(h, key=keyf)
+        hm = order.max(h)
         if not mono_divides(lm, hm):
             raise ArithmeticError("polynomial division is not exact")
-        hc = h[hm]
-        q[mono_div(hm, lm)] = hc / lc
-        _cancel_lead(h, hm, hc, lm, lc, g.terms)
+        shift = mono_div(hm, lm)
+        q[shift] = factor = h[hm] / g.terms[lm]
+        for gm, gc in g.terms.items():
+            m = mono_mul(gm, shift)
+            c = h.get(m, 0) - factor * gc
+            if c:
+                h[m] = c
+            else:
+                del h[m]
     return Polynomial(p.nvars, q)
 
 
@@ -360,11 +374,7 @@ def _eliminate_tag(gens, n):
     order = elimination(1)
     raw = _standard_basis_raw(gens, order, n + 1)
     basis = _reduce_global(raw, order, n + 1)
-    kept = [
-        g.drop_first_variable()
-        for g in basis
-        if all(m[0] == 0 for m in g.terms)
-    ]
+    kept = [g.drop_first_variable() for g in basis if all(m[0] == 0 for m in g.terms)]
     return Ideal(kept, n)
 
 
@@ -384,10 +394,7 @@ def ideal_quotient(I, J, order=GLOBAL):
         parts.append(Ideal(tuple(exact_divide(h, g, order) for h in meet.gens), n))
     if not parts:
         return Ideal((Polynomial.constant(n, 1),), n)
-    acc = parts[0]
-    for part in parts[1:]:
-        acc = intersect(acc, part)
-    return acc
+    return reduce(intersect, parts)
 
 
 def canonical(I, order=GLOBAL):
@@ -419,9 +426,7 @@ def saturate(I, J, order=GLOBAL):
     if J.is_zero():
         raise ValueError("saturation by the zero ideal")
     n = I.nvars
-    g = Polynomial.zero(n)
-    for i, h in enumerate(J.gens):
-        g = g + h.scale(i + 1)
+    g = sum((h.scale(i + 1) for i, h in enumerate(J.gens)), Polynomial.zero(n))
     t = Polynomial.variable(n + 1, 0)
     one_minus_tg = Polynomial.constant(n + 1, 1) - t * g.prepend_variable()
     gens = [f.prepend_variable() for f in I.gens] + [one_minus_tg]
@@ -443,10 +448,10 @@ def _certified_exponent(I, S, J, order):
     gb = groebner_basis(I, order)
     if S.gens == gb.basis:
         return 0
-    reducers = _reducer_entries(gb.basis, order)
+    reducers = [_reducer(g.terms, order) for g in gb.basis]
 
     def remainders(polys):
-        rems = (_normal_form_global(p.terms, reducers, order) for p in polys)
+        rems = (_normal_form(*_working(p.terms, order), reducers, order)[0] for p in polys)
         return [Polynomial(I.nvars, r) for r in rems if r]
 
     pending = remainders(S.gens)

@@ -10,35 +10,46 @@ Two public orders are provided:
 
 Elimination orders exist only as internal plumbing for tag-variable
 intersections; the first ``n_elim`` variables dominate.
+
+An order's key is one integer, its comparison tuple packed in radix
+``DEGREE_LIMIT`` = 2^16: a linear form, so key(a*b) = key(a) + key(b),
+exact below total degree 2^16 (``key`` raises DegreeLimitError beyond).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, le, sub
 
-Monomial = tuple  # tuple[int, ...]
+from .errors import DegreeLimitError
+
+DEGREE_LIMIT = 1 << 16
 
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a, b):
     """True iff monomial a divides monomial b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a, b):
     """Exponent vector of a / b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
-def mono_deg(a):
-    return sum(a)
+mono_deg = sum  # total degree
+
+
+def check_degree(deg):
+    if deg >= DEGREE_LIMIT:
+        raise DegreeLimitError(f"monomial degree {deg} reaches the limit {DEGREE_LIMIT}")
 
 
 @dataclass(frozen=True)
@@ -59,20 +70,23 @@ class MonomialOrder:
         return self.kind != "negdegrevlex"
 
     def key(self, mono):
-        """Sort key; larger key means larger monomial."""
-        if self.kind == "degrevlex":
-            return (mono_deg(mono), tuple(-e for e in reversed(mono)))
-        if self.kind == "negdegrevlex":
-            return (-mono_deg(mono), tuple(-e for e in reversed(mono)))
+        """Sort key; larger key means larger monomial.  Packs (degree, -last
+        exponent, ..., -first exponent), the degree negated for
+        'negdegrevlex'; for 'elim', the eliminated block's tuple, then the
+        rest's.  All entries but the first lie in (-limit, limit)."""
+        deg = sum(mono)
+        check_degree(deg)
         if self.kind == "elim":
-            head, tail = mono[: self.n_elim], mono[self.n_elim :]
-            return (
-                mono_deg(head),
-                tuple(-e for e in reversed(head)),
-                mono_deg(tail),
-                tuple(-e for e in reversed(tail)),
-            )
-        raise ValueError(f"unknown order kind {self.kind!r}")
+            head, mono = mono[: self.n_elim], mono[self.n_elim :]
+            key = head_deg = sum(head)
+            for e in reversed(head):
+                key = key * DEGREE_LIMIT - e
+            key = key * DEGREE_LIMIT + deg - head_deg
+        else:
+            key = -deg if self.kind == "negdegrevlex" else deg
+        for e in reversed(mono):
+            key = key * DEGREE_LIMIT - e
+        return key
 
     def greater(self, a, b):
         return self.key(a) > self.key(b)

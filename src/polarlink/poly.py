@@ -1,7 +1,9 @@
 """Exact multivariate polynomials over the rationals.
 
 Coefficients are :class:`fractions.Fraction`, which is the package's
-rational type: always reduced, positive denominator, no rounding ever.
+rational type at every API: always reduced, positive denominator, no
+rounding ever.  Inside the engine's reductions (``ideals``) coefficients
+are integers, and only results cross back as polynomials.
 A polynomial stores a finite map from exponent tuples to nonzero
 coefficients; the zero polynomial stores nothing.  Values are immutable
 after construction and safe to share between workers.
@@ -32,8 +34,9 @@ class Polynomial:
         for mono, coeff in terms.items():
             if len(mono) != nvars:
                 raise ValueError(f"monomial {mono} has wrong length for nvars={nvars}")
-            coeff = Fraction(coeff)
-            if coeff != 0:
+            if type(coeff) is not Fraction:
+                coeff = Fraction(coeff)
+            if coeff:
                 clean[tuple(mono)] = coeff
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
@@ -69,10 +72,6 @@ class Polynomial:
                 terms[mono] = Fraction(c)
         return Polynomial(nvars, terms)
 
-    @staticmethod
-    def monomial_term(nvars, mono, coeff=1):
-        return Polynomial(nvars, {tuple(mono): Fraction(coeff)})
-
     # --- basic queries -------------------------------------------------
 
     def is_zero(self):
@@ -86,27 +85,16 @@ class Polynomial:
 
     def total_degree(self):
         """Max total degree of a term; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(mono_deg(m) for m in self.terms)
+        return max(map(mono_deg, self.terms), default=-1)
 
     def order_of_vanishing(self):
         """Minimal total degree of a term; INFINITE for zero."""
-        if not self.terms:
-            return INFINITE
-        return min(mono_deg(m) for m in self.terms)
+        return min(map(mono_deg, self.terms), default=INFINITE)
 
     def leading_monomial(self, order):
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
         return order.max(self.terms)
-
-    def leading_coefficient(self, order):
-        return self.terms[self.leading_monomial(order)]
-
-    def sorted_terms(self, order=GLOBAL, reverse=True):
-        """Terms as (monomial, coeff) pairs, largest first by default."""
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=reverse)
 
     # --- arithmetic ----------------------------------------------------
 
@@ -156,13 +144,6 @@ class Polynomial:
     def scale(self, c):
         c = Fraction(c)
         return Polynomial(self.nvars, {m: co * c for m, co in self.terms.items()})
-
-    def mul_term(self, mono, coeff):
-        """Multiply by coeff * z^mono in one pass."""
-        coeff = Fraction(coeff)
-        return Polynomial(
-            self.nvars, {mono_mul(m, mono): c * coeff for m, c in self.terms.items()}
-        )
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -276,10 +257,10 @@ class Polynomial:
         coefficient under the given order.  Canonical up to nothing."""
         if not self.terms:
             return self
-        p = self.scale(1 / self.content())
-        if p.leading_coefficient(order) < 0:
-            p = -p
-        return p
+        c = self.content()
+        if self.terms[self.leading_monomial(order)] < 0:
+            c = -c
+        return self if c == 1 else self.scale(1 / c)
 
     def to_str(self, varnames):
         """Canonical text form, degrevlex-descending, re-parseable."""
@@ -288,7 +269,7 @@ class Polynomial:
         if not self.terms:
             return "0"
         pieces = []
-        for mono, coeff in self.sorted_terms():
+        for mono, coeff in sorted(self.terms.items(), key=lambda t: -GLOBAL.key(t[0])):
             factors = []
             for name, e in zip(varnames, mono):
                 if e == 1:

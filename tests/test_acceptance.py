@@ -5,6 +5,7 @@ line for each.  Every comparison here is exact (integers, byte strings);
 there are no tolerances to tune.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -38,6 +39,28 @@ def corpus_reports():
     summary, reports, code = run_corpus(bundled_corpus_path())
     assert code == 0, summary
     return reports
+
+
+# SHA-256 of canonical_json for each bundled corpus report.  Reports are a
+# function of the input alone, so a change of the engine's internal
+# representation must leave every one of them byte-identical; a change that
+# is meant to alter reports updates these digests on purpose.
+CORPUS_REPORT_SHA256 = {
+    "two-lines": "4652b254fe317571123eaa505e12ac904c615b9b02d0b24ea2e16f7b348fa970",
+    "cusp": "e5d636866a3801a783f0dcf017e6b1ad3c40f702070b5f9152c22bec65378f9d",
+    "three-lines": "8d931c191e264f2eb1979083afb7adb130131b634a4f430469454c721d1a3fdd",
+    "three-real-lines": "415cfb234d1ec87e24a3335906a1be8baa530ff76666b37cc70f39c2a73fbd62",
+    "conjugate-lines": "53c71ea571c2cc887e6eff61484cff448e12b9c03bebc5e39342cc1bc573789a",
+    "two-lines-rotated": "4f6ab40cfa4fb8a17484331725c91c0ece3c50a51f3ca9e95cd16a5065fa6434",
+    "whitney-umbrella": "b03e5f6160840573fd9642dd790deab0e63c3639e92ebf61a01a63e4f136261f",
+    "a2-surface": "eb5a4639697b3391207393c209dddbef921e4abb2f178ffc745ad89bd78cc029",
+    "a1-surface": "314f43fbe32daae2615f532fd438313f380d728acbb6b1e6c6fb33906b98d484",
+    "three-planes": "8b8009f11a87d2976477cc24fa150d16e6ed708b9f4fb236e9645666b98ddcb3",
+    "pinch-plus-square": "38d06357231d696325103b213e78ca7df9fb5db9e7bd627d8f930fdbf7256447",
+    "fermat-cubic-surface": "545d09219190ca07060adf1ddd9c704c4889e28a3ea3fa2f0d72fbd8a87ee444",
+    "fermat-quartic-surface": "92bec2f2d0eb15f6a49eb64af4e218b898477645036c3cdbbfc27d5bb7553ee3",
+    "a1-threefold": "20b16972c23385a5d0297a1170e4b3e2eecb5128f60629f9bfc1acbb33100dd3",
+}
 
 
 def accepted_docs(reports):
@@ -187,3 +210,11 @@ def test_criterion_9_excluded_cases(capsys):
         reasons.append(doc["error"]["reason"])
     assert reasons[0] == "f(0) != 0"
     assert len(set(reasons)) == 3
+
+
+def test_corpus_report_bytes_are_pinned(corpus_reports):
+    digests = {
+        name: hashlib.sha256(canonical_json(doc).encode()).hexdigest()
+        for name, doc, _ in corpus_reports
+    }
+    assert digests == CORPUS_REPORT_SHA256

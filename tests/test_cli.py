@@ -3,6 +3,7 @@
 import json
 
 from polarlink.cli import main
+from polarlink.orders import DEGREE_LIMIT
 from polarlink.report import oracle_degree_cap
 
 
@@ -276,3 +277,10 @@ def test_module_entry_point_runs():
         text=True,
     )
     assert proc.returncode == 0
+
+
+def test_compute_refuses_degrees_past_the_order_limit(capsys):
+    code, doc, _ = compute_doc(capsys, "--poly", f"x^{DEGREE_LIMIT} + y^2", "--vars", "x,y")
+    assert code == 1
+    assert doc["error"]["kind"] == "input"
+    assert "limit" in doc["error"]["reason"]

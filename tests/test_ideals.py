@@ -1,13 +1,16 @@
 """Groebner/Mora engine: frozen small cases plus structural properties."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import V2, nonzero_polynomials, p2, p3
+from helpers import V2, fraction_remainder, nonzero_polynomials, p2, p3, polynomials
 import polarlink.ideals as ideals
 from polarlink.ideals import (
     Ideal,
+    StandardBasis,
     _saturate_by_quotients,
     canonical,
     dimension,
@@ -22,7 +25,8 @@ from polarlink.ideals import (
     saturate,
     standard_monomials,
 )
-from polarlink.orders import GLOBAL, LOCAL
+from polarlink.errors import DegreeLimitError
+from polarlink.orders import DEGREE_LIMIT, GLOBAL, LOCAL
 from polarlink.poly import INFINITE, Polynomial
 
 
@@ -94,9 +98,9 @@ def _spoly_for_test(f, g, order):
 
     lf, lg = f.leading_monomial(order), g.leading_monomial(order)
     lcm = mono_lcm(lf, lg)
-    return f.mul_term(mono_div(lcm, lf), 1 / f.terms[lf]) - g.mul_term(
-        mono_div(lcm, lg), 1 / g.terms[lg]
-    )
+    a = Polynomial(f.nvars, {mono_div(lcm, lf): 1 / f.terms[lf]})
+    b = Polynomial(g.nvars, {mono_div(lcm, lg): 1 / g.terms[lg]})
+    return a * f - b * g
 
 
 @settings(max_examples=25)
@@ -139,6 +143,34 @@ def test_normal_form_constant_remainder():
 def test_mora_normal_form_local_member():
     sb = mora_standard_basis(ideal2("y^2", "x^2+y^3"))
     assert normal_form(p2("y^3"), sb).is_zero()
+
+
+@settings(max_examples=40)
+@given(
+    st.lists(nonzero_polynomials(nvars=3, max_terms=3, max_exp=2), min_size=1, max_size=2),
+    polynomials(nvars=3, max_terms=6, max_exp=3),
+    st.lists(st.builds(Fraction, st.integers(2, 9), st.integers(1, 9)), min_size=3, max_size=3),
+)
+def test_normal_form_is_the_exact_fraction_remainder(gens, p, scales):
+    # Fractional dividends and generators, at most two generators in three
+    # variables so the ideal is rarely the unit ideal; the reduced basis is
+    # rescaled by fractions with numerators of at least 2, so its leading
+    # coefficients, once made integral, are not 1.
+    gb = groebner_basis(Ideal(tuple(gens), 3))
+    assert normal_form(p, gb) == fraction_remainder(p, gb.basis, GLOBAL)
+    scaled = tuple(g.scale(c) for g, c in zip(gb.basis, scales * len(gb.basis)))
+    sb = StandardBasis(gb.ideal, GLOBAL, scaled, True)
+    assert normal_form(p, sb) == fraction_remainder(p, scaled, GLOBAL)
+
+
+def test_mora_reduction_refuses_terms_past_the_degree_limit():
+    # x + y^(L-2) has ecart L-3: reducing x by it makes a term of degree
+    # L-2, reducing x^3 one of degree L, which the packed keys cannot order.
+    y_power = p2("y") ** (DEGREE_LIMIT - 2)
+    sb = mora_standard_basis(Ideal((p2("x") + y_power,), 2))
+    assert normal_form(p2("x"), sb) == -y_power
+    with pytest.raises(DegreeLimitError):
+        normal_form(p2("x^3"), sb)
 
 
 def test_normal_form_against_empty_basis():

@@ -1,9 +1,13 @@
 """Monomial order semantics: degrevlex, its local mirror, elimination blocks."""
 
+import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import monomials
+from helpers import monomials, reference_key
+from polarlink.errors import DegreeLimitError
 from polarlink.orders import (
+    DEGREE_LIMIT,
     GLOBAL,
     LOCAL,
     elimination,
@@ -61,3 +65,46 @@ def test_divisibility_helpers_agree(a, b):
 @given(monomials(4))
 def test_one_divides_everything(m):
     assert mono_divides((0, 0, 0, 0), m)
+
+
+ORDERS = (GLOBAL, LOCAL, elimination(1))
+
+# Exponents small and large; five of the large ones stay below the limit.
+EXPONENTS = st.one_of(st.integers(0, 3), st.integers(0, (DEGREE_LIMIT - 1) // 5))
+
+
+def pairs_of_monomials(exponents):
+    return st.integers(1, 5).flatmap(
+        lambda n: st.tuples(st.tuples(*[exponents] * n), st.tuples(*[exponents] * n))
+    )
+
+
+@given(pairs_of_monomials(EXPONENTS))
+def test_packed_key_is_the_order(pair):
+    a, b = pair
+    for order in ORDERS:
+        assert (order.key(a) > order.key(b)) == (reference_key(order, a) > reference_key(order, b))
+        assert (order.key(a) == order.key(b)) == (a == b)
+
+
+@given(pairs_of_monomials(st.integers(0, (DEGREE_LIMIT - 1) // 10)))
+def test_packed_key_is_linear(pair):
+    a, b = pair
+    for order in ORDERS:
+        assert order.key(mono_mul(a, b)) == order.key(a) + order.key(b)
+
+
+def test_packed_key_at_the_degree_limit():
+    top = DEGREE_LIMIT - 1
+    monos = [(top, 0, 0), (0, top, 0), (0, 0, top), (top - 1, 0, 1), (1, top - 1, 0), (0, 1, 0)]
+    for order in ORDERS:
+        by_key = sorted(monos, key=order.key)
+        assert by_key == sorted(monos, key=lambda m: reference_key(order, m))
+    assert elimination(1).greater((1, 0, 0), (0, top, 0))
+
+
+@pytest.mark.parametrize("mono", [(DEGREE_LIMIT, 0), (DEGREE_LIMIT // 2, DEGREE_LIMIT // 2)])
+def test_packed_key_refuses_monomials_past_the_limit(mono):
+    for order in ORDERS:
+        with pytest.raises(DegreeLimitError):
+            order.key(mono)

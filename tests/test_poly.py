@@ -93,9 +93,10 @@ def test_primitive_normal_form(f):
     prim = f.primitive(GLOBAL)
     coeffs = list(prim.terms.values())
     assert all(c.denominator == 1 for c in coeffs)
-    assert prim.leading_coefficient(GLOBAL) > 0
+    lead = prim.leading_monomial(GLOBAL)
+    assert prim.terms[lead] > 0
     # proportional to the input
-    ratio = f.leading_coefficient(GLOBAL) / prim.leading_coefficient(GLOBAL)
+    ratio = f.terms[lead] / prim.terms[lead]
     assert prim.scale(ratio) == f
 
 
