@@ -24,7 +24,7 @@ from .errors import (
 from .ideals import Ideal
 from .oracle import default_cap, stable_colength, teissier_check
 from .parse import parse_polynomial
-from .polar import check_excluded, milnor_number, polar_ideal, sample_frames
+from .polar import check_excluded, jacobian_ideal, milnor_number, polar_ideal, sample_frames
 from .poly import INFINITE
 from .report import (
     ENGINE_VERSION,
@@ -121,8 +121,6 @@ def _cmd_compute(args):
             bound=args.bound,
             betti=betti,
             components=args.components,
-            fmt="text" if args.text else "json",
-            json_path=args.json_path,
         )
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -187,14 +185,16 @@ def _cmd_oracle_teissier(args):
     results = []
     budget = 20 * wanted
     pool = sample_frames(len(varnames), budget, args.seed, args.bound)
-    if milnor_number(f) is INFINITE:
+    mu = milnor_number(f)
+    if mu is INFINITE:
         # No frame is usable, so no polar ideal needs building.
         pool = []
     for fr in pool:
         if len(results) == wanted:
             break
+        fM = fr.transform(f)
         try:
-            v = teissier_check(f, polar_ideal(f, fr, 1))
+            v = teissier_check(f, polar_ideal(fM, fr, 1, jacobian_ideal(fM)), mu)
         except (NonIsolated, ImproperIntersection):
             continue
         results.append(

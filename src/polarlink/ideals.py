@@ -11,11 +11,12 @@ Saturation is one Rabinowitsch elimination by a fixed combination of the
 generators, certified by exact membership tests; the quotient loop is kept
 as the fallback when certification fails.
 
-Everything is exact; bases are cached per (ideal, order).  Reductions run
-fraction-free on integer coefficients: a polynomial being reduced is a
-dict {monomial: int} plus a heap of (-key, monomial) over its terms (stale
-entries are skipped when popped), and a remainder is the Fraction remainder
-times a tracked positive integer scale.
+Everything is exact, and every call computes its basis afresh: the module
+keeps no state between calls.  Reductions run fraction-free on integer
+coefficients: a polynomial being reduced is a dict {monomial: int} plus a
+heap of (-key, monomial) over its terms (stale entries are skipped when
+popped), and a remainder is the Fraction remainder times a tracked
+positive integer scale.
 """
 
 from __future__ import annotations
@@ -205,8 +206,9 @@ def _is_unit_element(p, order):
 
 
 def _standard_basis_raw(gens, order, nvars):
-    """Buchberger / Mora pair loop; returns an unreduced basis list.  Pairs
-    are taken by (deg lcm, i, j); pending holds those not yet taken."""
+    """Buchberger / Mora pair loop; returns an unreduced basis list of
+    elements primitive under order.  Pairs are taken by (deg lcm, i, j);
+    pending holds those not yet taken."""
     G = list(dict.fromkeys(g.primitive(order) for g in gens if not g.is_zero()))
     if not G:
         return []
@@ -278,37 +280,20 @@ def _reduce_global(G, order, nvars):
     return tuple(out)
 
 
-_BASIS_CACHE = {}
-
-
 def groebner_basis(I, order=GLOBAL):
-    """Reduced Groebner basis of I under a global order; cached."""
+    """Reduced Groebner basis of I under a global order."""
     if not order.is_global:
         raise ValueError("groebner_basis requires a global order")
-    key = (I, order)
-    hit = _BASIS_CACHE.get(key)
-    if hit is not None:
-        return hit
     raw = _standard_basis_raw(I.gens, order, I.nvars)
-    basis = _reduce_global(raw, order, I.nvars)
-    sb = StandardBasis(I, order, basis, True)
-    _BASIS_CACHE[key] = sb
-    return sb
+    return StandardBasis(I, order, _reduce_global(raw, order, I.nvars), True)
 
 
 def mora_standard_basis(I, order=LOCAL):
     """Minimal Mora standard basis of I in the local ring at the origin."""
     if order.is_global:
         raise ValueError("mora_standard_basis requires a local order")
-    key = (I, order)
-    hit = _BASIS_CACHE.get(key)
-    if hit is not None:
-        return hit
     raw = _standard_basis_raw(I.gens, order, I.nvars)
-    basis = tuple(g.primitive(order) for g in _minimalize(raw, order))
-    sb = StandardBasis(I, order, basis, False)
-    _BASIS_CACHE[key] = sb
-    return sb
+    return StandardBasis(I, order, tuple(_minimalize(raw, order)), False)
 
 
 def normal_form(p, sb):
@@ -324,22 +309,22 @@ def normal_form(p, sb):
     return Polynomial(p.nvars, {m: Fraction(c, scale) for m, c in rem.items()})
 
 
-def is_member(p, I, order=GLOBAL):
-    return normal_form(p, groebner_basis(I, order)).is_zero()
+def is_member(p, I):
+    return normal_form(p, groebner_basis(I)).is_zero()
 
 
 # --- quotient, intersection, saturation --------------------------------
 
 
-def exact_divide(p, g, order=GLOBAL):
+def exact_divide(p, g):
     """Quotient p/g when g divides p exactly; raises otherwise."""
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    lm = g.leading_monomial(order)
+    lm = g.leading_monomial(GLOBAL)
     q = {}
     h = dict(p.terms)
     while h:
-        hm = order.max(h)
+        hm = GLOBAL.max(h)
         if not mono_divides(lm, hm):
             raise ArithmeticError("polynomial division is not exact")
         shift = mono_div(hm, lm)
@@ -378,28 +363,28 @@ def _eliminate_tag(gens, n):
     return Ideal(kept, n)
 
 
-def ideal_quotient(I, J, order=GLOBAL):
+def ideal_quotient(I, J):
     """I : J, via single-generator quotients (I ∩ (g))/g intersected."""
     if J.is_zero():
         raise ValueError("quotient by the zero ideal")
     n = I.nvars
     if I.is_zero():
         return I
-    gb = groebner_basis(I, order)
+    gb = groebner_basis(I)
     parts = []
     for g in J.gens:
         if normal_form(g, gb).is_zero():
             continue  # g in I, so I : (g) is the whole ring
         meet = intersect(I, Ideal((g,), n))
-        parts.append(Ideal(tuple(exact_divide(h, g, order) for h in meet.gens), n))
+        parts.append(Ideal(tuple(exact_divide(h, g) for h in meet.gens), n))
     if not parts:
         return Ideal((Polynomial.constant(n, 1),), n)
     return reduce(intersect, parts)
 
 
-def canonical(I, order=GLOBAL):
+def canonical(I):
     """The ideal regenerated by its reduced Groebner basis."""
-    return Ideal(groebner_basis(I, order).basis, I.nvars)
+    return Ideal(groebner_basis(I).basis, I.nvars)
 
 
 # Largest exponent the elimination result is certified against before the
@@ -407,13 +392,16 @@ def canonical(I, order=GLOBAL):
 _CERTIFY_MAX_EXPONENT = 3
 
 
-def saturate(I, J, order=GLOBAL):
+def saturate(I, J):
     """I : J^infinity and its saturation exponent.
 
     The exponent is the least m with I : J^m = I : J^infinity, that is the
     least m with J^m * (I : J^infinity) contained in I; it is 0 exactly
     when I is already saturated.  The returned ideal is generated by its
-    reduced Groebner basis under order.
+    reduced Groebner basis: the t-free part of the elimination's reduced
+    basis, which already is that basis (the elimination order restricted
+    to t-free monomials is degrevlex, with the same primitive scaling and
+    sort).
 
     Method (Greuel-Pfister, section 1.8): S = I : g^infinity for the fixed
     combination g = sum (i+1) * J_i, from one elimination of t in
@@ -430,14 +418,14 @@ def saturate(I, J, order=GLOBAL):
     t = Polynomial.variable(n + 1, 0)
     one_minus_tg = Polynomial.constant(n + 1, 1) - t * g.prepend_variable()
     gens = [f.prepend_variable() for f in I.gens] + [one_minus_tg]
-    S = canonical(_eliminate_tag(gens, n), order)
-    exponent = _certified_exponent(I, S, J, order)
+    S = _eliminate_tag(gens, n)
+    exponent = _certified_exponent(I, S, J)
     if exponent is None:
-        return _saturate_by_quotients(I, J, order)
+        return _saturate_by_quotients(I, J)
     return S, exponent
 
 
-def _certified_exponent(I, S, J, order):
+def _certified_exponent(I, S, J):
     """Least m <= _CERTIFY_MAX_EXPONENT with J^m * S inside I, else None.
 
     S contains I, so m = 0 exactly when the reduced bases agree.  Beyond
@@ -445,13 +433,13 @@ def _certified_exponent(I, S, J, order):
     J^m * S; multiplying them by each generator of J gives those of
     J^(m+1) * S.
     """
-    gb = groebner_basis(I, order)
+    gb = groebner_basis(I)
     if S.gens == gb.basis:
         return 0
-    reducers = [_reducer(g.terms, order) for g in gb.basis]
+    reducers = [_reducer(g.terms, GLOBAL) for g in gb.basis]
 
     def remainders(polys):
-        rems = (_normal_form(*_working(p.terms, order), reducers, order)[0] for p in polys)
+        rems = (_normal_form(*_working(p.terms, GLOBAL), reducers, GLOBAL)[0] for p in polys)
         return [Polynomial(I.nvars, r) for r in rems if r]
 
     pending = remainders(S.gens)
@@ -462,17 +450,17 @@ def _certified_exponent(I, S, J, order):
     return None
 
 
-def _saturate_by_quotients(I, J, order=GLOBAL):
+def _saturate_by_quotients(I, J):
     """I : J^infinity by repeated quotients, with the number of quotient
     steps until stability; the fallback of saturate and its test oracle.
 
     Stability is detected by equality of reduced Groebner bases, which are
-    canonical for (ideal, order).
+    canonical for the ideal under degrevlex.
     """
-    current = canonical(I, order)
+    current = canonical(I)
     exponent = 0
     while True:
-        nxt = canonical(ideal_quotient(current, J, order), order)
+        nxt = canonical(ideal_quotient(current, J))
         if nxt.gens == current.gens:
             return current, exponent
         current = nxt
@@ -528,9 +516,11 @@ def standard_monomials(sb):
 def local_colength(I):
     """Vector-space dimension of the local ring at the origin modulo I;
     INFINITE when the quotient has positive local dimension."""
-    if I.is_zero():
-        return INFINITE
-    sb = mora_standard_basis(I)
+    return INFINITE if I.is_zero() else colength(mora_standard_basis(I))
+
+
+def colength(sb):
+    """local_colength of sb's ideal, read from its Mora standard basis sb."""
     d = dimension(sb)
     if d == -1:
         return 0

@@ -160,17 +160,17 @@ def bezout_gamma(n, d, k):
     return (d - 1) ** (n + 1 - k)
 
 
-def teissier_check(f, pol):
+def teissier_check(f, pol, mu):
     """Intersection number of the first polar curve with V(f) versus the
     sum of the Milnor numbers of f and its slice by z_0 = 0 in the frame.
 
     pol is the first polar ideal of f (k = 1) in the frame to check, as
-    polar.polar_ideal builds it.  The frame must be usable: f needs an
+    polar.polar_ideal builds it, and mu = milnor_number(f), which the
+    caller has already computed.  The frame must be usable: f needs an
     isolated singularity, the slice must keep one too, and the polar curve
     must cut V(f) in finite colength.  NonIsolated or ImproperIntersection
     flag unusable frames.
     """
-    mu = milnor_number(f)
     if mu is INFINITE:
         raise NonIsolated("f does not have an isolated singularity")
     fM = pol.frame.transform(f)

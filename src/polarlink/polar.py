@@ -20,8 +20,8 @@ from .errors import (
     NoValidFrame,
     WrongPolarDimension,
 )
-from .ideals import Ideal, dimension, local_colength, mora_standard_basis, saturate
-from .poly import INFINITE, Polynomial, det
+from .ideals import Ideal, colength, dimension, local_colength, mora_standard_basis, saturate
+from .poly import INFINITE, det
 
 
 @dataclass(frozen=True)
@@ -86,8 +86,8 @@ def jacobian_ideal(f):
     return Ideal(gens, f.nvars)
 
 
-def critical_dimension(f):
-    """Local dimension s of the critical locus of f at the origin.
+def _jacobian_basis(f):
+    """Mora standard basis of the Jacobian ideal of f.
 
     Raises ExcludedCaseError when the origin is a smooth point of V(f),
     i.e. some partial does not vanish there.
@@ -95,8 +95,13 @@ def critical_dimension(f):
     J = jacobian_ideal(f)
     if any(g.constant_term() != 0 for g in J.gens):
         raise ExcludedCaseError("origin is a smooth point of V(f)")
-    d = dimension(mora_standard_basis(J))
-    return d
+    return mora_standard_basis(J)
+
+
+def critical_dimension(f):
+    """Local dimension s of the critical locus of f at the origin; raises
+    ExcludedCaseError at a smooth origin."""
+    return dimension(_jacobian_basis(f))
 
 
 def milnor_number(g):
@@ -117,24 +122,23 @@ class PolarIdeal:
     k: int
 
 
-def polar_ideal(f, frame, k):
-    """k-th polar ideal of f in the given frame.
+def polar_ideal(fM, frame, k, jacobian):
+    """k-th polar ideal of f in the given frame, from fM = frame.transform(f)
+    and jacobian = jacobian_ideal(fM), both built once per frame.
 
-    Generated by the partials of the transformed polynomial with respect to
-    z_k..z_n, saturated by the full Jacobian ideal to remove the critical
-    locus.
+    Generated by the partials of fM with respect to z_k..z_n, saturated by
+    the full Jacobian ideal to remove the critical locus.
     """
-    n = f.nvars - 1
+    n = fM.nvars - 1
     if not 1 <= k <= n:
         raise ValueError(f"polar index k={k} out of range 1..{n}")
-    if frame.size != f.nvars:
+    if frame.size != fM.nvars:
         raise ValueError("frame size does not match the variable count")
-    fM = frame.transform(f)
     gens = [fM.partial_derivative(i) for i in range(k, n + 1)]
-    partial_ideal = Ideal(gens, f.nvars)
+    partial_ideal = Ideal(gens, fM.nvars)
     if partial_ideal.is_zero():
         return PolarIdeal(partial_ideal, 0, frame, k)
-    sat, exponent = saturate(partial_ideal, jacobian_ideal(fM))
+    sat, exponent = saturate(partial_ideal, jacobian)
     return PolarIdeal(sat, exponent, frame, k)
 
 
@@ -148,7 +152,8 @@ def gamma_k(f, frame, k):
         return 0
     if k == n + 1:
         return 1
-    return polar_multiplicity(polar_ideal(f, frame, k))
+    fM = frame.transform(f)
+    return polar_multiplicity(polar_ideal(fM, frame, k, jacobian_ideal(fM)))
 
 
 def polar_multiplicity(pol):
@@ -172,14 +177,19 @@ def polar_multiplicity(pol):
         raise WrongPolarDimension(
             f"polar ideal for k={k} has local dimension {d}"
         )
-    cut = [g.substitute_zero(range(k)) for g in pol.ideal.gens]
-    restricted = Ideal([g for g in cut if not g.is_zero()], pol.ideal.nvars - k)
-    c = local_colength(restricted)
+    c = local_colength(plane_cut(pol))
     if c is INFINITE:
         raise ImproperIntersection(
             f"polar variety for k={k} meets the coordinate plane improperly"
         )
     return c
+
+
+def plane_cut(pol):
+    """The polar ideal cut by the plane z_0 = ... = z_(k-1) = 0, as an
+    ideal in the remaining variables z_k..z_n."""
+    k = pol.k
+    return Ideal([g.substitute_zero(range(k)) for g in pol.ideal.gens], pol.ideal.nvars - k)
 
 
 @dataclass(frozen=True)
@@ -190,14 +200,18 @@ class GammaProfile:
     that frame was invalid for k.  witness[k-1] is the first trial index
     attaining the reported minimum and agreement[k-1] how many trials did.
     polar_ideals[t][k-1] is the k-th polar ideal built in frame t, kept so
-    that later checks read it instead of building it again.
+    that later checks read it instead of building it again.  mu is the
+    Milnor number (INFINITE unless s = 0), read from the same Jacobian
+    basis as s; threshold is the agreement every k needs for stability.
     """
 
     n: int
     gamma: tuple
     mult: int
     s: int
+    mu: object
     trials: int
+    threshold: int
     stable: bool
     per_trial: tuple
     agreement: tuple
@@ -241,16 +255,19 @@ def gamma_profile(f, trials=5, seed=0, bound=10):
     if n < 1:
         raise ValueError("need at least two variables")
     mult = f.order_of_vanishing()
-    s = critical_dimension(f)
+    jacobian_basis = _jacobian_basis(f)
+    s, mu = dimension(jacobian_basis), colength(jacobian_basis)
     frames = tuple(sample_frames(f.nvars, trials, seed, bound))
 
     per_trial = []
     polar_ideals = []
     for fr in frames:
+        fM = fr.transform(f)
+        jacobian = jacobian_ideal(fM)
         row = []
         pols = []
         for k in range(1, n + 1):
-            pol = polar_ideal(f, fr, k)
+            pol = polar_ideal(fM, fr, k, jacobian)
             pols.append(pol)
             try:
                 row.append(polar_multiplicity(pol))
@@ -287,7 +304,9 @@ def gamma_profile(f, trials=5, seed=0, bound=10):
         gamma=tuple(gamma),
         mult=mult,
         s=s,
+        mu=mu,
         trials=trials,
+        threshold=threshold,
         stable=stable,
         per_trial=per_trial,
         agreement=tuple(agreement),

@@ -23,7 +23,8 @@ from .errors import (
     NoValidFrame,
     ParseError,
 )
-from .ideals import Ideal, dimension, local_colength, mora_standard_basis
+# unused; perfbench/tracer.py rebinds them (ROADMAP item 5)
+from .ideals import dimension, local_colength, mora_standard_basis
 from .link import (
     BettiVector,
     FeasibilityCheck,
@@ -45,9 +46,8 @@ from .oracle import (
     verdict,
 )
 from .parse import parse_polynomial
-from .polar import gamma_profile, jacobian_ideal
+from .polar import gamma_profile, jacobian_ideal, plane_cut
 from .polar import polar_ideal  # unused; perfbench/tracer.py rebinds it (ROADMAP item 5)
-from .poly import INFINITE
 
 SCHEMA_VERSION = 1
 ENGINE_VERSION = "0.1.0"
@@ -78,8 +78,6 @@ class RunConfig:
     bound: int = 10
     betti: object = None
     components: object = None
-    fmt: str = "json"
-    json_path: object = None
 
     def validate(self):
         if self.trials < 1:
@@ -88,8 +86,6 @@ class RunConfig:
             raise ValueError("bound must be at least 1")
         if len(self.varnames) < 2:
             raise ValueError("need at least two variables")
-        if self.fmt not in ("json", "text"):
-            raise ValueError(f"unknown format {self.fmt!r}")
         if self.components is not None and self.components < 1:
             raise ValueError("component count must be positive")
 
@@ -112,20 +108,18 @@ def _oracle_diagnostics(f, profile, hard_cap):
     """Cross-checks recorded with every report: the boundary identities,
     the truncated-colength oracle against each accepted gamma value and
     against the Milnor number, and the Teissier sum when f is isolated.
-    Also collects the saturation exponents seen at the witness frames."""
+    Also collects the saturation exponents seen at the witness frames.
+    gamma^k = 0 exactly when the witness polar ideal misses the origin,
+    which leaves nothing for the colength oracle to count."""
     verdicts = list(gamma_identity_audit(profile))
     start = default_cap(f)
     exponents = []
     for k in range(1, profile.n + 1):
         pol = profile.witness_polar_ideal(k)
         exponents.append(pol.saturation_exponent)
-        if pol.ideal.is_zero() or dimension(mora_standard_basis(pol.ideal)) == -1:
+        if profile.gamma[k] == 0:
             continue
-        cut = [g.substitute_zero(range(k)) for g in pol.ideal.gens]
-        restricted = Ideal(
-            [g for g in cut if not g.is_zero()], f.nvars - k
-        )
-        r = stable_colength(restricted, start, hard_cap)
+        r = stable_colength(plane_cut(pol), start, hard_cap)
         verdicts.append(
             verdict(
                 f"colength_oracle_k{k}",
@@ -135,20 +129,18 @@ def _oracle_diagnostics(f, profile, hard_cap):
             )
         )
     if profile.s == 0:
-        J = jacobian_ideal(f)
-        mu = local_colength(J)
-        r = stable_colength(J, start, hard_cap)
+        r = stable_colength(jacobian_ideal(f), start, hard_cap)
         verdicts.append(
             verdict(
                 "colength_oracle_milnor",
-                mu,
+                profile.mu,
                 r.value if r.stable else "unstable",
                 context=f"cap={r.cap}",
             )
         )
         for pols in profile.polar_ideals:
             try:
-                verdicts.append(teissier_check(f, pols[0]))
+                verdicts.append(teissier_check(f, pols[0], profile.mu))
                 break
             except (NonIsolated, ImproperIntersection):
                 continue
@@ -224,7 +216,7 @@ def build_report(cfg):
         },
         "stability": {
             "stable": profile.stable,
-            "threshold": (profile.trials + 1) // 2,
+            "threshold": profile.threshold,
             "agreement": list(profile.agreement),
             "per_trial": [list(row) for row in profile.per_trial],
             "witness_trials": list(profile.witness),
@@ -264,20 +256,17 @@ def build_report(cfg):
         },
     }
 
-    if n == 1:
-        seq = n1_exact_sequence(profile, betti)
-        doc["n1_exact_sequence"] = {
-            "ranks": list(seq.ranks),
-            "checks": [_check_payload(c) for c in seq.checks],
-        }
-    else:
-        doc["n1_exact_sequence"] = None
+    seq = n1_exact_sequence(profile, betti) if n == 1 else None
+    doc["n1_exact_sequence"] = None if seq is None else {
+        "ranks": list(seq.ranks),
+        "checks": [_check_payload(c) for c in seq.checks],
+    }
 
     feasibility = None
     if betti is not None:
         checks = list(betti_feasibility(betti, profile, lamp))
-        if n == 1:
-            checks.extend(n1_exact_sequence(profile, betti).checks)
+        if seq is not None:
+            checks.extend(seq.checks)
         feasibility = {
             "checks": [_check_payload(c) for c in checks],
             "all_passed": all(c.passed for c in checks),

@@ -14,7 +14,7 @@ from polarlink.cli import main
 from polarlink.ideals import Ideal
 from polarlink.oracle import bezout_gamma, teissier_check
 from polarlink.parse import parse_polynomial
-from polarlink.polar import gamma_profile, polar_ideal, sample_frames
+from polarlink.polar import gamma_profile, jacobian_ideal, polar_ideal, sample_frames
 from polarlink.report import (
     RunConfig,
     bundled_corpus_path,
@@ -141,7 +141,8 @@ def test_criterion_5_teissier_on_isolated_members(corpus_entries):
             continue
         passed_frames = []
         for frame in sample_frames(len(varnames), 60, seed=7):
-            v = teissier_check(f, polar_ideal(f, frame, 1))
+            fM = frame.transform(f)
+            v = teissier_check(f, polar_ideal(fM, frame, 1, jacobian_ideal(fM)), profile.mu)
             assert v.passed, (entry["name"], frame.matrix, v)
             passed_frames.append(frame.matrix)
             if len(passed_frames) == 3:
@@ -218,3 +219,16 @@ def test_corpus_report_bytes_are_pinned(corpus_reports):
         for name, doc, _ in corpus_reports
     }
     assert digests == CORPUS_REPORT_SHA256
+
+
+def test_witness_polar_ideal_missing_the_origin_gets_no_colength_oracle():
+    # At frame seed 3, frame 2 saturates the first polar ideal of x*y*z to
+    # the unit ideal, so gamma^1 = 0 wins the minimum and the colength
+    # oracle has nothing to count for k = 1.
+    doc, code = run_compute(RunConfig("x*y*z", ("x", "y", "z"), seed=3))
+    assert code == 2
+    assert doc["gamma"] == [0, 0, 2, 1]
+    assert doc["stability"]["witness_trials"] == [2, 0]
+    names = [v["name"] for v in doc["oracles"]["verdicts"]]
+    assert "colength_oracle_k2" in names
+    assert "colength_oracle_k1" not in names

@@ -265,9 +265,9 @@ def test_saturation_falls_back_when_the_combination_is_a_zero_divisor(monkeypatc
     loop = ideals._saturate_by_quotients
     fallbacks = []
 
-    def spy(I, J, order=GLOBAL):
+    def spy(I, J):
         fallbacks.append(I)
-        return loop(I, J, order)
+        return loop(I, J)
 
     monkeypatch.setattr(ideals, "_saturate_by_quotients", spy)
     I = ideal2("x^2 + 2*x*y")

@@ -29,7 +29,9 @@ def fake_profile(gamma, mult=None, s=0):
         gamma=tuple(gamma),
         mult=mult,
         s=s,
+        mu=None,
         trials=1,
+        threshold=1,
         stable=True,
         per_trial=((None,) * n,),
         agreement=(1,) * n,

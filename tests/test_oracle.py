@@ -20,7 +20,13 @@ from polarlink.oracle import (
     truncated_colength,
     verdict,
 )
-from polarlink.polar import identity_frame, polar_ideal, sample_frames
+from polarlink.polar import (
+    identity_frame,
+    jacobian_ideal,
+    milnor_number,
+    polar_ideal,
+    sample_frames,
+)
 from polarlink.poly import INFINITE
 
 
@@ -111,7 +117,8 @@ def test_verdict_passes_iff_equal():
 
 def test_teissier_cusp_identity_frame():
     f = p2("x^2+y^3")
-    v = teissier_check(f, polar_ideal(f, identity_frame(2), 1))
+    pol = polar_ideal(f, identity_frame(2), 1, jacobian_ideal(f))
+    v = teissier_check(f, pol, milnor_number(f))
     assert v.passed
     assert (v.expected, v.actual) == (4, 4)
 
@@ -119,19 +126,22 @@ def test_teissier_cusp_identity_frame():
 def test_teissier_cusp_generic_frames():
     f = p2("x^2+y^3")
     for fr in sample_frames(2, 3, seed=7):
-        v = teissier_check(f, polar_ideal(f, fr, 1))
+        fM = fr.transform(f)
+        v = teissier_check(f, polar_ideal(fM, fr, 1, jacobian_ideal(fM)), milnor_number(f))
         assert v.passed
         assert v.actual == 3  # mu 2 plus generic slice mu 1
 
 
 def test_teissier_rejects_nonisolated():
     f = p3("y^2 - x^2*z")
+    pol = polar_ideal(f, identity_frame(3), 1, jacobian_ideal(f))
     with pytest.raises(NonIsolated):
-        teissier_check(f, polar_ideal(f, identity_frame(3), 1))
+        teissier_check(f, pol, milnor_number(f))
 
 
 def test_teissier_rejects_degenerate_frame():
     # the identity frame slices xy along one of its own branches
     f = p2("x*y")
+    pol = polar_ideal(f, identity_frame(2), 1, jacobian_ideal(f))
     with pytest.raises(NonIsolated):
-        teissier_check(f, polar_ideal(f, identity_frame(2), 1))
+        teissier_check(f, pol, milnor_number(f))

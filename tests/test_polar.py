@@ -91,7 +91,8 @@ def test_frame_transform_is_substitution():
 
 
 def test_polar_sphere_identity_frame():
-    pol = polar_ideal(p3("x^2+y^2+z^2"), identity_frame(3), 1)
+    f = p3("x^2+y^2+z^2")
+    pol = polar_ideal(f, identity_frame(3), 1, jacobian_ideal(f))
     assert canonical(pol.ideal).gens == (p3("z"), p3("y"))
     assert pol.saturation_exponent == 0
 
@@ -100,7 +101,8 @@ def test_polar_two_lines_generic_frame():
     # the polar line must differ from the critical locus (the origin here,
     # so any line through 0 qualifies) and be principal
     fr = CoordinateFrame(((1, 2), (1, -1)))
-    pol = polar_ideal(p2("x*y"), fr, 1)
+    fM = fr.transform(p2("x*y"))
+    pol = polar_ideal(fM, fr, 1, jacobian_ideal(fM))
     basis = canonical(pol.ideal).gens
     assert len(basis) == 1
     assert basis[0].total_degree() == 1
@@ -108,7 +110,8 @@ def test_polar_two_lines_generic_frame():
 
 def test_polar_whitney_k2_is_principal_quadric():
     fr = CoordinateFrame(((1, 1, 2), (0, 1, 1), (1, 0, 2)))
-    pol = polar_ideal(p3("y^2 - x^2*z"), fr, 2)
+    fM = fr.transform(p3("y^2 - x^2*z"))
+    pol = polar_ideal(fM, fr, 2, jacobian_ideal(fM))
     basis = canonical(pol.ideal).gens
     assert len(basis) == 1
     assert basis[0].total_degree() == 2
@@ -184,6 +187,26 @@ def test_gamma_profile_witness_frames_attain_minimum():
         t = prof.witness[k - 1]
         assert prof.per_trial[t][k - 1] == prof.gamma[k]
         assert prof.witness_frame(k) is prof.frames[t]
+
+
+def test_gamma_profile_transforms_f_once_per_frame(monkeypatch):
+    calls = []
+    transform = CoordinateFrame.transform
+
+    def counting(frame, p):
+        calls.append(frame.matrix)
+        return transform(frame, p)
+
+    monkeypatch.setattr(CoordinateFrame, "transform", counting)
+    prof = gamma_profile(p3("x^3+y^3+z^3"), trials=5, seed=0)
+    assert calls == [fr.matrix for fr in prof.frames]
+
+
+def test_gamma_profile_carries_mu_and_threshold():
+    f = p3("x^3+y^3+z^3")
+    prof = gamma_profile(f, trials=5, seed=0)
+    assert (prof.mu, prof.threshold) == (milnor_number(f), 3)
+    assert gamma_profile(p3("y^2 - x^2*z"), trials=4, seed=0).mu is INFINITE
 
 
 def test_profile_needs_two_variables():
