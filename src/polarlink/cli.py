@@ -194,7 +194,7 @@ def _cmd_oracle_teissier(args):
             break
         fM = fr.transform(f)
         try:
-            v = teissier_check(f, polar_ideal(fM, fr, 1, jacobian_ideal(fM)), mu)
+            v = teissier_check(polar_ideal(fM, fr, 1, jacobian_ideal(fM)), mu)
         except (NonIsolated, ImproperIntersection):
             continue
         results.append(

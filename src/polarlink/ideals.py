@@ -7,9 +7,9 @@ On top of those sit normal form, quotient, intersection (tag variable plus
 elimination), saturation, Krull dimension of the leading ideal, and the
 local colength that realizes intersection numbers at the origin.
 
-Saturation is one Rabinowitsch elimination by a fixed combination of the
-generators, certified by exact membership tests; the quotient loop is kept
-as the fallback when certification fails.
+Saturation I : J^infinity is one Rabinowitsch elimination with one tag
+per generator of J outside I, which is exact, so it needs no certificate
+and no fallback.
 
 Everything is exact, and every call computes its basis afresh: the module
 keeps no state between calls.  Reductions run fraction-free on integer
@@ -350,16 +350,20 @@ def intersect(I, J):
     one_minus_t = Polynomial.constant(n + 1, 1) - t
     tagged = [t * f.prepend_variable() for f in I.gens]
     tagged += [one_minus_t * g.prepend_variable() for g in J.gens]
-    return _eliminate_tag(tagged, n)
+    return _eliminate_tags(tagged, 1, n)
 
 
-def _eliminate_tag(gens, n):
-    """The ideal of gens (in a tag variable t plus n more) intersected with
-    the ring without t: the t-free part of an elimination basis."""
-    order = elimination(1)
-    raw = _standard_basis_raw(gens, order, n + 1)
-    basis = _reduce_global(raw, order, n + 1)
-    kept = [g.drop_first_variable() for g in basis if all(m[0] == 0 for m in g.terms)]
+def _eliminate_tags(gens, r, n):
+    """The ideal of gens (in r tag variables followed by n more) intersected
+    with the ring without the tags: the tag-free part of an elimination
+    basis."""
+    order = elimination(r)
+    basis = _reduce_global(_standard_basis_raw(gens, order, n + r), order, n + r)
+    kept = [
+        Polynomial(n, {m[r:]: c for m, c in g.terms.items()})
+        for g in basis
+        if not any(any(m[:r]) for m in g.terms)
+    ]
     return Ideal(kept, n)
 
 
@@ -382,89 +386,55 @@ def ideal_quotient(I, J):
     return reduce(intersect, parts)
 
 
-def canonical(I):
-    """The ideal regenerated by its reduced Groebner basis."""
-    return Ideal(groebner_basis(I).basis, I.nvars)
-
-
-# Largest exponent the elimination result is certified against before the
-# quotient loop takes over; no workload has shown an exponent above 2.
-_CERTIFY_MAX_EXPONENT = 3
-
-
 def saturate(I, J):
     """I : J^infinity and its saturation exponent.
 
     The exponent is the least m with I : J^m = I : J^infinity, that is the
     least m with J^m * (I : J^infinity) contained in I; it is 0 exactly
     when I is already saturated.  The returned ideal is generated by its
-    reduced Groebner basis: the t-free part of the elimination's reduced
+    reduced Groebner basis: the tag-free part of the elimination's reduced
     basis, which already is that basis (the elimination order restricted
-    to t-free monomials is degrevlex, with the same primitive scaling and
+    to tag-free monomials is degrevlex, with the same primitive scaling and
     sort).
 
-    Method (Greuel-Pfister, section 1.8): S = I : g^infinity for the fixed
-    combination g = sum (i+1) * J_i, from one elimination of t in
-    I + (1 - t*g).  As g lies in J, S contains I : J^infinity; the least
-    m <= _CERTIFY_MAX_EXPONENT with J^m * S inside I proves equality and is
-    the exponent.  When no such m exists (g is a zero divisor on a
-    component J does not contain, or the exponent is larger) the quotient
-    loop decides.
+    Method (Greuel-Pfister, section 1.8): let h_1..h_r be the generators of
+    J outside I.  The others lie in I, so J^m + I = (h)^m + I for every m
+    and I : J^infinity = I : (h)^infinity = S, the ideal
+    I + (1 - t_1*h_1 - ... - t_r*h_r) with the tags t_i eliminated.  S is
+    exact: if (h)^m * p lies in I, then p = p * (sum t_i*h_i)^m lies in S;
+    if p lies in S, setting t_i = 1/h_i and the other tags to 0 shows that
+    p is zero in Q[z]/I localized at h_i, for each i.  When r = 0, J lies in
+    I and S is the unit ideal.  The exponent is then the least m with
+    (h)^m * S inside I: the remainders modulo I of generators of
+    (h)^m * S are multiplied by each h_i until none is left, which ends
+    because S is the saturation.  There is no certificate and no fallback.
     """
     if J.is_zero():
         raise ValueError("saturation by the zero ideal")
     n = I.nvars
-    g = sum((h.scale(i + 1) for i, h in enumerate(J.gens)), Polynomial.zero(n))
-    t = Polynomial.variable(n + 1, 0)
-    one_minus_tg = Polynomial.constant(n + 1, 1) - t * g.prepend_variable()
-    gens = [f.prepend_variable() for f in I.gens] + [one_minus_tg]
-    S = _eliminate_tag(gens, n)
-    exponent = _certified_exponent(I, S, J)
-    if exponent is None:
-        return _saturate_by_quotients(I, J)
-    return S, exponent
-
-
-def _certified_exponent(I, S, J):
-    """Least m <= _CERTIFY_MAX_EXPONENT with J^m * S inside I, else None.
-
-    S contains I, so m = 0 exactly when the reduced bases agree.  Beyond
-    that, pending holds the nonzero remainders modulo I of generators of
-    J^m * S; multiplying them by each generator of J gives those of
-    J^(m+1) * S.
-    """
     gb = groebner_basis(I)
-    if S.gens == gb.basis:
-        return 0
     reducers = [_reducer(g.terms, GLOBAL) for g in gb.basis]
 
+    def remainder(p):
+        return _normal_form(*_working(p.terms, GLOBAL), reducers, GLOBAL)[0]
+
     def remainders(polys):
-        rems = (_normal_form(*_working(p.terms, GLOBAL), reducers, GLOBAL)[0] for p in polys)
-        return [Polynomial(I.nvars, r) for r in rems if r]
+        return [Polynomial(n, rem) for rem in map(remainder, polys) if rem]
 
-    pending = remainders(S.gens)
-    for m in range(1, _CERTIFY_MAX_EXPONENT + 1):
-        pending = remainders([j * p for j in J.gens for p in pending])
-        if not pending:
-            return m
-    return None
-
-
-def _saturate_by_quotients(I, J):
-    """I : J^infinity by repeated quotients, with the number of quotient
-    steps until stability; the fallback of saturate and its test oracle.
-
-    Stability is detected by equality of reduced Groebner bases, which are
-    canonical for the ideal under degrevlex.
-    """
-    current = canonical(I)
-    exponent = 0
-    while True:
-        nxt = canonical(ideal_quotient(current, J))
-        if nxt.gens == current.gens:
-            return current, exponent
-        current = nxt
+    hs = [h for h in J.gens if remainder(h)]
+    r = len(hs)
+    pad = (0,) * r
+    tag = {pad + (0,) * n: 1}
+    for i, h in enumerate(hs):
+        t_i = pad[:i] + (1,) + pad[i + 1 :]
+        tag.update({t_i + m: -c for m, c in h.terms.items()})
+    lifted = [Polynomial(n + r, {pad + m: c for m, c in f.terms.items()}) for f in I.gens]
+    S = _eliminate_tags(lifted + [Polynomial(n + r, tag)], r, n)
+    pending, exponent = remainders(S.gens), 0
+    while pending:
+        pending = remainders([h * p for h in hs for p in pending])
         exponent += 1
+    return S, exponent
 
 
 # --- dimension and colength ---------------------------------------------

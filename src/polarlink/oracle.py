@@ -160,27 +160,27 @@ def bezout_gamma(n, d, k):
     return (d - 1) ** (n + 1 - k)
 
 
-def teissier_check(f, pol, mu):
+def teissier_check(pol, mu):
     """Intersection number of the first polar curve with V(f) versus the
     sum of the Milnor numbers of f and its slice by z_0 = 0 in the frame.
 
     pol is the first polar ideal of f (k = 1) in the frame to check, as
-    polar.polar_ideal builds it, and mu = milnor_number(f), which the
-    caller has already computed.  The frame must be usable: f needs an
-    isolated singularity, the slice must keep one too, and the polar curve
-    must cut V(f) in finite colength.  NonIsolated or ImproperIntersection
+    polar.polar_ideal builds it, which carries f in that frame too, and
+    mu = milnor_number(f), which the caller has already computed.  The
+    frame must be usable: f needs an isolated singularity, the slice must
+    keep one too, and the polar curve must cut V(f) in finite colength.  NonIsolated or ImproperIntersection
     flag unusable frames.
     """
     if mu is INFINITE:
         raise NonIsolated("f does not have an isolated singularity")
-    fM = pol.frame.transform(f)
+    fM = pol.fM
     sliced = fM.substitute_zero([0])
     mu_slice = milnor_number(sliced)
     if mu_slice is INFINITE:
         raise NonIsolated("the hyperplane slice in this frame is not isolated")
     if pol.ideal.is_zero():
         raise ImproperIntersection("first polar ideal is zero in this frame")
-    meet = Ideal(pol.ideal.gens + (fM,), f.nvars)
+    meet = Ideal(pol.ideal.gens + (fM,), fM.nvars)
     lhs = local_colength(meet)
     if lhs is INFINITE:
         raise ImproperIntersection(

@@ -116,10 +116,14 @@ def milnor_number(g):
 
 @dataclass(frozen=True)
 class PolarIdeal:
+    """The k-th polar ideal in a frame, with fM = frame.transform(f), the
+    polynomial it was built from."""
+
     ideal: Ideal
     saturation_exponent: int
     frame: CoordinateFrame
     k: int
+    fM: object
 
 
 def polar_ideal(fM, frame, k, jacobian):
@@ -137,9 +141,9 @@ def polar_ideal(fM, frame, k, jacobian):
     gens = [fM.partial_derivative(i) for i in range(k, n + 1)]
     partial_ideal = Ideal(gens, fM.nvars)
     if partial_ideal.is_zero():
-        return PolarIdeal(partial_ideal, 0, frame, k)
+        return PolarIdeal(partial_ideal, 0, frame, k, fM)
     sat, exponent = saturate(partial_ideal, jacobian)
-    return PolarIdeal(sat, exponent, frame, k)
+    return PolarIdeal(sat, exponent, frame, k, fM)
 
 
 def gamma_k(f, frame, k):

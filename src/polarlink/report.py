@@ -27,10 +27,10 @@ from .errors import (
 from .ideals import dimension, local_colength, mora_standard_basis
 from .link import (
     BettiVector,
-    FeasibilityCheck,
     allowed_degrees,
     betti_feasibility,
     chain_complex,
+    components_force_s,
     lambda_from_gamma,
     morse_bounds,
     n1_exact_sequence,
@@ -140,7 +140,7 @@ def _oracle_diagnostics(f, profile, hard_cap):
         )
         for pols in profile.polar_ideals:
             try:
-                verdicts.append(teissier_check(f, pols[0], profile.mu))
+                verdicts.append(teissier_check(pols[0], profile.mu))
                 break
             except (NonIsolated, ImproperIntersection):
                 continue
@@ -273,12 +273,7 @@ def build_report(cfg):
             "note": "rank-level checks only; torsion is invisible to them",
         }
     elif cfg.components is not None and cfg.components != 1:
-        c = FeasibilityCheck(
-            "multiple_components_force_s",
-            profile.s == n - 1,
-            f"components {cfg.components} != 1 requires s = n-1 = {n - 1}, "
-            f"s = {profile.s}",
-        )
+        c = components_force_s(cfg.components, profile)
         feasibility = {
             "checks": [_check_payload(c)],
             "all_passed": c.passed,

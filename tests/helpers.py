@@ -4,6 +4,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from polarlink.ideals import Ideal, groebner_basis, ideal_quotient
 from polarlink.parse import parse_polynomial
 from polarlink.poly import Polynomial
 
@@ -81,3 +82,25 @@ def fraction_remainder(p, basis, order):
         else:
             remainder[hm] = hc
     return Polynomial(p.nvars, remainder)
+
+
+def canonical(I):
+    """The ideal regenerated by its reduced Groebner basis."""
+    return Ideal(groebner_basis(I).basis, I.nvars)
+
+
+def saturate_by_quotients(I, J):
+    """I : J^infinity by repeated quotients, with the number of quotient
+    steps until stability: the textbook loop, a test oracle for saturate.
+
+    Stability is detected by equality of reduced Groebner bases, which are
+    canonical for the ideal under degrevlex.
+    """
+    current = canonical(I)
+    exponent = 0
+    while True:
+        nxt = canonical(ideal_quotient(current, J))
+        if nxt.gens == current.gens:
+            return current, exponent
+        current = nxt
+        exponent += 1

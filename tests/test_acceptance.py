@@ -142,7 +142,7 @@ def test_criterion_5_teissier_on_isolated_members(corpus_entries):
         passed_frames = []
         for frame in sample_frames(len(varnames), 60, seed=7):
             fM = frame.transform(f)
-            v = teissier_check(f, polar_ideal(fM, frame, 1, jacobian_ideal(fM)), profile.mu)
+            v = teissier_check(polar_ideal(fM, frame, 1, jacobian_ideal(fM)), profile.mu)
             assert v.passed, (entry["name"], frame.matrix, v)
             passed_frames.append(frame.matrix)
             if len(passed_frames) == 3:

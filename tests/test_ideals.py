@@ -6,13 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import V2, fraction_remainder, nonzero_polynomials, p2, p3, polynomials
-import polarlink.ideals as ideals
+from helpers import (
+    V2,
+    canonical,
+    fraction_remainder,
+    nonzero_polynomials,
+    p2,
+    p3,
+    polynomials,
+    saturate_by_quotients,
+)
 from polarlink.ideals import (
     Ideal,
     StandardBasis,
-    _saturate_by_quotients,
-    canonical,
     dimension,
     exact_divide,
     groebner_basis,
@@ -27,6 +33,7 @@ from polarlink.ideals import (
 )
 from polarlink.errors import DegreeLimitError
 from polarlink.orders import DEGREE_LIMIT, GLOBAL, LOCAL
+from polarlink.polar import jacobian_ideal, sample_frames
 from polarlink.poly import INFINITE, Polynomial
 
 
@@ -258,23 +265,44 @@ def test_saturation_by_unit_is_noop():
     assert e == 0
 
 
-def test_saturation_falls_back_when_the_combination_is_a_zero_divisor(monkeypatch):
-    # For J = (x, y) the fixed combination is g = x + 2y, a factor of I, so
-    # I : g^infinity = (x) while I (two lines) is already saturated by J:
-    # certification must fail and the quotient loop decide.
-    loop = ideals._saturate_by_quotients
-    fallbacks = []
-
-    def spy(I, J):
-        fallbacks.append(I)
-        return loop(I, J)
-
-    monkeypatch.setattr(ideals, "_saturate_by_quotients", spy)
+def test_saturation_of_two_lines_by_the_origin_is_a_noop():
+    # Neither line of I is the origin, so I is saturated by J = (x, y);
+    # x + 2y, a fixed combination of J's generators, divides I.
     I = ideal2("x^2 + 2*x*y")
     sat, e = saturate(I, ideal2("x", "y"))
     assert sat.gens == canonical(I).gens
     assert e == 0
-    assert len(fallbacks) == 1
+
+
+def test_saturation_by_an_ideal_inside_i_is_the_unit_ideal():
+    sat, e = saturate(ideal2("x^2", "y"), ideal2("x^2", "x*y"))
+    assert sat.gens == (Polynomial.constant(2, 1),)
+    assert e == 1
+
+
+def test_saturation_of_the_unit_ideal_has_exponent_zero():
+    sat, e = saturate(ideal2("1"), ideal2("x", "y"))
+    assert sat.gens == (Polynomial.constant(2, 1),)
+    assert e == 0
+
+
+@pytest.mark.parametrize("text", ["x*y*(x+y)", "x*y*(x+y)*(x-y)"])
+def test_polar_saturations_of_line_arrangements_match_the_quotient_loop(text):
+    # At frame seed 2 these polar ideals are saturated by two or three
+    # Jacobian generators outside the ideal at once.
+    f = p3(text)
+    outside = set()
+    for frame in sample_frames(3, 5, seed=2):
+        fM = frame.transform(f)
+        J = jacobian_ideal(fM)
+        for k in (1, 2):
+            I = Ideal([fM.partial_derivative(i) for i in range(k, 3)], 3)
+            sat, e = saturate(I, J)
+            loop_sat, loop_e = saturate_by_quotients(I, J)
+            assert (sat.gens, e) == (loop_sat.gens, loop_e)
+            gb = groebner_basis(I)
+            outside.add(sum(not normal_form(h, gb).is_zero() for h in J.gens))
+    assert max(outside) >= 2
 
 
 ideal_gens = st.lists(
@@ -291,7 +319,7 @@ def test_saturation_matches_the_quotient_loop(gens, jgens):
     I = Ideal(tuple(gens), 2)
     J = Ideal(tuple(jgens), 2)
     sat, e = saturate(I, J)
-    loop_sat, loop_e = _saturate_by_quotients(I, J)
+    loop_sat, loop_e = saturate_by_quotients(I, J)
     assert sat.gens == loop_sat.gens
     assert e == loop_e
 

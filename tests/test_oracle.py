@@ -21,6 +21,7 @@ from polarlink.oracle import (
     verdict,
 )
 from polarlink.polar import (
+    CoordinateFrame,
     identity_frame,
     jacobian_ideal,
     milnor_number,
@@ -28,6 +29,7 @@ from polarlink.polar import (
     sample_frames,
 )
 from polarlink.poly import INFINITE
+from polarlink.report import RunConfig, run_compute
 
 
 def ideal2(*texts):
@@ -118,7 +120,7 @@ def test_verdict_passes_iff_equal():
 def test_teissier_cusp_identity_frame():
     f = p2("x^2+y^3")
     pol = polar_ideal(f, identity_frame(2), 1, jacobian_ideal(f))
-    v = teissier_check(f, pol, milnor_number(f))
+    v = teissier_check(pol, milnor_number(f))
     assert v.passed
     assert (v.expected, v.actual) == (4, 4)
 
@@ -127,7 +129,7 @@ def test_teissier_cusp_generic_frames():
     f = p2("x^2+y^3")
     for fr in sample_frames(2, 3, seed=7):
         fM = fr.transform(f)
-        v = teissier_check(f, polar_ideal(fM, fr, 1, jacobian_ideal(fM)), milnor_number(f))
+        v = teissier_check(polar_ideal(fM, fr, 1, jacobian_ideal(fM)), milnor_number(f))
         assert v.passed
         assert v.actual == 3  # mu 2 plus generic slice mu 1
 
@@ -136,7 +138,24 @@ def test_teissier_rejects_nonisolated():
     f = p3("y^2 - x^2*z")
     pol = polar_ideal(f, identity_frame(3), 1, jacobian_ideal(f))
     with pytest.raises(NonIsolated):
-        teissier_check(f, pol, milnor_number(f))
+        teissier_check(pol, milnor_number(f))
+
+
+def test_teissier_check_reuses_the_transformed_polynomial(monkeypatch):
+    # gamma_profile transforms f once per frame; the Teissier check reads
+    # that polynomial from the polar ideal instead of transforming again.
+    calls = []
+    transform = CoordinateFrame.transform
+
+    def counting(frame, p):
+        calls.append(frame)
+        return transform(frame, p)
+
+    monkeypatch.setattr(CoordinateFrame, "transform", counting)
+    cfg = RunConfig("x^2+y^2+z^3", ("x", "y", "z"))
+    doc, code = run_compute(cfg)
+    assert code == 0
+    assert len(calls) == cfg.trials == 5
 
 
 def test_teissier_rejects_degenerate_frame():
@@ -144,4 +163,4 @@ def test_teissier_rejects_degenerate_frame():
     f = p2("x*y")
     pol = polar_ideal(f, identity_frame(2), 1, jacobian_ideal(f))
     with pytest.raises(NonIsolated):
-        teissier_check(f, pol, milnor_number(f))
+        teissier_check(pol, milnor_number(f))

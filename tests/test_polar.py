@@ -2,9 +2,9 @@
 
 import pytest
 
-from helpers import p2, p3
+from helpers import canonical, p2, p3
 from polarlink.errors import ExcludedCaseError, WrongPolarDimension
-from polarlink.ideals import canonical, dimension, mora_standard_basis
+from polarlink.ideals import dimension, mora_standard_basis
 from polarlink.parse import parse_polynomial
 from polarlink.polar import (
     CoordinateFrame,
