@@ -12,11 +12,19 @@ per generator of J outside I, which is exact, so it needs no certificate
 and no fallback.
 
 Everything is exact, and every call computes its basis afresh: the module
-keeps no state between calls.  Reductions run fraction-free on integer
-coefficients: a polynomial being reduced is a dict {monomial: int} plus a
-heap of (-key, monomial) over its terms (stale entries are skipped when
-popped), and a remainder is the Fraction remainder times a tracked
-positive integer scale.
+keeps no state between calls.  The engine works on integer coefficients
+only and has one representation of a basis element, the tuple
+(lm, -key(lm), lc, tail, spread) over a primitive integer term dict:
+coprime coefficients, lc > 0 under the order (see ``_element``).
+Fractions are met at two places only.  On the way in, each generator's
+Fraction coefficients are scaled to integers once (``_integer_terms``);
+on the way out, each element of a result becomes a Polynomial once
+(``groebner_basis``, ``mora_standard_basis``, ``intersect``,
+``saturate``), and ``normal_form`` divides its remainder by the tracked
+scale to return the exact Fraction remainder.  A polynomial being reduced
+is a dict {monomial: int} plus a heap of (-key, monomial) over its terms
+(stale entries are skipped when popped), fraction-free: its remainder is
+the Fraction remainder times a tracked positive scale.
 """
 
 from __future__ import annotations
@@ -89,27 +97,51 @@ class StandardBasis:
         return "; ".join(g.to_str(varnames) for g in self.basis) if self.basis else "0"
 
 
-# --- division ---------------------------------------------------------
+# --- elements and division ---------------------------------------------
 
 
-def _working(terms, order):
-    """A term dict as (h, heap, scale), with integer coefficients."""
-    scale = lcm(*(c.denominator for c in terms.values()))
-    h = {m: c.numerator * (scale // c.denominator) for m, c in terms.items()}
+def _integer_terms(p):
+    """The term dict of the polynomial p times the lcm of its denominators."""
+    scale = lcm(*(c.denominator for c in p.terms.values()))
+    return {m: c.numerator * (scale // c.denominator) for m, c in p.terms.items()}
+
+
+def _element(h, order):
+    """The nonzero integer term dict h, divided by its content and signed so
+    that lc > 0, as the element (lm, -key(lm), lc, tail, spread): tail is
+    the tuple of (-key, monomial, coeff) over the other terms, sorted, so
+    that equal elements are equal tuples, and spread is the largest term
+    degree minus deg(lm), the ecart under a local order."""
+    (nk, lm), *rest = sorted((-order.key(m), m) for m in h)
+    c = gcd(*h.values()) if h[lm] > 0 else -gcd(*h.values())
+    tail = tuple((k, m, h[m] // c) for k, m in rest)
+    return lm, nk, h[lm] // c, tail, max(map(mono_deg, h)) - mono_deg(lm)
+
+
+def _terms(g):
+    """The term dict of the element g."""
+    return {g[0]: g[2], **{m: c for _, m, c in g[3]}}
+
+
+def _polynomial(g):
+    return Polynomial(len(g[0]), _terms(g))
+
+
+def _heap(h, order):
+    """A heap of (-key, monomial) over the terms of h."""
     heap = [(-order.key(m), m) for m in h]
     heapify(heap)
-    return h, heap, scale
+    return heap
 
 
-def _reducer(terms, order):
-    """A nonzero term dict, up to a scalar, as (lm, -key(lm), lc, tail,
-    spread): tail lists (-key, monomial, coeff) for the other terms, and
-    spread is the largest term degree minus deg(lm), the ecart under a
-    local order."""
-    h, heap, _ = _working(terms, order)
-    nk, lm = heap[0]
-    tail = [(k, m, h[m]) for k, m in heap[1:]]
-    return lm, nk, h[lm], tail, max(map(mono_deg, h)) - mono_deg(lm)
+def _mul(f, g):
+    """The product of two integer term dicts."""
+    out = {}
+    for fm, fc in f.items():
+        for gm, gc in g.items():
+            m = tuple(map(add, fm, gm))
+            out[m] = out.get(m, 0) + fc * gc
+    return {m: c for m, c in out.items() if c}
 
 
 def _reduce_step(h, heap, hm, nk, reducer, rem):
@@ -149,9 +181,10 @@ def _reduce_step(h, heap, hm, nk, reducer, rem):
     return Fraction(a, c)
 
 
-def _normal_form(h, heap, scale, reducers, order):
-    """Division remainder and its scale: the full remainder under a global
-    order, Mora's weak normal form under a local one.
+def _normal_form(h, heap, reducers, order):
+    """Division remainder of the integer term dict h (consumed, with its
+    heap), and the factor by which it grew: the full remainder under a
+    global order, Mora's weak normal form under a local one.
 
     Under a local order the reducer of least ecart is used, and one whose
     ecart exceeds the current ecart pushes a snapshot of the intermediate
@@ -159,7 +192,7 @@ def _normal_form(h, heap, scale, reducers, order):
     """
     local = not order.is_global
     T = list(reducers)
-    rem = {}
+    rem, scale = {}, 1
     while heap:
         nk, hm = heappop(heap)
         if hm not in h:
@@ -184,116 +217,105 @@ def _normal_form(h, heap, scale, reducers, order):
     return rem, scale
 
 
-def _spoly(ri, rj, big, order):
-    """The S-polynomial of two reducers with lcm big, as (h, heap, scale)
-    up to a scalar: the monomial big reduced by each, subtracted."""
-    nk, c = -order.key(big), lcm(ri[2], rj[2])
+def _spoly(gi, gj, big, order):
+    """The S-polynomial of two elements with lcm big, as (h, heap) up to a
+    scalar: the monomial big reduced by each, subtracted."""
+    nk, c = -order.key(big), lcm(gi[2], gj[2])
     h, heap = {big: c}, []
-    _reduce_step(h, heap, big, nk, ri, {})
+    _reduce_step(h, heap, big, nk, gi, {})
     h[big] = -c
-    _reduce_step(h, heap, big, nk, rj, {})
-    return h, heap, 1
-
-
-def _is_unit_element(p, order):
-    # Under a local order any nonzero constant term makes p a local unit.
-    if order.is_global:
-        return not p.is_zero() and p.is_constant()
-    return p.constant_term() != 0
+    _reduce_step(h, heap, big, nk, gj, {})
+    return h, heap
 
 
 # --- basis computation ------------------------------------------------
 
 
-def _standard_basis_raw(gens, order, nvars):
-    """Buchberger / Mora pair loop; returns an unreduced basis list of
-    elements primitive under order.  Pairs are taken by (deg lcm, i, j);
-    pending holds those not yet taken."""
-    G = list(dict.fromkeys(g.primitive(order) for g in gens if not g.is_zero()))
+def _standard_basis_raw(gens, order):
+    """Buchberger / Mora pair loop over the nonzero integer term dicts gens;
+    returns an unreduced list of elements.  A basis holding an element whose
+    lm has degree 0 is the unit ideal: under a local order the lm is a
+    least-degree term, so the element is a local unit.  Pairs are taken by
+    (deg lcm, i, j); pending holds those not yet taken."""
+    G = list(dict.fromkeys(_element(g, order) for g in gens))
     if not G:
         return []
-    one = [Polynomial.constant(nvars, 1)]
-    if any(_is_unit_element(g, order) for g in G):
+    origin = (0,) * len(G[0][0])
+    one = [_element({origin: 1}, order)]
+    if any(g[0] == origin for g in G):
         return one
 
-    reducers, pairs, pending = [], [], set()
+    pairs, pending = [], set()
 
-    def add_element(g):
-        t = len(reducers)
-        reducers.append(_reducer(g.terms, order))
+    def add_pairs(t):
         for k in range(t):
-            heappush(pairs, (mono_deg(mono_lcm(reducers[k][0], reducers[t][0])), k, t))
+            heappush(pairs, (mono_deg(mono_lcm(G[k][0], G[t][0])), k, t))
             pending.add((k, t))
 
-    for g in G:
-        add_element(g)
+    for t in range(len(G)):
+        add_pairs(t)
     while pairs:
         _, i, j = heappop(pairs)
         pending.discard((i, j))
-        lmi, lmj = reducers[i][0], reducers[j][0]
+        lmi, lmj = G[i][0], G[j][0]
         big = mono_lcm(lmi, lmj)
         if order.is_global and big == mono_mul(lmi, lmj):
             continue  # product criterion: coprime leading monomials
         if any(
             k not in (i, j)
-            and mono_divides(reducers[k][0], big)
+            and mono_divides(G[k][0], big)
             and (min(i, k), max(i, k)) not in pending
             and (min(j, k), max(j, k)) not in pending
             for k in range(len(G))
         ):
             continue  # chain criterion
-        h = _normal_form(*_spoly(reducers[i], reducers[j], big, order), reducers, order)[0]
+        h = _normal_form(*_spoly(G[i], G[j], big, order), G, order)[0]
         if not h:
             continue
-        hp = Polynomial(nvars, h).primitive(order)
-        if _is_unit_element(hp, order):
+        g = _element(h, order)
+        if g[0] == origin:
             return one
-        G.append(hp)
-        add_element(hp)
+        G.append(g)
+        add_pairs(len(G) - 1)
     return G
 
 
-def _minimalize(G, order):
-    """Drop basis elements whose leading monomial another one divides; the
-    rest sorted by leading monomial."""
+def _minimalize(G):
+    """Drop elements whose leading monomial another one divides; the rest
+    sorted by leading monomial."""
     kept = {}
-    for g in sorted(G, key=lambda g: order.key(g.leading_monomial(order))):
-        m = g.leading_monomial(order)
-        if not any(mono_divides(x, m) for x in kept):
-            kept[m] = g
+    for g in sorted(G, key=lambda g: -g[1]):
+        if not any(mono_divides(m, g[0]) for m in kept):
+            kept[g[0]] = g
     return list(kept.values())
 
 
-def _reduce_global(G, order, nvars):
-    """Minimal basis of the primitive elements G, tails fully reduced,
-    primitive scaling, sorted by leading monomial."""
-    kept = _minimalize(G, order)
-    reducers = [_reducer(g.terms, order) for g in kept]
-    out = []
+def _reduce_global(G, order):
+    """Minimal basis of the elements G, tails fully reduced, sorted by
+    leading monomial."""
+    kept = _minimalize(G)
     for i, g in enumerate(kept):
-        others = reducers[:i] + reducers[i + 1 :]
+        others = kept[:i] + kept[i + 1 :]
         if others:
-            rem = _normal_form(*_working(g.terms, order), others, order)[0]
-            g = Polynomial(nvars, rem).primitive(order)
-            reducers[i] = _reducer(g.terms, order)
-        out.append(g)
-    return tuple(out)
+            heap = [(g[1], g[0]), *(t[:2] for t in g[3])]  # sorted, so a heap
+            kept[i] = _element(_normal_form(_terms(g), heap, others, order)[0], order)
+    return kept
 
 
 def groebner_basis(I, order=GLOBAL):
     """Reduced Groebner basis of I under a global order."""
     if not order.is_global:
         raise ValueError("groebner_basis requires a global order")
-    raw = _standard_basis_raw(I.gens, order, I.nvars)
-    return StandardBasis(I, order, _reduce_global(raw, order, I.nvars), True)
+    raw = _standard_basis_raw(map(_integer_terms, I.gens), order)
+    return StandardBasis(I, order, tuple(map(_polynomial, _reduce_global(raw, order))), True)
 
 
 def mora_standard_basis(I, order=LOCAL):
     """Minimal Mora standard basis of I in the local ring at the origin."""
     if order.is_global:
         raise ValueError("mora_standard_basis requires a local order")
-    raw = _standard_basis_raw(I.gens, order, I.nvars)
-    return StandardBasis(I, order, tuple(_minimalize(raw, order)), False)
+    raw = _standard_basis_raw(map(_integer_terms, I.gens), order)
+    return StandardBasis(I, order, tuple(map(_polynomial, _minimalize(raw))), False)
 
 
 def normal_form(p, sb):
@@ -304,9 +326,10 @@ def normal_form(p, sb):
     """
     if not sb.basis:
         return p
-    reducers = [_reducer(g.terms, sb.order) for g in sb.basis]
-    rem, scale = _normal_form(*_working(p.terms, sb.order), reducers, sb.order)
-    return Polynomial(p.nvars, {m: Fraction(c, scale) for m, c in rem.items()})
+    reducers = [_element(_integer_terms(g), sb.order) for g in sb.basis]
+    h, scale = _integer_terms(p), lcm(*(c.denominator for c in p.terms.values()))
+    rem, grown = _normal_form(h, _heap(h, sb.order), reducers, sb.order)
+    return Polynomial(p.nvars, {m: Fraction(c, scale * grown) for m, c in rem.items()})
 
 
 def is_member(p, I):
@@ -346,25 +369,22 @@ def intersect(I, J):
     n = I.nvars
     if I.is_zero() or J.is_zero():
         return Ideal((), n)
-    t = Polynomial.variable(n + 1, 0)
-    one_minus_t = Polynomial.constant(n + 1, 1) - t
-    tagged = [t * f.prepend_variable() for f in I.gens]
-    tagged += [one_minus_t * g.prepend_variable() for g in J.gens]
-    return _eliminate_tags(tagged, 1, n)
+    tagged = [{(1,) + m: c for m, c in _integer_terms(f).items()} for f in I.gens]
+    for g in map(_integer_terms, J.gens):  # (1 - t)*g = g - t*g
+        tagged.append({(0,) + m: c for m, c in g.items()} | {(1,) + m: -c for m, c in g.items()})
+    return Ideal([Polynomial(n, g) for g in _eliminate_tags(tagged, 1)], n)
 
 
-def _eliminate_tags(gens, r, n):
-    """The ideal of gens (in r tag variables followed by n more) intersected
-    with the ring without the tags: the tag-free part of an elimination
-    basis."""
+def _eliminate_tags(gens, r):
+    """The integer term dicts gens (in r tag variables followed by the
+    others) generate an ideal; its intersection with the ring without the
+    tags is generated by the tag-free elements of its reduced elimination
+    basis, returned as integer term dicts in the other variables.  An
+    element is tag-free when its lm is: any term with a tag would be
+    larger."""
     order = elimination(r)
-    basis = _reduce_global(_standard_basis_raw(gens, order, n + r), order, n + r)
-    kept = [
-        Polynomial(n, {m[r:]: c for m, c in g.terms.items()})
-        for g in basis
-        if not any(any(m[:r]) for m in g.terms)
-    ]
-    return Ideal(kept, n)
+    basis = _reduce_global(_standard_basis_raw(gens, order), order)
+    return [{m[r:]: c for m, c in _terms(g).items()} for g in basis if not any(g[0][:r])]
 
 
 def ideal_quotient(I, J):
@@ -412,29 +432,28 @@ def saturate(I, J):
     if J.is_zero():
         raise ValueError("saturation by the zero ideal")
     n = I.nvars
-    gb = groebner_basis(I)
-    reducers = [_reducer(g.terms, GLOBAL) for g in gb.basis]
-
-    def remainder(p):
-        return _normal_form(*_working(p.terms, GLOBAL), reducers, GLOBAL)[0]
+    gens = [_integer_terms(f) for f in I.gens]
+    gb = _reduce_global(_standard_basis_raw(gens, GLOBAL), GLOBAL)
 
     def remainders(polys):
-        return [Polynomial(n, rem) for rem in map(remainder, polys) if rem]
+        """The nonzero remainders modulo I of the integer term dicts polys."""
+        rems = (_normal_form(dict(p), _heap(p, GLOBAL), gb, GLOBAL)[0] for p in polys)
+        return [rem for rem in rems if rem]
 
-    hs = [h for h in J.gens if remainder(h)]
+    hs = [h for h in map(_integer_terms, J.gens) if remainders([h])]
     r = len(hs)
     pad = (0,) * r
     tag = {pad + (0,) * n: 1}
     for i, h in enumerate(hs):
         t_i = pad[:i] + (1,) + pad[i + 1 :]
-        tag.update({t_i + m: -c for m, c in h.terms.items()})
-    lifted = [Polynomial(n + r, {pad + m: c for m, c in f.terms.items()}) for f in I.gens]
-    S = _eliminate_tags(lifted + [Polynomial(n + r, tag)], r, n)
-    pending, exponent = remainders(S.gens), 0
+        tag.update({t_i + m: -c for m, c in h.items()})
+    lifted = [{pad + m: c for m, c in f.items()} for f in gens]
+    kept = _eliminate_tags(lifted + [tag], r)
+    pending, exponent = remainders(kept), 0
     while pending:
-        pending = remainders([h * p for h in hs for p in pending])
+        pending = remainders([_mul(h, p) for h in hs for p in pending])
         exponent += 1
-    return S, exponent
+    return Ideal([Polynomial(n, g) for g in kept], n), exponent
 
 
 # --- dimension and colength ---------------------------------------------

@@ -75,13 +75,14 @@ def monomials_below(nvars, cap):
     return out
 
 
-def _echelon_pivots(rows, keyf):
-    """Leading monomials of an echelon form of the row space."""
+def _echelon_pivots(rows, key):
+    """Leading monomials of an echelon form of the row space; key maps each
+    monomial of the rows to its degrevlex key."""
     pivots = {}
     for row in rows:
         row = dict(row)
         while row:
-            lead = max(row, key=keyf)
+            lead = max(row, key=key.__getitem__)
             piv = pivots.get(lead)
             if piv is None:
                 c = row[lead]
@@ -99,7 +100,8 @@ def _echelon_pivots(rows, keyf):
 
 def _survivors(I, cap):
     """Monomials of degree < cap independent of all truncated multiples."""
-    keyf = GLOBAL.key
+    below = monomials_below(I.nvars, cap)
+    key = {m: GLOBAL.key(m) for m in below}
     rows = []
     for g in I.gens:
         room = cap - g.order_of_vanishing()
@@ -111,8 +113,8 @@ def _survivors(I, cap):
                     row[m] = gc
             if row:
                 rows.append(row)
-    pivots = _echelon_pivots(rows, keyf)
-    return [m for m in monomials_below(I.nvars, cap) if m not in pivots]
+    pivots = _echelon_pivots(rows, key)
+    return [m for m in below if m not in pivots]
 
 
 def truncated_colength(I, cap):

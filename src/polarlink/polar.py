@@ -161,32 +161,40 @@ def gamma_k(f, frame, k):
 
 
 def polar_multiplicity(pol):
-    """Local multiplicity of a polar ideal for index k = pol.k.
+    """Local multiplicity of a polar ideal for index k = pol.k: the local
+    colength c of its cut by the plane z_0 = ... = z_(k-1) = 0.
 
     Raises WrongPolarDimension when the polar ideal does not define a
     k-dimensional germ (empty germ counts as multiplicity 0), and
-    ImproperIntersection when the cut by z_0 = ... = z_(k-1) = 0 is not
-    finite.
+    ImproperIntersection when the cut is not finite.
+
+    The cut is read first, and the local dimension d of the polar ideal
+    only when c is INFINITE.  This is enough: the polar ideal P is
+    (df/dz_k, ..., df/dz_n) : J^infinity, and every minimal prime of a
+    saturation is a minimal prime of the ideal saturated, here one with
+    n+1-k generators, so by Krull's height theorem every component of
+    V(P) through the origin has dimension at least k.  A cut by k
+    hyperplanes of finite colength c > 0 therefore forces d = k, and c = 0
+    means that the germ misses the origin.  Only an infinite cut leaves
+    WrongPolarDimension (d != k) and ImproperIntersection (d = k) to tell
+    apart.
     """
     k = pol.k
     if pol.ideal.is_zero():
         raise WrongPolarDimension(
             f"polar ideal for k={k} is zero in this frame"
         )
-    sb = mora_standard_basis(pol.ideal)
-    d = dimension(sb)
-    if d == -1:
-        return 0  # polar variety misses the origin
+    c = local_colength(plane_cut(pol))
+    if c is not INFINITE:
+        return c  # 0 when the polar variety misses the origin
+    d = dimension(mora_standard_basis(pol.ideal))
     if d != k:
         raise WrongPolarDimension(
             f"polar ideal for k={k} has local dimension {d}"
         )
-    c = local_colength(plane_cut(pol))
-    if c is INFINITE:
-        raise ImproperIntersection(
-            f"polar variety for k={k} meets the coordinate plane improperly"
-        )
-    return c
+    raise ImproperIntersection(
+        f"polar variety for k={k} meets the coordinate plane improperly"
+    )
 
 
 def plane_cut(pol):

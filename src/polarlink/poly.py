@@ -2,8 +2,10 @@
 
 Coefficients are :class:`fractions.Fraction`, which is the package's
 rational type at every API: always reduced, positive denominator, no
-rounding ever.  Inside the engine's reductions (``ideals``) coefficients
-are integers, and only results cross back as polynomials.
+rounding ever.  The engine (``ideals``) scales each generator to integer
+coefficients once, keeps its basis elements as primitive integer term
+dicts, and turns only its results back into polynomials, so scalar
+normalization lives there, not here.
 A polynomial stores a finite map from exponent tuples to nonzero
 coefficients; the zero polynomial stores nothing.  Values are immutable
 after construction and safe to share between workers.
@@ -223,44 +225,7 @@ class Polynomial:
             out[m] = out.get(m, Fraction(0)) + coeff
         return Polynomial(len(keep), out)
 
-    def prepend_variable(self):
-        """View in a ring with one extra (first) variable, exponent 0."""
-        return Polynomial(self.nvars + 1, {(0,) + m: c for m, c in self.terms.items()})
-
-    def drop_first_variable(self):
-        """Inverse of prepend_variable; requires the first exponent to be 0."""
-        out = {}
-        for mono, coeff in self.terms.items():
-            if mono[0] != 0:
-                raise ValueError("polynomial involves the dropped variable")
-            out[mono[1:]] = coeff
-        return Polynomial(self.nvars - 1, out)
-
-    # --- normalization and printing -------------------------------------
-
-    def content(self):
-        """Positive rational c such that self/c has coprime integer
-        coefficients; 0 for the zero polynomial."""
-        if not self.terms:
-            return Fraction(0)
-        from math import gcd
-
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, abs(c.numerator))
-            den = den * c.denominator // gcd(den, c.denominator)
-        return Fraction(num, den)
-
-    def primitive(self, order=GLOBAL):
-        """Scalar-normalize: coprime integer coefficients, positive leading
-        coefficient under the given order.  Canonical up to nothing."""
-        if not self.terms:
-            return self
-        c = self.content()
-        if self.terms[self.leading_monomial(order)] < 0:
-            c = -c
-        return self if c == 1 else self.scale(1 / c)
+    # --- printing ------------------------------------------------------
 
     def to_str(self, varnames):
         """Canonical text form, degrevlex-descending, re-parseable."""

@@ -221,6 +221,59 @@ def test_corpus_report_bytes_are_pinned(corpus_reports):
     assert digests == CORPUS_REPORT_SHA256
 
 
+# SHA-256 of canonical_json and the exit code of requests the corpus does
+# not cover: unstable profiles (exit 2), among them the six-line curve with
+# its Betti hypothesis, and rational coefficients.
+SIX_LINES = "x*y*(x+y)*(x-y)*(x+2*y)*(2*x+y)"
+EXTRA_REPORTS = (
+    (
+        RunConfig("x*y*z", ("x", "y", "z"), seed=3),
+        "194942838c157e09ccd7ac5d4aeb5b69bfec7fcbd504caf172fed06405583433",
+        2,
+    ),
+    (
+        RunConfig("y^2-x^2*z", ("x", "y", "z"), seed=5),
+        "b707adf4cecdbb866d332b0c58ebd3fed567a99c1e948481ed95b70d746f0180",
+        2,
+    ),
+    (
+        RunConfig("(x^2-y^2)*z", ("x", "y", "z"), seed=2),
+        "094b9b624851547c540598fe115b28dec42a104fe01e8fdef7cb5c6b24fb0aae",
+        2,
+    ),
+    (
+        RunConfig("x*y*(x+y)*(x-y)", ("x", "y", "z"), seed=2),
+        "119319f45d024f11966d9c6368859da6453ee2926d1232b3e0443b4e9191a118",
+        0,
+    ),
+    (
+        RunConfig(SIX_LINES, ("x", "y"), seed=56, betti=(5, 6), components=6),
+        "4c522c0c634e9f133971d592a2cbd793e607193d18c349223d88ff6240ce9197",
+        2,
+    ),
+    (
+        RunConfig("1/2*x^2+3/4*y^3", ("x", "y")),
+        "277eecf8b291bf1fc397e8514943ac2548f4cc36c6b9c5c0ec284762264f0939",
+        0,
+    ),
+    (
+        RunConfig("2/3*x^2-5/7*y^2+1/2*z^3", ("x", "y", "z")),
+        "7ce7a22e92f7caa546996be7ec94d957c749273d6b8a3ed213acd4288ec469b7",
+        0,
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "config, digest, exit_code",
+    EXTRA_REPORTS,
+    ids=[f"{c.poly_text}@{c.seed}" for c, _, _ in EXTRA_REPORTS],
+)
+def test_report_bytes_beyond_the_corpus_are_pinned(config, digest, exit_code):
+    doc, code = run_compute(config)
+    assert (hashlib.sha256(canonical_json(doc).encode()).hexdigest(), code) == (digest, exit_code)
+
+
 def test_witness_polar_ideal_missing_the_origin_gets_no_colength_oracle():
     # At frame seed 3, frame 2 saturates the first polar ideal of x*y*z to
     # the unit ideal, so gamma^1 = 0 wins the minimum and the colength

@@ -1,6 +1,7 @@
 """Groebner/Mora engine: frozen small cases plus structural properties."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -110,11 +111,22 @@ def _spoly_for_test(f, g, order):
     return a * f - b * g
 
 
+def assert_primitive(basis, order):
+    """Every element has integer coefficients with gcd 1 and a positive
+    leading coefficient under order."""
+    for g in basis:
+        assert all(c.denominator == 1 for c in g.terms.values())
+        assert gcd(*(c.numerator for c in g.terms.values())) == 1
+        assert g.terms[g.leading_monomial(order)] > 0
+
+
 @settings(max_examples=25)
 @given(st.lists(nonzero_polynomials(nvars=2, max_terms=3, max_exp=2), min_size=1, max_size=3))
 def test_buchberger_criterion(gens):
     gb = groebner_basis(Ideal(tuple(gens), 2))
     basis = gb.basis
+    assert_primitive(basis, GLOBAL)
+    assert_primitive(mora_standard_basis(gb.ideal).basis, LOCAL)
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             s = _spoly_for_test(basis[i], basis[j], GLOBAL)
@@ -322,6 +334,7 @@ def test_saturation_matches_the_quotient_loop(gens, jgens):
     loop_sat, loop_e = saturate_by_quotients(I, J)
     assert sat.gens == loop_sat.gens
     assert e == loop_e
+    assert_primitive(sat.gens, GLOBAL)
 
 
 @settings(max_examples=20)

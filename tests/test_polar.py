@@ -3,7 +3,8 @@
 import pytest
 
 from helpers import canonical, p2, p3
-from polarlink.errors import ExcludedCaseError, WrongPolarDimension
+from polarlink import polar
+from polarlink.errors import ExcludedCaseError, ImproperIntersection, WrongPolarDimension
 from polarlink.ideals import dimension, mora_standard_basis
 from polarlink.parse import parse_polynomial
 from polarlink.polar import (
@@ -136,6 +137,29 @@ def test_gamma_k_bad_frame_flagged():
     # germ) is zero: d/dy kills everything, so the frame must be rejected
     with pytest.raises(WrongPolarDimension):
         gamma_k(p2("x^2"), identity_frame(2), 1)
+
+
+def test_an_infinite_cut_tells_the_wrong_dimension_from_an_improper_cut():
+    # In the identity frame the first polar ideal of x*y*z is (x), the
+    # plane x = 0 of dimension 2; that of the two lines x*y is (x) too, now
+    # the line x = 0 itself, which the cut x = 0 contains.
+    with pytest.raises(WrongPolarDimension, match="local dimension 2"):
+        gamma_k(p3("x*y*z"), identity_frame(3), 1)
+    with pytest.raises(ImproperIntersection):
+        gamma_k(p2("x*y"), identity_frame(2), 1)
+
+
+def test_a_finite_cut_builds_no_basis_of_the_polar_ideal(monkeypatch):
+    built = []
+
+    def spy(I):
+        built.append(I)
+        return mora_standard_basis(I)
+
+    monkeypatch.setattr(polar, "mora_standard_basis", spy)
+    f = p3("x^3+y^3+z^3")
+    assert [gamma_k(f, identity_frame(3), k) for k in (1, 2)] == [4, 2]
+    assert built == []
 
 
 def test_gamma_profile_two_lines():

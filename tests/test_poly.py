@@ -88,18 +88,6 @@ def test_leading_monomial_is_multiplicative(a, b):
         assert lab == tuple(x + y for x, y in zip(la, lb))
 
 
-@given(nonzero_polynomials())
-def test_primitive_normal_form(f):
-    prim = f.primitive(GLOBAL)
-    coeffs = list(prim.terms.values())
-    assert all(c.denominator == 1 for c in coeffs)
-    lead = prim.leading_monomial(GLOBAL)
-    assert prim.terms[lead] > 0
-    # proportional to the input
-    ratio = f.terms[lead] / prim.terms[lead]
-    assert prim.scale(ratio) == f
-
-
 def test_substitute_linear_known_value():
     f = p2("x*y")
     # x -> x + 2y, y -> x - y
@@ -130,19 +118,6 @@ def test_substitute_zero_drops_variables():
 def test_substitute_zero_can_kill_everything():
     f = p2("x*y")
     assert f.substitute_zero([0]).is_zero()
-
-
-def test_prepend_and_drop_variable():
-    f = p2("x^2 - y")
-    g = f.prepend_variable()
-    assert g.nvars == 3
-    assert g.drop_first_variable() == f
-
-
-def test_drop_first_variable_requires_absence():
-    f = p2("x + y")
-    with pytest.raises(ValueError):
-        f.drop_first_variable()
 
 
 @given(nonzero_polynomials(nvars=2, max_terms=6))
