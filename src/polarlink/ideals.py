@@ -17,14 +17,15 @@ only and has one representation of a basis element, the tuple
 (lm, -key(lm), lc, tail, spread) over a primitive integer term dict:
 coprime coefficients, lc > 0 under the order (see ``_element``).
 Fractions are met at two places only.  On the way in, each generator's
-Fraction coefficients are scaled to integers once (``_integer_terms``);
-on the way out, each element of a result becomes a Polynomial once
-(``groebner_basis``, ``mora_standard_basis``, ``intersect``,
-``saturate``), and ``normal_form`` divides its remainder by the tracked
-scale to return the exact Fraction remainder.  A polynomial being reduced
-is a dict {monomial: int} plus a heap of (-key, monomial) over its terms
-(stale entries are skipped when popped), fraction-free: its remainder is
-the Fraction remainder times a tracked positive scale.
+Fraction coefficients are scaled to integers once (``integer_terms``, from
+``poly``, like the product ``mul_terms``); on the way out, each element of
+a result becomes a Polynomial once (``groebner_basis``,
+``mora_standard_basis``, ``intersect``, ``saturate``), and ``normal_form``
+divides its remainder by the tracked scale to return the exact Fraction
+remainder.  A polynomial being reduced is a dict {monomial: int} plus a
+heap of (-key, monomial) over its terms (stale entries are skipped when
+popped), fraction-free: its remainder is the Fraction remainder times a
+tracked positive scale.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .orders import (
     mono_lcm,
     mono_mul,
 )
-from .poly import INFINITE, Polynomial
+from .poly import INFINITE, Polynomial, integer_terms, mul_terms
 
 
 @dataclass(frozen=True)
@@ -100,12 +101,6 @@ class StandardBasis:
 # --- elements and division ---------------------------------------------
 
 
-def _integer_terms(p):
-    """The term dict of the polynomial p times the lcm of its denominators."""
-    scale = lcm(*(c.denominator for c in p.terms.values()))
-    return {m: c.numerator * (scale // c.denominator) for m, c in p.terms.items()}
-
-
 def _element(h, order):
     """The nonzero integer term dict h, divided by its content and signed so
     that lc > 0, as the element (lm, -key(lm), lc, tail, spread): tail is
@@ -132,16 +127,6 @@ def _heap(h, order):
     heap = [(-order.key(m), m) for m in h]
     heapify(heap)
     return heap
-
-
-def _mul(f, g):
-    """The product of two integer term dicts."""
-    out = {}
-    for fm, fc in f.items():
-        for gm, gc in g.items():
-            m = tuple(map(add, fm, gm))
-            out[m] = out.get(m, 0) + fc * gc
-    return {m: c for m, c in out.items() if c}
 
 
 def _reduce_step(h, heap, hm, nk, reducer, rem):
@@ -306,7 +291,7 @@ def groebner_basis(I, order=GLOBAL):
     """Reduced Groebner basis of I under a global order."""
     if not order.is_global:
         raise ValueError("groebner_basis requires a global order")
-    raw = _standard_basis_raw(map(_integer_terms, I.gens), order)
+    raw = _standard_basis_raw(map(integer_terms, I.gens), order)
     return StandardBasis(I, order, tuple(map(_polynomial, _reduce_global(raw, order))), True)
 
 
@@ -314,7 +299,7 @@ def mora_standard_basis(I, order=LOCAL):
     """Minimal Mora standard basis of I in the local ring at the origin."""
     if order.is_global:
         raise ValueError("mora_standard_basis requires a local order")
-    raw = _standard_basis_raw(map(_integer_terms, I.gens), order)
+    raw = _standard_basis_raw(map(integer_terms, I.gens), order)
     return StandardBasis(I, order, tuple(map(_polynomial, _minimalize(raw))), False)
 
 
@@ -326,8 +311,8 @@ def normal_form(p, sb):
     """
     if not sb.basis:
         return p
-    reducers = [_element(_integer_terms(g), sb.order) for g in sb.basis]
-    h, scale = _integer_terms(p), lcm(*(c.denominator for c in p.terms.values()))
+    reducers = [_element(integer_terms(g), sb.order) for g in sb.basis]
+    h, scale = integer_terms(p), lcm(*(c.denominator for c in p.terms.values()))
     rem, grown = _normal_form(h, _heap(h, sb.order), reducers, sb.order)
     return Polynomial(p.nvars, {m: Fraction(c, scale * grown) for m, c in rem.items()})
 
@@ -369,8 +354,8 @@ def intersect(I, J):
     n = I.nvars
     if I.is_zero() or J.is_zero():
         return Ideal((), n)
-    tagged = [{(1,) + m: c for m, c in _integer_terms(f).items()} for f in I.gens]
-    for g in map(_integer_terms, J.gens):  # (1 - t)*g = g - t*g
+    tagged = [{(1,) + m: c for m, c in integer_terms(f).items()} for f in I.gens]
+    for g in map(integer_terms, J.gens):  # (1 - t)*g = g - t*g
         tagged.append({(0,) + m: c for m, c in g.items()} | {(1,) + m: -c for m, c in g.items()})
     return Ideal([Polynomial(n, g) for g in _eliminate_tags(tagged, 1)], n)
 
@@ -432,7 +417,7 @@ def saturate(I, J):
     if J.is_zero():
         raise ValueError("saturation by the zero ideal")
     n = I.nvars
-    gens = [_integer_terms(f) for f in I.gens]
+    gens = [integer_terms(f) for f in I.gens]
     gb = _reduce_global(_standard_basis_raw(gens, GLOBAL), GLOBAL)
 
     def remainders(polys):
@@ -440,7 +425,7 @@ def saturate(I, J):
         rems = (_normal_form(dict(p), _heap(p, GLOBAL), gb, GLOBAL)[0] for p in polys)
         return [rem for rem in rems if rem]
 
-    hs = [h for h in map(_integer_terms, J.gens) if remainders([h])]
+    hs = [h for h in map(integer_terms, J.gens) if remainders([h])]
     r = len(hs)
     pad = (0,) * r
     tag = {pad + (0,) * n: 1}
@@ -451,7 +436,7 @@ def saturate(I, J):
     kept = _eliminate_tags(lifted + [tag], r)
     pending, exponent = remainders(kept), 0
     while pending:
-        pending = remainders([_mul(h, p) for h in hs for p in pending])
+        pending = remainders([mul_terms(h, p) for h in hs for p in pending])
         exponent += 1
     return Ideal([Polynomial(n, g) for g in kept], n), exponent
 

@@ -5,8 +5,11 @@ of polynomials of degree below a cap D it spans all truncated multiples of
 the generators and counts, by exact Gaussian elimination, the monomials
 that survive.  For an ideal of finite local colength the count stabilizes
 once D is large enough, so agreement of two consecutive caps together with
-an empty top boundary certifies the value.  None of this shares code with
-the standard-basis machinery; that is the point.
+an empty top boundary certifies the value.  The rows are integer term
+dicts: each generator is scaled to integers once by ``poly.integer_terms``
+and the elimination is fraction-free.  None of this shares code with the
+standard-basis machinery (``ideals``), only the polynomial kernel
+(``poly``); that is the point.
 
 Also here: the closed-form polar multiplicities of Fermat polynomials, the
 Teissier sum check mu + mu' for the first polar curve, and the audit of the
@@ -16,16 +19,14 @@ boundary identities a gamma profile must satisfy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 
 from .errors import ImproperIntersection, NonIsolated
 from .ideals import Ideal, local_colength
 from .orders import GLOBAL, mono_deg, mono_mul
-from .poly import INFINITE
+from .poly import INFINITE, integer_terms
 from .polar import milnor_number
 from .polar import polar_ideal  # unused; perfbench/tracer.py rebinds it (ROADMAP item 5)
-
-_F0 = Fraction(0)
 
 HARD_DEGREE_CAP = 40
 
@@ -76,8 +77,12 @@ def monomials_below(nvars, cap):
 
 
 def _echelon_pivots(rows, key):
-    """Leading monomials of an echelon form of the row space; key maps each
-    monomial of the rows to its degrevlex key."""
+    """Leading monomials of an echelon form of the row space of the integer
+    term dicts rows; key maps each monomial of the rows to its degrevlex
+    key.  A row is reduced by the pivot with its lead as a*row - b*pivot,
+    a and b the two lead coefficients divided by their gcd, and then
+    divided by its content, so it stays proportional to the row of a
+    Fraction elimination and meets the same pivots."""
     pivots = {}
     for row in rows:
         row = dict(row)
@@ -85,16 +90,21 @@ def _echelon_pivots(rows, key):
             lead = max(row, key=key.__getitem__)
             piv = pivots.get(lead)
             if piv is None:
-                c = row[lead]
-                pivots[lead] = {m: v / c for m, v in row.items()}
+                pivots[lead] = row
                 break
-            factor = row[lead]
+            d = gcd(piv[lead], row[lead])
+            a, b = piv[lead] // d, row[lead] // d
+            if a != 1:
+                row = {m: a * v for m, v in row.items()}
             for m, v in piv.items():
-                c = row.get(m, _F0) - factor * v
+                c = row.get(m, 0) - b * v
                 if c:
                     row[m] = c
-                elif m in row:
+                else:
                     del row[m]
+            c = gcd(*row.values())
+            if c > 1:
+                row = {m: v // c for m, v in row.items()}
     return pivots
 
 
@@ -103,11 +113,11 @@ def _survivors(I, cap):
     below = monomials_below(I.nvars, cap)
     key = {m: GLOBAL.key(m) for m in below}
     rows = []
-    for g in I.gens:
-        room = cap - g.order_of_vanishing()
+    for g in map(integer_terms, I.gens):
+        room = cap - min(map(mono_deg, g))
         for u in monomials_below(I.nvars, room):
             row = {}
-            for gm, gc in g.terms.items():
+            for gm, gc in g.items():
                 m = mono_mul(gm, u)
                 if mono_deg(m) < cap:
                     row[m] = gc
@@ -170,8 +180,8 @@ def teissier_check(pol, mu):
     polar.polar_ideal builds it, which carries f in that frame too, and
     mu = milnor_number(f), which the caller has already computed.  The
     frame must be usable: f needs an isolated singularity, the slice must
-    keep one too, and the polar curve must cut V(f) in finite colength.  NonIsolated or ImproperIntersection
-    flag unusable frames.
+    keep one too, and the polar curve must cut V(f) in finite colength.
+    NonIsolated or ImproperIntersection flag unusable frames.
     """
     if mu is INFINITE:
         raise NonIsolated("f does not have an isolated singularity")

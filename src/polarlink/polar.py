@@ -35,7 +35,7 @@ class CoordinateFrame:
     seed_trace: tuple = ()
 
     def __post_init__(self):
-        if det([list(r) for r in self.matrix]) == 0:
+        if det(self.matrix) == 0:
             raise ValueError("frame matrix is singular")
 
     @property
@@ -43,7 +43,7 @@ class CoordinateFrame:
         return len(self.matrix)
 
     def transform(self, p):
-        return p.substitute_linear([list(r) for r in self.matrix])
+        return p.substitute_linear(self.matrix)
 
 
 def identity_frame(nvars):
@@ -72,8 +72,10 @@ def sample_frames(nvars, count, seed, bound=10):
             tuple(rng.randint(-bound, bound) for _ in range(nvars))
             for _ in range(nvars)
         )
-        if det([list(r) for r in rows]) != 0:
+        try:
             frames.append(CoordinateFrame(rows, (seed, draw)))
+        except ValueError:
+            pass  # a singular draw
         draw += 1
     return frames
 

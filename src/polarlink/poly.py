@@ -2,10 +2,14 @@
 
 Coefficients are :class:`fractions.Fraction`, which is the package's
 rational type at every API: always reduced, positive denominator, no
-rounding ever.  The engine (``ideals``) scales each generator to integer
-coefficients once, keeps its basis elements as primitive integer term
-dicts, and turns only its results back into polynomials, so scalar
-normalization lives there, not here.
+rounding ever.  Fractions stay at that boundary: bulk arithmetic runs on
+integer term dicts {monomial: int}, with two shared helpers here.
+``integer_terms`` scales a polynomial to integer coefficients once, and
+``mul_terms`` multiplies two term dicts; it is also the body of
+``Polynomial.__mul__``.  The engine (``ideals``), the oracle (``oracle``)
+and ``substitute_linear`` compute on integer term dicts from these
+helpers, and Fractions are built only for the coefficients of the
+polynomials they return.
 A polynomial stores a finite map from exponent tuples to nonzero
 coefficients; the zero polynomial stores nothing.  Values are immutable
 after construction and safe to share between workers.
@@ -14,8 +18,10 @@ after construction and safe to share between workers.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import add
 
-from .orders import GLOBAL, mono_deg, mono_mul
+from .orders import GLOBAL, mono_deg
 
 Rational = Fraction
 
@@ -63,16 +69,6 @@ class Polynomial:
             raise ValueError(f"variable index {i} out of range for nvars={nvars}")
         mono = tuple(1 if j == i else 0 for j in range(nvars))
         return Polynomial(nvars, {mono: Fraction(1)})
-
-    @staticmethod
-    def linear_form(nvars, coeffs):
-        """The form sum(coeffs[j] * z_j)."""
-        terms = {}
-        for j, c in enumerate(coeffs):
-            if c:
-                mono = tuple(1 if k == j else 0 for k in range(nvars))
-                terms[mono] = Fraction(c)
-        return Polynomial(nvars, terms)
 
     # --- basic queries -------------------------------------------------
 
@@ -123,12 +119,7 @@ class Polynomial:
 
     def __mul__(self, other):
         self._check(other)
-        out = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                m = mono_mul(ma, mb)
-                out[m] = out.get(m, Fraction(0)) + ca * cb
-        return Polynomial(self.nvars, out)
+        return Polynomial(self.nvars, mul_terms(self.terms, other.terms))
 
     def __pow__(self, e):
         if e < 0 or e != int(e):
@@ -179,35 +170,33 @@ class Polynomial:
 
         Variable i is replaced by the linear form with coefficients
         matrix[i], i.e. the result is p(M z).  The matrix must be square of
-        size nvars and invertible, so degree and order of vanishing are
-        preserved.
+        size nvars.  Its one caller, a CoordinateFrame, has checked that it
+        is invertible, so that degree and order of vanishing are preserved;
+        it is not checked again here.  p is scaled to integers once and the
+        powers of each row's form are expanded once, so an integer matrix
+        keeps the whole expansion in integers; rational entries stay exact.
         """
         n = self.nvars
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise ValueError("matrix size must match the variable count")
-        if det(matrix) == 0:
-            raise ValueError("matrix is singular")
-        forms = [Polynomial.linear_form(n, row) for row in matrix]
-        powers = [{0: Polynomial.constant(n, 1)} for _ in range(n)]
-
-        def form_power(i, e):
-            cache = powers[i]
-            if e not in cache:
-                top = max(cache)
-                acc = cache[top]
-                for k in range(top + 1, e + 1):
-                    acc = acc * forms[i]
-                    cache[k] = acc
-            return cache[e]
-
-        result = Polynomial.zero(n)
-        for mono, coeff in self.terms.items():
-            term = Polynomial.constant(n, coeff)
-            for i, e in enumerate(mono):
+        one = (0,) * n
+        powers = []
+        for i, row in enumerate(matrix):
+            form = {one[:j] + (1,) + one[j + 1 :]: c for j, c in enumerate(row) if c}
+            power = [{one: 1}]
+            for _ in range(max((m[i] for m in self.terms), default=0)):
+                power.append(mul_terms(power[-1], form))
+            powers.append(power)
+        out = {}
+        for mono, coeff in integer_terms(self).items():
+            term = {one: coeff}
+            for power, e in zip(powers, mono):
                 if e:
-                    term = term * form_power(i, e)
-            result = result + term
-        return result
+                    term = mul_terms(term, power[e])
+            for m, c in term.items():
+                out[m] = out.get(m, 0) + c
+        scale = lcm(*(c.denominator for c in self.terms.values()))
+        return Polynomial(n, {m: Fraction(c, scale) for m, c in out.items()})
 
     def substitute_zero(self, indices):
         """Set the listed variables to 0 and drop them from the ring.
@@ -259,6 +248,22 @@ class Polynomial:
         return f"Polynomial({self.to_str(names)})"
 
 
+def integer_terms(p):
+    """The term dict of the polynomial p times the lcm of its denominators."""
+    scale = lcm(*(c.denominator for c in p.terms.values()))
+    return {m: c.numerator * (scale // c.denominator) for m, c in p.terms.items()}
+
+
+def mul_terms(f, g):
+    """The product of two term dicts, zero terms dropped."""
+    out = {}
+    for fm, fc in f.items():
+        for gm, gc in g.items():
+            m = tuple(map(add, fm, gm))
+            out[m] = out.get(m, 0) + fc * gc
+    return {m: c for m, c in out.items() if c}
+
+
 def det(matrix):
     """Exact determinant by fraction-free-ish Gaussian elimination."""
     n = len(matrix)
@@ -280,22 +285,3 @@ def det(matrix):
                 for c in range(col, n):
                     m[r][c] -= factor * m[col][c]
     return sign * prod
-
-
-def invert(matrix):
-    """Exact inverse of a square matrix over the rationals."""
-    n = len(matrix)
-    m = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return [row[n:] for row in m]

@@ -84,6 +84,51 @@ def fraction_remainder(p, basis, order):
     return Polynomial(p.nvars, remainder)
 
 
+def reference_substitution(f, matrix):
+    """f(M z) expanded term by term, the sum over the terms c*z^e of f of
+    c * prod_i (row_i . z)^e_i, with Polynomial +, * and ** only.  A test
+    oracle for substitute_linear."""
+    n = f.nvars
+    forms = []
+    for row in matrix:
+        form = Polynomial.zero(n)
+        for j, c in enumerate(row):
+            form = form + Polynomial.constant(n, c) * Polynomial.variable(n, j)
+        forms.append(form)
+    out = Polynomial.zero(n)
+    for mono, c in f.terms.items():
+        term = Polynomial.constant(n, c)
+        for form, e in zip(forms, mono):
+            term = term * form**e
+        out = out + term
+    return out
+
+
+def fraction_echelon_pivots(rows, key):
+    """Leading monomials of an echelon form of the row space, each mapped to
+    its pivot row scaled to lead coefficient 1: Gaussian elimination in
+    Fraction arithmetic, leads chosen by key.  A test oracle for the
+    oracle's integer elimination."""
+    pivots = {}
+    for row in rows:
+        row = {m: Fraction(c) for m, c in row.items()}
+        while row:
+            lead = max(row, key=key.__getitem__)
+            piv = pivots.get(lead)
+            if piv is None:
+                c = row[lead]
+                pivots[lead] = {m: v / c for m, v in row.items()}
+                break
+            factor = row[lead]
+            for m, v in piv.items():
+                c = row.get(m, 0) - factor * v
+                if c:
+                    row[m] = c
+                elif m in row:
+                    del row[m]
+    return pivots
+
+
 def canonical(I):
     """The ideal regenerated by its reduced Groebner basis."""
     return Ideal(groebner_basis(I).basis, I.nvars)

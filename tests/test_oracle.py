@@ -4,11 +4,15 @@ These are the trust anchors for the standard-basis engine, so they get
 their own frozen cases before anything downstream relies on them.
 """
 
+import types
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import V2, nonzero_polynomials, p2, p3
+from helpers import V2, fraction_echelon_pivots, nonzero_polynomials, p2, p3
+from polarlink import oracle
 from polarlink.errors import NonIsolated
 from polarlink.ideals import Ideal, local_colength
 from polarlink.oracle import (
@@ -28,7 +32,8 @@ from polarlink.polar import (
     polar_ideal,
     sample_frames,
 )
-from polarlink.poly import INFINITE
+from polarlink.orders import GLOBAL
+from polarlink.poly import INFINITE, integer_terms
 from polarlink.report import RunConfig, run_compute
 
 
@@ -82,6 +87,38 @@ def test_truncated_unit_ideal():
 def test_truncated_zero_ideal():
     r = truncated_colength(Ideal((), 2), 4)
     assert not r.stable
+
+
+def test_truncated_rational_generators():
+    r = truncated_colength(ideal2("1/2*x^2+3/4*y^3", "2/3*y^2"), 6)
+    assert (r.value, r.stable, r.cap) == (4, True, 6)
+
+
+@given(st.lists(nonzero_polynomials(nvars=2, max_terms=5, max_exp=2), min_size=1, max_size=8))
+def test_integer_elimination_meets_the_fraction_pivots(gens):
+    rows = [integer_terms(g) for g in gens]
+    key = {m: GLOBAL.key(m) for row in rows for m in row}
+    pivots = oracle._echelon_pivots(rows, key)
+    reference = fraction_echelon_pivots([g.terms for g in gens], key)
+    assert pivots.keys() == reference.keys()
+    for lead, row in pivots.items():
+        assert {m: Fraction(c, row[lead]) for m, c in row.items()} == reference[lead]
+
+
+def test_the_truncated_colength_uses_nothing_from_the_engine():
+    def names(code):
+        yield from code.co_names
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType):
+                yield from names(const)
+
+    found = [
+        f"{fn.__name__}: {name}"
+        for fn in (truncated_colength, oracle._survivors, oracle._echelon_pivots)
+        for name in names(fn.__code__)
+        if getattr(getattr(oracle, name, None), "__module__", None) == "polarlink.ideals"
+    ]
+    assert found == []
 
 
 @settings(max_examples=20)

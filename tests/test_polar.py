@@ -1,9 +1,11 @@
 """Polar ideals, frames, and the sampled multiplicity profiles."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import canonical, p2, p3
-from polarlink import polar
+from helpers import canonical, p2, p3, polynomials, reference_substitution
+from polarlink import polar, poly
 from polarlink.errors import ExcludedCaseError, ImproperIntersection, WrongPolarDimension
 from polarlink.ideals import dimension, mora_standard_basis
 from polarlink.parse import parse_polynomial
@@ -18,7 +20,7 @@ from polarlink.polar import (
     polar_ideal,
     sample_frames,
 )
-from polarlink.poly import INFINITE
+from polarlink.poly import INFINITE, det
 
 
 def test_jacobian_gens():
@@ -86,6 +88,28 @@ def test_sample_frames_bound_respected():
 def test_frame_transform_is_substitution():
     fr = CoordinateFrame(((1, 2), (1, -1)))
     assert fr.transform(p2("x*y")) == p2("x^2 + x*y - 2*y^2")
+
+
+@given(polynomials(nvars=3, max_terms=5, max_exp=3), st.integers(0, 10**6))
+def test_frame_transform_matches_the_term_by_term_expansion(f, seed):
+    (frame,) = sample_frames(3, 1, seed)
+    assert frame.transform(f) == reference_substitution(f, frame.matrix)
+
+
+def test_each_frame_determinant_is_computed_once(monkeypatch):
+    # a frame checks its matrix when built; sampling and substitution
+    # do not check it again
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix)
+        return det(matrix)
+
+    monkeypatch.setattr(polar, "det", counting)
+    monkeypatch.setattr(poly, "det", counting)
+    sample_frames(3, 5, 3)
+    gamma_profile(p3("x*y*z"), trials=5, seed=3)
+    assert len(calls) == 10
 
 
 # --- polar ideals ----------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import given
 from helpers import V2, V3, nonzero_polynomials, p2, p3, polynomials, rationals
 from polarlink.orders import GLOBAL, LOCAL
 from polarlink.parse import parse_polynomial
-from polarlink.poly import INFINITE, Polynomial, det, invert
+from polarlink.poly import INFINITE, Polynomial, det
 
 
 def test_zero_polynomial_basics():
@@ -95,15 +95,10 @@ def test_substitute_linear_known_value():
     assert g == p2("x^2 + x*y - 2*y^2")
 
 
-def test_substitute_linear_rejects_singular():
-    with pytest.raises(ValueError):
-        p2("x*y").substitute_linear([[1, 1], [2, 2]])
-
-
 @given(nonzero_polynomials(nvars=3, max_terms=4, max_exp=2))
 def test_substitute_linear_roundtrip(f):
     m = [[1, 2, 0], [0, 1, 1], [1, 0, 1]]
-    back = invert(m)
+    back = [[Fraction(c, 3) for c in row] for row in [[1, -2, 2], [1, 1, -1], [-1, 2, 1]]]
     assert f.substitute_linear(m).substitute_linear(back) == f
 
 
@@ -134,17 +129,6 @@ def test_to_str_examples():
 def test_det_and_invert():
     m = [[2, 1, 0], [0, 1, 0], [1, 0, 1]]
     assert det(m) == 2
-    inv = invert(m)
-    n = len(m)
-    for i in range(n):
-        for j in range(n):
-            entry = sum(Fraction(m[i][k]) * inv[k][j] for k in range(n))
-            assert entry == (1 if i == j else 0)
-
-
-def test_invert_singular_raises():
-    with pytest.raises(ValueError):
-        invert([[1, 2], [2, 4]])
 
 
 @given(rationals(), polynomials())
