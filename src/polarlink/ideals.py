@@ -73,9 +73,6 @@ class Ideal:
     def is_zero(self):
         return not self.gens
 
-    def to_str(self, varnames):
-        return "; ".join(g.to_str(varnames) for g in self.gens) if self.gens else "0"
-
 
 @dataclass(frozen=True)
 class StandardBasis:
@@ -93,9 +90,6 @@ class StandardBasis:
 
     def leading_monomials(self):
         return tuple(g.leading_monomial(self.order) for g in self.basis)
-
-    def to_str(self, varnames):
-        return "; ".join(g.to_str(varnames) for g in self.basis) if self.basis else "0"
 
 
 # --- elements and division ---------------------------------------------
@@ -366,10 +360,11 @@ def _eliminate_tags(gens, r):
     tags is generated by the tag-free elements of its reduced elimination
     basis, returned as integer term dicts in the other variables.  An
     element is tag-free when its lm is: any term with a tag would be
-    larger."""
+    larger.  Only those of the raw basis are reduced: only tag-free leads
+    divide their terms, so they come out as in the whole reduced basis."""
     order = elimination(r)
-    basis = _reduce_global(_standard_basis_raw(gens, order), order)
-    return [{m[r:]: c for m, c in _terms(g).items()} for g in basis if not any(g[0][:r])]
+    free = [g for g in _standard_basis_raw(gens, order) if not any(g[0][:r])]
+    return [{m[r:]: c for m, c in _terms(g).items()} for g in _reduce_global(free, order)]
 
 
 def ideal_quotient(I, J):

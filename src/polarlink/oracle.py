@@ -5,11 +5,12 @@ of polynomials of degree below a cap D it spans all truncated multiples of
 the generators and counts, by exact Gaussian elimination, the monomials
 that survive.  For an ideal of finite local colength the count stabilizes
 once D is large enough, so agreement of two consecutive caps together with
-an empty top boundary certifies the value.  The rows are integer term
-dicts: each generator is scaled to integers once by ``poly.integer_terms``
-and the elimination is fraction-free.  None of this shares code with the
-standard-basis machinery (``ideals``), only the polynomial kernel
-(``poly``); that is the point.
+an empty top boundary certifies the value; one elimination at D + 1 that
+ranks the monomials of degree D lowest gives both counts.  The rows are
+integer term dicts: each generator is scaled to integers once by
+``poly.integer_terms`` and the elimination is fraction-free.  None of this
+shares code with the standard-basis machinery (``ideals``), only the
+polynomial kernel (``poly``); that is the point.
 
 Also here: the closed-form polar multiplicities of Fermat polynomials, the
 Teissier sum check mu + mu' for the first polar curve, and the audit of the
@@ -78,11 +79,11 @@ def monomials_below(nvars, cap):
 
 def _echelon_pivots(rows, key):
     """Leading monomials of an echelon form of the row space of the integer
-    term dicts rows; key maps each monomial of the rows to its degrevlex
-    key.  A row is reduced by the pivot with its lead as a*row - b*pivot,
-    a and b the two lead coefficients divided by their gcd, and then
-    divided by its content, so it stays proportional to the row of a
-    Fraction elimination and meets the same pivots."""
+    term dicts rows, leads chosen by key, which maps each monomial of the
+    rows to a sort key.  A row is reduced by the pivot with its lead as
+    a*row - b*pivot, a and b the two lead coefficients divided by their
+    gcd, and then divided by its content, so it stays proportional to the
+    row of a Fraction elimination and meets the same pivots."""
     pivots = {}
     for row in rows:
         row = dict(row)
@@ -109,22 +110,28 @@ def _echelon_pivots(rows, key):
 
 
 def _survivors(I, cap):
-    """Monomials of degree < cap independent of all truncated multiples."""
-    below = monomials_below(I.nvars, cap)
-    key = {m: GLOBAL.key(m) for m in below}
+    """The monomials of degree < cap that survive the truncated multiples
+    below cap, and the number that survive those below cap + 1.  One
+    elimination below cap + 1, degree-cap monomials ranked lowest and
+    degrevlex otherwise, gives both: a row without a counterpart below cap
+    has only degree-cap terms, so the pivots of degree < cap are the
+    degrevlex pivots below cap."""
+    below = monomials_below(I.nvars, cap + 1)
+    key = {m: (mono_deg(m) < cap, GLOBAL.key(m)) for m in below}
     rows = []
     for g in map(integer_terms, I.gens):
-        room = cap - min(map(mono_deg, g))
+        room = cap + 1 - min(map(mono_deg, g))
         for u in monomials_below(I.nvars, room):
             row = {}
             for gm, gc in g.items():
                 m = mono_mul(gm, u)
-                if mono_deg(m) < cap:
+                if mono_deg(m) <= cap:
                     row[m] = gc
             if row:
                 rows.append(row)
     pivots = _echelon_pivots(rows, key)
-    return [m for m in below if m not in pivots]
+    here = [m for m in below if mono_deg(m) < cap and m not in pivots]
+    return here, len(below) - len(pivots)
 
 
 def truncated_colength(I, cap):
@@ -132,17 +139,14 @@ def truncated_colength(I, cap):
 
     Stable means the count at cap and cap+1 agree and no surviving monomial
     sits on the top boundary (degree cap-1); in that case the value is the
-    exact local colength.  The zero ideal never stabilizes.
+    exact local colength.  Both counts come from one elimination; the zero
+    ideal has no rows, so its count grows with the cap and never stabilizes.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    if I.is_zero():
-        return TruncatedColength(len(monomials_below(I.nvars, cap)), False, cap)
-    here = _survivors(I, cap)
-    nxt = _survivors(I, cap + 1)
+    here, nxt = _survivors(I, cap)
     boundary_clear = all(mono_deg(m) < cap - 1 for m in here)
-    stable = len(here) == len(nxt) and boundary_clear
-    return TruncatedColength(len(here), stable, cap)
+    return TruncatedColength(len(here), len(here) == nxt and boundary_clear, cap)
 
 
 def stable_colength(I, start_cap, hard_cap=HARD_DEGREE_CAP):

@@ -5,8 +5,10 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from polarlink.ideals import Ideal, groebner_basis, ideal_quotient
+from polarlink.oracle import _echelon_pivots, monomials_below
+from polarlink.orders import GLOBAL, elimination
 from polarlink.parse import parse_polynomial
-from polarlink.poly import Polynomial
+from polarlink.poly import Polynomial, integer_terms
 
 V2 = ["x", "y"]
 V3 = ["x", "y", "z"]
@@ -127,6 +129,44 @@ def fraction_echelon_pivots(rows, key):
                 elif m in row:
                     del row[m]
     return pivots
+
+
+def truncated_colength_by_two_eliminations(I, cap):
+    """(value, stable, cap) of the truncated colength from two degrevlex
+    eliminations, one of the truncated multiples below cap and one of those
+    below cap + 1, with the zero ideal as its own case: the algorithm that
+    oracle.truncated_colength replaced, kept as its test oracle."""
+
+    def survivors(cap):
+        below = monomials_below(I.nvars, cap)
+        rows = []
+        for g in map(integer_terms, I.gens):
+            for u in monomials_below(I.nvars, cap - min(map(sum, g))):
+                shifted = {tuple(a + b for a, b in zip(m, u)): c for m, c in g.items()}
+                row = {m: c for m, c in shifted.items() if sum(m) < cap}
+                if row:
+                    rows.append(row)
+        pivots = _echelon_pivots(rows, {m: GLOBAL.key(m) for m in below})
+        return [m for m in below if m not in pivots]
+
+    if I.is_zero():
+        return len(monomials_below(I.nvars, cap)), False, cap
+    here, nxt = survivors(cap), survivors(cap + 1)
+    stable = len(here) == len(nxt) and all(sum(m) < cap - 1 for m in here)
+    return len(here), stable, cap
+
+
+def tag_free_part(tagged, r):
+    """Generators of the ideal tagged, in r tag variables followed by the
+    others, intersected with the ring without the tags: the tag-free
+    elements of its whole reduced elimination basis, the tags dropped.  A
+    test oracle for the engine's tag elimination."""
+    n = tagged.nvars - r
+    return tuple(
+        Polynomial(n, {m[r:]: c for m, c in g.terms.items()})
+        for g in groebner_basis(tagged, elimination(r)).basis
+        if not any(any(m[:r]) for m in g.terms)
+    )
 
 
 def canonical(I):

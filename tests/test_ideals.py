@@ -16,6 +16,7 @@ from helpers import (
     p3,
     polynomials,
     saturate_by_quotients,
+    tag_free_part,
 )
 from polarlink.ideals import (
     Ideal,
@@ -77,7 +78,7 @@ def test_gb_already_reduced():
 def test_gb_elimination_consequences():
     I = ideal2("x^2 - y", "x^3")
     gb = groebner_basis(I)
-    assert gb.to_str(V2) == "y^2; x*y; x^2 - y"
+    assert [g.to_str(V2) for g in gb.basis] == ["y^2", "x*y", "x^2 - y"]
     assert normal_form(p2("x^3"), gb).is_zero()
     assert is_member(p2("x*y"), I)
     assert dimension(gb) == 0
@@ -348,6 +349,33 @@ def test_quotient_and_saturation_grow(gens, jgens):
         assert is_member(h, Q)
     for h in Q.gens:
         assert is_member(h, S)
+
+
+def tagged(f, tags):
+    """f times the monomial tags in the tag variables put before its own."""
+    return Polynomial(len(tags) + f.nvars, {tags + m: c for m, c in f.terms.items()})
+
+
+@given(saturator_gens, saturator_gens)
+def test_intersection_meets_the_whole_elimination_basis(gens, hgens):
+    I, J = Ideal(tuple(gens), 2), Ideal(tuple(hgens), 2)
+    one = Polynomial.constant(3, 1)
+    t = Polynomial.variable(3, 0)
+    both = [tagged(f, (1,)) for f in I.gens] + [(one - t) * tagged(g, (0,)) for g in J.gens]
+    assert intersect(I, J).gens == tag_free_part(Ideal(both, 3), 1)
+
+
+@given(ideal_gens, saturator_gens)
+def test_saturation_meets_the_whole_elimination_basis(gens, jgens):
+    I, J = Ideal(tuple(gens), 2), Ideal(tuple(jgens), 2)
+    gb = groebner_basis(I)
+    hs = [h for h in J.gens if not normal_form(h, gb).is_zero()]
+    r = len(hs)
+    rabinowitsch = Polynomial.constant(r + 2, 1)
+    for i, h in enumerate(hs):
+        rabinowitsch = rabinowitsch - tagged(h, tuple(int(j == i) for j in range(r)))
+    lifted = [tagged(f, (0,) * r) for f in I.gens] + [rabinowitsch]
+    assert saturate(I, J)[0].gens == tag_free_part(Ideal(lifted, r + 2), r)
 
 
 # --- dimension and colength ----------------------------------------------

@@ -6,12 +6,20 @@ their own frozen cases before anything downstream relies on them.
 
 import types
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import V2, fraction_echelon_pivots, nonzero_polynomials, p2, p3
+from helpers import (
+    V2,
+    fraction_echelon_pivots,
+    nonzero_polynomials,
+    p2,
+    p3,
+    truncated_colength_by_two_eliminations,
+)
 from polarlink import oracle
 from polarlink.errors import NonIsolated
 from polarlink.ideals import Ideal, local_colength
@@ -85,8 +93,11 @@ def test_truncated_unit_ideal():
 
 
 def test_truncated_zero_ideal():
-    r = truncated_colength(Ideal((), 2), 4)
-    assert not r.stable
+    for nvars, cap in product(range(1, 4), range(1, 9)):
+        zero = Ideal((), nvars)
+        r = truncated_colength(zero, cap)
+        assert not r.stable
+        assert (r.value, r.stable, r.cap) == truncated_colength_by_two_eliminations(zero, cap)
 
 
 def test_truncated_rational_generators():
@@ -103,6 +114,34 @@ def test_integer_elimination_meets_the_fraction_pivots(gens):
     assert pivots.keys() == reference.keys()
     for lead, row in pivots.items():
         assert {m: Fraction(c, row[lead]) for m, c in row.items()} == reference[lead]
+
+
+ideals_in_one_to_three_variables = st.integers(1, 3).flatmap(
+    lambda n: st.lists(
+        nonzero_polynomials(nvars=n, max_terms=3, max_exp=2), max_size=3
+    ).map(lambda gens: Ideal(tuple(gens), n))
+)
+
+
+@settings(max_examples=200)
+@given(ideals_in_one_to_three_variables, st.integers(1, 8))
+def test_one_elimination_meets_the_two_eliminations(I, cap):
+    r = truncated_colength(I, cap)
+    assert (r.value, r.stable, r.cap) == truncated_colength_by_two_eliminations(I, cap)
+
+
+def test_each_truncated_colength_runs_one_elimination(monkeypatch):
+    echelon, calls = oracle._echelon_pivots, []
+
+    def counting(rows, key):
+        calls.append(key)
+        return echelon(rows, key)
+
+    monkeypatch.setattr(oracle, "_echelon_pivots", counting)
+    ideals = (ideal2("y^2", "x^2+y^3"), ideal2("x*y"), Ideal((), 2))
+    for I, cap in product(ideals, (1, 4, 9)):
+        truncated_colength(I, cap)
+    assert len(calls) == 9
 
 
 def test_the_truncated_colength_uses_nothing_from_the_engine():
