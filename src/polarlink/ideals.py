@@ -11,6 +11,16 @@ Saturation I : J^infinity is one Rabinowitsch elimination with one tag
 per generator of J outside I, which is exact, so it needs no certificate
 and no fallback.
 
+Mora's loop cuts at the highest corner (Greuel-Pfister, section 1.7; the
+``noether`` of Singular).  Once the leads of the basis so far generate an
+m-primary ideal, let N be their corner, the least degree at which they
+divide every monomial.  The basis lies in I*O (O the local ring at the
+origin), so m^N lies in I*O + m^(N+1), hence in I*O by Nakayama, and the
+loop drops every term of degree above N: it then computes the standard
+basis of I*O + m^(N+1) = I*O, with the same leads.  ``finite_colength``
+runs the same loop cut at a degree N from the start, for ideals known to
+be zero-dimensional, and doubles N until the leads' corner is at most N.
+
 Everything is exact, and every call computes its basis afresh: the module
 keeps no state between calls.  The engine works on integer coefficients
 only and has one representation of a basis element, the tuple
@@ -39,6 +49,7 @@ from math import gcd, lcm
 from operator import add
 
 from .orders import (
+    DEGREE_LIMIT,
     GLOBAL,
     LOCAL,
     check_degree,
@@ -123,11 +134,13 @@ def _heap(h, order):
     return heap
 
 
-def _reduce_step(h, heap, hm, nk, reducer, rem):
+def _reduce_step(h, heap, hm, nk, reducer, rem, cut):
     """Cancel the term hm (nk = -key(hm)) as h <- a*h - b*z^(hm-lm)*g with
     a = lc/gcd(hc, lc) > 0, scaling the remainder rem by a too.  Returns the
-    factor by which h and rem grew: a, or a/c after dividing out their
-    content c, which keeps the integers from swelling over many steps."""
+    factor (a, c) by which h and rem grew, a/c: c is the content divided out
+    of them afterwards (1 if none), which keeps the integers from swelling
+    over many steps.  With a cut, under the local order, no term m with
+    -key(m) >= cut is created (see ``_standard_basis_raw``)."""
     lm, nlk, lc, tail, spread = reducer
     check_degree(mono_deg(hm) + spread)  # bounds every new term's degree
     hc = h.pop(hm)
@@ -139,6 +152,9 @@ def _reduce_step(h, heap, hm, nk, reducer, rem):
                 part[m] *= a
     shift = mono_div(hm, lm)
     off = nk - nlk
+    if cut is not None:
+        # A snapshot's tail is not sorted by degree, so filter, not break.
+        tail = [t for t in tail if t[0] < cut - off]
     for ngk, gm, gc in tail:
         m = tuple(map(add, gm, shift))
         c = h.get(m)
@@ -153,17 +169,18 @@ def _reduce_step(h, heap, hm, nk, reducer, rem):
                 del h[m]
     c = gcd(*h.values(), *rem.values()) if a != 1 else 1
     if c <= 1:
-        return a
+        return a, 1
     for part in (h, rem):
         for m in part:
             part[m] //= c
-    return Fraction(a, c)
+    return a, c
 
 
-def _normal_form(h, heap, reducers, order):
+def _normal_form(h, heap, reducers, order, cut=None):
     """Division remainder of the integer term dict h (consumed, with its
-    heap), and the factor by which it grew: the full remainder under a
-    global order, Mora's weak normal form under a local one.
+    heap), and the factor (num, den) by which it grew, num/den: the full
+    remainder under a global order, Mora's weak normal form under a local
+    one, with no term at or past cut (see ``_reduce_step``).
 
     Under a local order the reducer of least ecart is used, and one whose
     ecart exceeds the current ecart pushes a snapshot of the intermediate
@@ -171,7 +188,7 @@ def _normal_form(h, heap, reducers, order):
     """
     local = not order.is_global
     T = list(reducers)
-    rem, scale = {}, 1
+    rem, num, den = {}, 1, 1
     while heap:
         nk, hm = heappop(heap)
         if hm not in h:
@@ -184,7 +201,7 @@ def _normal_form(h, heap, reducers, order):
                     break
         if best is None:
             if local:
-                return h, scale
+                return h, (num, den)
             rem[hm] = h.pop(hm)
             continue
         if local:
@@ -192,34 +209,50 @@ def _normal_form(h, heap, reducers, order):
             if best[4] > h_ecart:
                 tail = {m: k for k, m in heap if m in h and m != hm}
                 T.append((hm, nk, h[hm], [(k, m, h[m]) for m, k in tail.items()], h_ecart))
-        scale *= _reduce_step(h, heap, hm, nk, best, rem)
-    return rem, scale
+        a, c = _reduce_step(h, heap, hm, nk, best, rem, cut)
+        num, den = num * a, den * c
+    return rem, (num, den)
 
 
-def _spoly(gi, gj, big, order):
+def _spoly(gi, gj, big, order, cut):
     """The S-polynomial of two elements with lcm big, as (h, heap) up to a
     scalar: the monomial big reduced by each, subtracted."""
     nk, c = -order.key(big), lcm(gi[2], gj[2])
     h, heap = {big: c}, []
-    _reduce_step(h, heap, big, nk, gi, {})
+    _reduce_step(h, heap, big, nk, gi, {}, cut)
     h[big] = -c
-    _reduce_step(h, heap, big, nk, gj, {})
+    _reduce_step(h, heap, big, nk, gj, {}, cut)
     return h, heap
 
 
 # --- basis computation ------------------------------------------------
 
 
-def _standard_basis_raw(gens, order):
+def _standard_basis_raw(gens, order, top=None):
     """Buchberger / Mora pair loop over the nonzero integer term dicts gens;
     returns an unreduced list of elements.  A basis holding an element whose
     lm has degree 0 is the unit ideal: under a local order the lm is a
     least-degree term, so the element is a local unit.  Pairs are taken by
-    (deg lcm, i, j); pending holds those not yet taken."""
+    (deg lcm, i, j); pending holds those not yet taken.
+
+    Under the local order the loop cuts at a degree top (Greuel-Pfister,
+    section 1.7, the highest corner).  Once the leads generate an m-primary
+    ideal, top is at most their corner N, the least degree at which they
+    divide every monomial.  Every element of G lies in I*O (I the ideal of
+    gens, O the local ring), so m^N lies in I*O + m^(N+1), and m^N in I*O
+    by Nakayama.  Terms of degree above top are then terms of I*O: no
+    reduction creates one, and a pair whose lcm has degree above top, whose
+    S-polynomial has only such terms, is skipped (pairs come by degree, so
+    the loop ends there).  That is the loop for I*O + m^(top+1) = I*O: every
+    element stays in I*O and keeps its lead, so the leads, and with them
+    ``dimension`` and ``colength``, are those of the uncut loop.  A caller
+    may set top from the start (``finite_colength``); the loop then computes
+    a standard basis of I*O + m^(top+1)."""
     G = list(dict.fromkeys(_element(g, order) for g in gens))
     if not G:
         return []
-    origin = (0,) * len(G[0][0])
+    nvars = len(G[0][0])
+    origin = (0,) * nvars
     one = [_element({origin: 1}, order)]
     if any(g[0] == origin for g in G):
         return one
@@ -231,10 +264,23 @@ def _standard_basis_raw(gens, order):
             heappush(pairs, (mono_deg(mono_lcm(G[k][0], G[t][0])), k, t))
             pending.add((k, t))
 
+    def lower_top():
+        """top lowered to the corner of the leads, and the cut it gives:
+        under the local order -key(m) >= (top + 1) * L^n exactly when
+        deg m > top, the degree being the key's leading digit."""
+        nonlocal top
+        stairs = None if order.is_global else _staircase([g[0] for g in G], nvars)
+        if stairs is not None:
+            top = stairs[1] + 1 if top is None else min(top, stairs[1] + 1)
+        return None if top is None else (top + 1) * DEGREE_LIMIT**nvars
+
     for t in range(len(G)):
         add_pairs(t)
+    cut = lower_top()
     while pairs:
-        _, i, j = heappop(pairs)
+        d, i, j = heappop(pairs)
+        if top is not None and d > top:
+            break
         pending.discard((i, j))
         lmi, lmj = G[i][0], G[j][0]
         big = mono_lcm(lmi, lmj)
@@ -248,7 +294,7 @@ def _standard_basis_raw(gens, order):
             for k in range(len(G))
         ):
             continue  # chain criterion
-        h = _normal_form(*_spoly(G[i], G[j], big, order), G, order)[0]
+        h = _normal_form(*_spoly(G[i], G[j], big, order, cut), G, order, cut)[0]
         if not h:
             continue
         g = _element(h, order)
@@ -256,6 +302,7 @@ def _standard_basis_raw(gens, order):
             return one
         G.append(g)
         add_pairs(len(G) - 1)
+        cut = lower_top()
     return G
 
 
@@ -290,7 +337,9 @@ def groebner_basis(I, order=GLOBAL):
 
 
 def mora_standard_basis(I, order=LOCAL):
-    """Minimal Mora standard basis of I in the local ring at the origin."""
+    """Minimal Mora standard basis of I in the local ring at the origin;
+    once the leads are m-primary, no element has a term above their
+    corner (see ``_standard_basis_raw``)."""
     if order.is_global:
         raise ValueError("mora_standard_basis requires a local order")
     raw = _standard_basis_raw(map(integer_terms, I.gens), order)
@@ -307,8 +356,8 @@ def normal_form(p, sb):
         return p
     reducers = [_element(integer_terms(g), sb.order) for g in sb.basis]
     h, scale = integer_terms(p), lcm(*(c.denominator for c in p.terms.values()))
-    rem, grown = _normal_form(h, _heap(h, sb.order), reducers, sb.order)
-    return Polynomial(p.nvars, {m: Fraction(c, scale * grown) for m, c in rem.items()})
+    rem, (num, den) = _normal_form(h, _heap(h, sb.order), reducers, sb.order)
+    return Polynomial(p.nvars, {m: Fraction(c * den, scale * num) for m, c in rem.items()})
 
 
 def is_member(p, I):
@@ -482,17 +531,62 @@ def standard_monomials(sb):
     return out
 
 
+def _staircase(lms, nvars):
+    """(count, top) of the monomials in nvars variables that no monomial of
+    lms divides: how many there are and their largest degree (-1 if none),
+    so that top + 1 is the corner; None if there are infinitely many.  Cut
+    at each exponent of the last variable that a lead has: between two
+    such exponents the monomials left in the other variables do not
+    change."""
+    if nvars == 0:
+        return (0, -1) if lms else (1, 0)
+    powers = [m[-1] for m in lms if not any(m[:-1])]
+    if not powers:
+        return None
+    end = min(powers)
+    steps = sorted({0, *(m[-1] for m in lms if m[-1] < end)})
+    count, top = 0, -1
+    for lo, hi in zip(steps, steps[1:] + [end]):
+        inner = _staircase([m[:-1] for m in lms if m[-1] <= lo], nvars - 1)
+        if inner is None:
+            return None
+        count += inner[0] * (hi - lo)
+        if inner[0]:
+            top = max(top, inner[1] + hi - 1)
+    return count, top
+
+
 def local_colength(I):
     """Vector-space dimension of the local ring at the origin modulo I;
     INFINITE when the quotient has positive local dimension."""
     return INFINITE if I.is_zero() else colength(mora_standard_basis(I))
 
 
+def finite_colength(I):
+    """local_colength of an ideal I known to be zero-dimensional at the
+    origin, by Mora's loop cut at a degree N from the start.
+
+    That loop gives a standard basis of I*O + m^(N+1), whose leads agree
+    with those of I*O in degrees <= N: an element of m^(N+1) has no term
+    there, and under the local order a lead is a least-degree term.  Once
+    their corner is at most N, every monomial of degree N lies in the
+    leading ideal of I*O, so the monomials outside the leads are those
+    outside the leading ideal of I*O, and their count is the colength.
+    Otherwise N is doubled, from 2.  On an ideal that is not
+    zero-dimensional this only ends at the degree limit."""
+    gens = [integer_terms(g) for g in I.gens]
+    top = 2
+    while True:
+        check_degree(top)
+        stairs = _staircase([g[0] for g in _standard_basis_raw(gens, LOCAL, top)], I.nvars)
+        if stairs is not None and stairs[1] < top:
+            return stairs[0]
+        top *= 2
+
+
 def colength(sb):
-    """local_colength of sb's ideal, read from its Mora standard basis sb."""
-    d = dimension(sb)
-    if d == -1:
-        return 0
-    if d > 0:
-        return INFINITE
-    return len(standard_monomials(sb))
+    """local_colength of sb's ideal, read from its Mora standard basis sb:
+    the leads miss a pure power of some variable exactly when the local
+    dimension is positive."""
+    stairs = _staircase(sb.leading_monomials(), sb.ideal.nvars)
+    return INFINITE if stairs is None else stairs[0]

@@ -21,10 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import add
 
 from .errors import ImproperIntersection, NonIsolated
-from .ideals import Ideal, local_colength
-from .orders import GLOBAL, mono_deg, mono_mul
+from .ideals import Ideal, finite_colength
+from .ideals import local_colength  # unused; perfbench/tracer.py rebinds it (ROADMAP item 5)
+from .orders import GLOBAL, mono_deg
 from .poly import INFINITE, integer_terms
 from .polar import milnor_number
 from .polar import polar_ideal  # unused; perfbench/tracer.py rebinds it (ROADMAP item 5)
@@ -115,20 +117,21 @@ def _survivors(I, cap):
     elimination below cap + 1, degree-cap monomials ranked lowest and
     degrevlex otherwise, gives both: a row without a counterpart below cap
     has only degree-cap terms, so the pivots of degree < cap are the
-    degrevlex pivots below cap."""
+    degrevlex pivots below cap.  The multipliers are the monomials below
+    cap + 1, taken by degree: for each degree the part of a generator that
+    stays at or below cap is cut once."""
     below = monomials_below(I.nvars, cap + 1)
     key = {m: (mono_deg(m) < cap, GLOBAL.key(m)) for m in below}
+    by_degree = [[] for _ in range(cap + 1)]
+    for u in below:
+        by_degree[mono_deg(u)].append(u)
     rows = []
     for g in map(integer_terms, I.gens):
-        room = cap + 1 - min(map(mono_deg, g))
-        for u in monomials_below(I.nvars, room):
-            row = {}
-            for gm, gc in g.items():
-                m = mono_mul(gm, u)
-                if mono_deg(m) <= cap:
-                    row[m] = gc
-            if row:
-                rows.append(row)
+        for du, us in enumerate(by_degree):
+            part = [(gm, gc) for gm, gc in g.items() if mono_deg(gm) + du <= cap]
+            if not part:
+                break
+            rows.extend({tuple(map(add, gm, u)): gc for gm, gc in part} for u in us)
     pivots = _echelon_pivots(rows, key)
     here = [m for m in below if mono_deg(m) < cap and m not in pivots]
     return here, len(below) - len(pivots)
@@ -183,9 +186,18 @@ def teissier_check(pol, mu):
     pol is the first polar ideal of f (k = 1) in the frame to check, as
     polar.polar_ideal builds it, which carries f in that frame too, and
     mu = milnor_number(f), which the caller has already computed.  The
-    frame must be usable: f needs an isolated singularity, the slice must
-    keep one too, and the polar curve must cut V(f) in finite colength.
-    NonIsolated or ImproperIntersection flag unusable frames.
+    frame must be usable: f needs an isolated singularity and the slice
+    must keep one too; NonIsolated flags unusable frames, and
+    ImproperIntersection a zero polar ideal.
+
+    The polar curve then cuts V(f) in finite colength, so the meet is
+    counted by ideals.finite_colength.  By curve selection, take an arc
+    gamma(t) through 0 in V(meet).  The meet contains d_1 f, ..., d_n f
+    and f, so on the arc d/dt f(gamma) = d_0 f(gamma) * gamma_0' = 0.
+    Either d_0 f vanishes on the arc, which then lies in Crit(f), or
+    gamma_0 is constant 0 and the arc lies in Crit(f restricted to
+    z_0 = 0).  Both are the origin alone, as mu and mu' are finite, so the
+    arc is constant and V(meet) is the origin.
     """
     if mu is INFINITE:
         raise NonIsolated("f does not have an isolated singularity")
@@ -196,12 +208,7 @@ def teissier_check(pol, mu):
         raise NonIsolated("the hyperplane slice in this frame is not isolated")
     if pol.ideal.is_zero():
         raise ImproperIntersection("first polar ideal is zero in this frame")
-    meet = Ideal(pol.ideal.gens + (fM,), fM.nvars)
-    lhs = local_colength(meet)
-    if lhs is INFINITE:
-        raise ImproperIntersection(
-            "polar curve does not cut V(f) in finite colength"
-        )
+    lhs = finite_colength(Ideal(pol.ideal.gens + (fM,), fM.nvars))
     return verdict(
         "teissier_polar_against_slice",
         mu + mu_slice,

@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ParseError
+from .orders import check_degree
 from .poly import Polynomial
 
 _SYMBOLS = "+-*^()"
@@ -149,7 +150,8 @@ def parse_polynomial(text, varnames):
     """Parse an expression into a canonical expanded Polynomial.
 
     Raises ParseError (with position) on any syntax problem, unknown
-    variable, or non-integer exponent.
+    variable, or non-integer exponent, and DegreeLimitError when the total
+    degree reaches orders.DEGREE_LIMIT, which no engine order can rank.
     """
     names = list(varnames)
     if len(set(names)) != len(names):
@@ -159,4 +161,5 @@ def parse_polynomial(text, varnames):
     kind, value, position = parser.peek()
     if kind != "END":
         raise ParseError(f"unexpected token {value!r}", position)
+    check_degree(result.total_degree())
     return result

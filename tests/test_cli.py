@@ -4,6 +4,7 @@ import json
 
 from polarlink.cli import main
 from polarlink.orders import DEGREE_LIMIT
+from polarlink.polar import CoordinateFrame
 from polarlink.report import oracle_degree_cap
 
 
@@ -279,8 +280,33 @@ def test_module_entry_point_runs():
     assert proc.returncode == 0
 
 
-def test_compute_refuses_degrees_past_the_order_limit(capsys):
+def _count_frame_transforms(monkeypatch):
+    calls = []
+    transform = CoordinateFrame.transform
+
+    def counting(frame, p):
+        calls.append(frame)
+        return transform(frame, p)
+
+    monkeypatch.setattr(CoordinateFrame, "transform", counting)
+    return calls
+
+
+def test_compute_refuses_degrees_past_the_order_limit(capsys, monkeypatch):
+    # Refused by the parser: no frame substitution expands the power.
+    calls = _count_frame_transforms(monkeypatch)
     code, doc, _ = compute_doc(capsys, "--poly", f"x^{DEGREE_LIMIT} + y^2", "--vars", "x,y")
     assert code == 1
     assert doc["error"]["kind"] == "input"
     assert "limit" in doc["error"]["reason"]
+    assert calls == []
+
+
+def test_oracle_teissier_refuses_degrees_past_the_order_limit(capsys, monkeypatch):
+    calls = _count_frame_transforms(monkeypatch)
+    code, _, err = run_cli(
+        capsys, "oracle", "teissier", "--poly", f"x^{DEGREE_LIMIT} + y^2", "--vars", "x,y"
+    )
+    assert code == 1
+    assert "limit" in err
+    assert calls == []

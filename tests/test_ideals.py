@@ -21,8 +21,10 @@ from helpers import (
 from polarlink.ideals import (
     Ideal,
     StandardBasis,
+    _staircase,
     dimension,
     exact_divide,
+    finite_colength,
     groebner_basis,
     ideal_quotient,
     intersect,
@@ -34,7 +36,8 @@ from polarlink.ideals import (
     standard_monomials,
 )
 from polarlink.errors import DegreeLimitError
-from polarlink.orders import DEGREE_LIMIT, GLOBAL, LOCAL
+from polarlink.oracle import monomials_below, stable_colength
+from polarlink.orders import DEGREE_LIMIT, GLOBAL, LOCAL, mono_divides
 from polarlink.polar import jacobian_ideal, sample_frames
 from polarlink.poly import INFINITE, Polynomial
 
@@ -436,3 +439,68 @@ def test_colength_unit():
 def test_colength_sees_local_units():
     # x - x^2 differs from x by a local unit, so the quotient is a point
     assert local_colength(ideal2("x - x^2", "y")) == 1
+
+
+# --- the highest corner -------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "lms, nvars",
+    [
+        ([(2, 0), (0, 3)], 2),
+        ([(3, 0), (1, 1), (0, 4)], 2),
+        ([(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1)], 3),
+        ([(1, 0, 0), (0, 3, 0), (0, 1, 1), (0, 0, 5)], 3),
+        ([(0, 0)], 2),
+    ],
+)
+def test_staircase_counts_the_monomials_outside_the_leads(lms, nvars):
+    outside = [m for m in monomials_below(nvars, 12) if not any(mono_divides(lm, m) for lm in lms)]
+    assert _staircase(lms, nvars) == (len(outside), max(map(sum, outside), default=-1))
+
+
+def test_staircase_of_leads_that_miss_a_pure_power_is_infinite():
+    assert _staircase([(2, 0), (1, 1)], 2) is None
+    assert _staircase([(0, 0, 1), (1, 1, 0)], 3) is None
+    assert _staircase([], 2) is None
+
+
+def m_primary_ideals():
+    """Ideals with a pure power z_i^a_i per variable, plus terms of higher
+    degree, as a generator each, and up to two more random generators:
+    every z_i^a_i lies in the leading ideal, so the ideal is m-primary (or
+    the unit ideal)."""
+
+    def build(n):
+        powers = st.lists(st.integers(1, 3), min_size=n, max_size=n)
+        tails = st.lists(polynomials(nvars=n, max_terms=3, max_exp=2), min_size=n, max_size=n)
+        extra = st.lists(nonzero_polynomials(nvars=n, max_terms=3, max_exp=2), max_size=2)
+        return st.tuples(powers, tails, extra).map(lambda t: _m_primary(n, *t))
+
+    return st.integers(2, 3).flatmap(build)
+
+
+def _m_primary(n, powers, tails, extra):
+    gens = []
+    for i, (a, tail) in enumerate(zip(powers, tails)):
+        power = tuple(a if j == i else 0 for j in range(n))
+        higher = {m: c for m, c in tail.terms.items() if sum(m) > a}
+        gens.append(Polynomial(n, {power: 1, **higher}))
+    return Ideal(tuple(gens) + tuple(extra), n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m_primary_ideals())
+def test_finite_colength_meets_mora_and_the_truncation_oracle(I):
+    r = stable_colength(I, 4, hard_cap=16)
+    assert r.stable
+    assert finite_colength(I) == local_colength(I) == r.value
+
+
+@settings(max_examples=40, deadline=None)
+@given(m_primary_ideals())
+def test_a_basis_cut_at_the_corner_is_a_standard_basis(I):
+    # The basis cut at the corner is still a standard basis of I in the
+    # local ring: every generator has weak normal form zero.
+    sb = mora_standard_basis(I)
+    assert all(normal_form(g, sb).is_zero() for g in I.gens)

@@ -240,3 +240,45 @@ def test_teissier_rejects_degenerate_frame():
     pol = polar_ideal(f, identity_frame(2), 1, jacobian_ideal(f))
     with pytest.raises(NonIsolated):
         teissier_check(pol, milnor_number(f))
+
+
+# Isolated surfaces whose Teissier check used to stall in Mora's loop at
+# frame seed 0, with the Teissier value mu + mu' there.
+STALLING_SURFACES = {
+    "x^2*y+y^4+z^2": 7,
+    "x^2*y+y^5+z^2": 8,
+    "x^3+y^4+z^2": 8,
+    "x^3+x*y^3+z^2": 9,
+    "x^3+y^5+z^2": 10,
+    "x^2+y^4+z^4": 12,
+    "x^2+y^4+z^5": 15,
+    "x^3+y^4+z^4": 24,
+}
+
+
+@pytest.mark.parametrize("text, value", STALLING_SURFACES.items())
+def test_surfaces_that_stalled_the_teissier_check_complete(text, value):
+    doc, code = run_compute(RunConfig(text, ("x", "y", "z"), seed=0))
+    assert code == 0
+    assert doc["oracles"]["all_passed"] is True
+    (teissier,) = [v for v in doc["oracles"]["verdicts"] if v["name"] == "teissier_polar_against_slice"]
+    assert teissier["expected"] == teissier["actual"] == value
+
+
+def test_the_slice_that_stalled_the_milnor_number_is_three():
+    # x^2+y^4+z^5 cut by z_0 = 0 in the first frame at seed 0: the Milnor
+    # number took seconds in Mora's uncut loop.
+    (frame,) = sample_frames(3, 1, seed=0)
+    fM = frame.transform(p3("x^2+y^4+z^5"))
+    assert milnor_number(fM.substitute_zero([0])) == 3
+
+
+def test_teissier_counts_the_meet_with_finite_colength(monkeypatch):
+    # The meet is finite once mu and mu' are, so the check never asks
+    # Mora's loop whether it is.
+    monkeypatch.setattr(oracle, "local_colength", None)
+    f = p3("x^2+y^4+z^5")
+    for fr in sample_frames(3, 2, seed=0):
+        fM = fr.transform(f)
+        v = teissier_check(polar_ideal(fM, fr, 1, jacobian_ideal(fM)), milnor_number(f))
+        assert v.passed
