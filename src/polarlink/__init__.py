@@ -22,9 +22,6 @@ from .ideals import (
     StandardBasis,
     dimension,
     groebner_basis,
-    ideal_quotient,
-    intersect,
-    is_member,
     local_colength,
     mora_standard_basis,
     normal_form,

@@ -22,7 +22,7 @@ from .errors import (
     ParseError,
 )
 from .ideals import Ideal
-from .oracle import default_cap, stable_colength, teissier_check
+from .oracle import HARD_DEGREE_CAP, default_cap, stable_colength, teissier_check
 from .parse import parse_polynomial
 from .polar import check_excluded, jacobian_ideal, milnor_number, polar_ideal, sample_frames
 from .poly import INFINITE
@@ -31,7 +31,6 @@ from .report import (
     RunConfig,
     bundled_corpus_path,
     canonical_json,
-    oracle_degree_cap,
     render_text,
     run_compute,
     run_corpus,
@@ -155,12 +154,11 @@ def _cmd_oracle_truncated(args):
         ]
         if not gens:
             raise ValueError("no generators given")
-        hard_cap = oracle_degree_cap()
         ideal = Ideal(gens, len(varnames))
         start = args.cap
         if start is None:
             start = max(default_cap(g) for g in gens)
-        r = stable_colength(ideal, start, max(hard_cap, start))
+        r = stable_colength(ideal, start, max(HARD_DEGREE_CAP, start))
     except (ParseError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -231,10 +229,6 @@ def main(argv=None):
             return _cmd_oracle_truncated(args)
         return _cmd_oracle_teissier(args)
     raise AssertionError("unreachable")
-
-
-def entry():
-    sys.exit(main())
 
 
 if __name__ == "__main__":

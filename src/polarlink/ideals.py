@@ -3,9 +3,9 @@
 Global orders get reduced Groebner bases via Buchberger's algorithm with
 the product and chain criteria; local orders get standard bases via Mora's
 tangent-cone algorithm (weak normal form with ecart-based selection).
-On top of those sit normal form, quotient, intersection (tag variable plus
-elimination), saturation, Krull dimension of the leading ideal, and the
-local colength that realizes intersection numbers at the origin.
+On top of those sit normal form, saturation (tag variables plus
+elimination), Krull dimension of the leading ideal, and the local colength
+that realizes intersection numbers at the origin.
 
 Saturation I : J^infinity is one Rabinowitsch elimination with one tag
 per generator of J outside I, which is exact, so it needs no certificate
@@ -30,7 +30,7 @@ Fractions are met at two places only.  On the way in, each generator's
 Fraction coefficients are scaled to integers once (``integer_terms``, from
 ``poly``, like the product ``mul_terms``); on the way out, each element of
 a result becomes a Polynomial once (``groebner_basis``,
-``mora_standard_basis``, ``intersect``, ``saturate``), and ``normal_form``
+``mora_standard_basis``, ``saturate``), and ``normal_form``
 divides its remainder by the tracked scale to return the exact Fraction
 remainder.  A polynomial being reduced is a dict {monomial: int} plus a
 heap of (-key, monomial) over its terms (stale entries are skipped when
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import gcd, lcm
@@ -336,14 +335,12 @@ def groebner_basis(I, order=GLOBAL):
     return StandardBasis(I, order, tuple(map(_polynomial, _reduce_global(raw, order))), True)
 
 
-def mora_standard_basis(I, order=LOCAL):
+def mora_standard_basis(I):
     """Minimal Mora standard basis of I in the local ring at the origin;
     once the leads are m-primary, no element has a term above their
     corner (see ``_standard_basis_raw``)."""
-    if order.is_global:
-        raise ValueError("mora_standard_basis requires a local order")
-    raw = _standard_basis_raw(map(integer_terms, I.gens), order)
-    return StandardBasis(I, order, tuple(map(_polynomial, _minimalize(raw))), False)
+    raw = _standard_basis_raw(map(integer_terms, I.gens), LOCAL)
+    return StandardBasis(I, LOCAL, tuple(map(_polynomial, _minimalize(raw))), False)
 
 
 def normal_form(p, sb):
@@ -360,79 +357,21 @@ def normal_form(p, sb):
     return Polynomial(p.nvars, {m: Fraction(c * den, scale * num) for m, c in rem.items()})
 
 
-def is_member(p, I):
-    return normal_form(p, groebner_basis(I)).is_zero()
-
-
-# --- quotient, intersection, saturation --------------------------------
-
-
-def exact_divide(p, g):
-    """Quotient p/g when g divides p exactly; raises otherwise."""
-    if g.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    lm = g.leading_monomial(GLOBAL)
-    q = {}
-    h = dict(p.terms)
-    while h:
-        hm = GLOBAL.max(h)
-        if not mono_divides(lm, hm):
-            raise ArithmeticError("polynomial division is not exact")
-        shift = mono_div(hm, lm)
-        q[shift] = factor = h[hm] / g.terms[lm]
-        for gm, gc in g.terms.items():
-            m = mono_mul(gm, shift)
-            c = h.get(m, 0) - factor * gc
-            if c:
-                h[m] = c
-            else:
-                del h[m]
-    return Polynomial(p.nvars, q)
-
-
-def intersect(I, J):
-    """I intersect J via the tag construction t*I + (1-t)*J, eliminating t."""
-    if I.nvars != J.nvars:
-        raise ValueError("ideals live in different rings")
-    n = I.nvars
-    if I.is_zero() or J.is_zero():
-        return Ideal((), n)
-    tagged = [{(1,) + m: c for m, c in integer_terms(f).items()} for f in I.gens]
-    for g in map(integer_terms, J.gens):  # (1 - t)*g = g - t*g
-        tagged.append({(0,) + m: c for m, c in g.items()} | {(1,) + m: -c for m, c in g.items()})
-    return Ideal([Polynomial(n, g) for g in _eliminate_tags(tagged, 1)], n)
+# --- saturation ---------------------------------------------------------
 
 
 def _eliminate_tags(gens, r):
-    """The integer term dicts gens (in r tag variables followed by the
-    others) generate an ideal; its intersection with the ring without the
-    tags is generated by the tag-free elements of its reduced elimination
-    basis, returned as integer term dicts in the other variables.  An
-    element is tag-free when its lm is: any term with a tag would be
-    larger.  Only those of the raw basis are reduced: only tag-free leads
-    divide their terms, so they come out as in the whole reduced basis."""
+    """The tag elimination of ``saturate``: the integer term dicts gens (in
+    r tag variables followed by the others) generate an ideal, and its
+    elements free of the tags are generated by the tag-free elements of its
+    reduced elimination basis, returned as integer term dicts in the other
+    variables.  An element is tag-free when its lm is: any term with a tag
+    would be larger.  Only those of the raw basis are reduced: only
+    tag-free leads divide their terms, so they come out as in the whole
+    reduced basis."""
     order = elimination(r)
     free = [g for g in _standard_basis_raw(gens, order) if not any(g[0][:r])]
     return [{m[r:]: c for m, c in _terms(g).items()} for g in _reduce_global(free, order)]
-
-
-def ideal_quotient(I, J):
-    """I : J, via single-generator quotients (I ∩ (g))/g intersected."""
-    if J.is_zero():
-        raise ValueError("quotient by the zero ideal")
-    n = I.nvars
-    if I.is_zero():
-        return I
-    gb = groebner_basis(I)
-    parts = []
-    for g in J.gens:
-        if normal_form(g, gb).is_zero():
-            continue  # g in I, so I : (g) is the whole ring
-        meet = intersect(I, Ideal((g,), n))
-        parts.append(Ideal(tuple(exact_divide(h, g) for h in meet.gens), n))
-    if not parts:
-        return Ideal((Polynomial.constant(n, 1),), n)
-    return reduce(intersect, parts)
 
 
 def saturate(I, J):
@@ -506,29 +445,6 @@ def dimension(sb):
             if not any(sup <= sset for sup in supports):
                 return size
     raise AssertionError("unreachable: empty set is always independent")
-
-
-def standard_monomials(sb):
-    """Monomials outside the leading-term ideal; requires dimension <= 0."""
-    lms = [g.leading_monomial(sb.order) for g in sb.basis]
-    nv = sb.ideal.nvars
-    origin = (0,) * nv
-    if any(mono_deg(m) == 0 for m in lms):
-        return []
-    out = []
-    queue = [origin]
-    seen = {origin}
-    while queue:
-        m = queue.pop()
-        if any(mono_divides(lm, m) for lm in lms):
-            continue
-        out.append(m)
-        for i in range(nv):
-            nxt = tuple(e + 1 if j == i else e for j, e in enumerate(m))
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return out
 
 
 def _staircase(lms, nvars):

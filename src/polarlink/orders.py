@@ -8,8 +8,8 @@ Two public orders are provided:
 * ``LOCAL`` (negdegrevlex): ranks lower total degree larger, so leading
   terms pick out the tangent cone at the origin; same tie-break.
 
-Elimination orders exist only as internal plumbing for tag-variable
-intersections; the first ``n_elim`` variables dominate.
+Elimination orders exist only as internal plumbing for the tag
+elimination of saturation; the first ``n_elim`` variables dominate.
 
 An order's key is one integer, its comparison tuple packed in radix
 ``DEGREE_LIMIT`` = 2^16: a linear form, so key(a*b) = key(a) + key(b),
@@ -99,6 +99,6 @@ GLOBAL = MonomialOrder("degrevlex")
 LOCAL = MonomialOrder("negdegrevlex")
 
 
-def elimination(n_elim=1):
+def elimination(n_elim):
     """Order eliminating the first n_elim variables (internal use)."""
     return MonomialOrder("elim", n_elim)

@@ -37,7 +37,6 @@ from .link import (
     telescope_table,
 )
 from .oracle import (
-    HARD_DEGREE_CAP,
     OracleVerdict,
     default_cap,
     gamma_identity_audit,
@@ -51,22 +50,6 @@ from .polar import polar_ideal  # unused; perfbench/tracer.py rebinds it (ROADMA
 
 SCHEMA_VERSION = 1
 ENGINE_VERSION = "0.1.0"
-
-MAX_DEGREE_ENV = "POLARLINK_MAX_DEGREE"
-
-
-def oracle_degree_cap():
-    """Hard cap for the truncated oracle, overridable via the environment."""
-    raw = os.environ.get(MAX_DEGREE_ENV)
-    if raw is None:
-        return HARD_DEGREE_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"{MAX_DEGREE_ENV} must be an integer, got {raw!r}")
-    if cap < 2:
-        raise ValueError(f"{MAX_DEGREE_ENV} must be at least 2")
-    return cap
 
 
 @dataclass(frozen=True)
@@ -104,7 +87,7 @@ def _check_payload(c):
     return {"name": c.name, "passed": c.passed, "detail": c.detail}
 
 
-def _oracle_diagnostics(f, profile, hard_cap):
+def _oracle_diagnostics(f, profile):
     """Cross-checks recorded with every report: the boundary identities,
     the truncated-colength oracle against each accepted gamma value and
     against the Milnor number, and the Teissier sum when f is isolated.
@@ -119,7 +102,7 @@ def _oracle_diagnostics(f, profile, hard_cap):
         exponents.append(pol.saturation_exponent)
         if profile.gamma[k] == 0:
             continue
-        r = stable_colength(plane_cut(pol), start, hard_cap)
+        r = stable_colength(plane_cut(pol), start)
         verdicts.append(
             verdict(
                 f"colength_oracle_k{k}",
@@ -129,7 +112,7 @@ def _oracle_diagnostics(f, profile, hard_cap):
             )
         )
     if profile.s == 0:
-        r = stable_colength(jacobian_ideal(f), start, hard_cap)
+        r = stable_colength(jacobian_ideal(f), start)
         verdicts.append(
             verdict(
                 "colength_oracle_milnor",
@@ -182,7 +165,6 @@ def build_report(cfg):
     """Full pipeline on validated input; raises the typed errors."""
     cfg.validate()
     f = parse_polynomial(cfg.poly_text, cfg.varnames)
-    hard_cap = oracle_degree_cap()
     profile = gamma_profile(f, cfg.trials, cfg.seed, cfg.bound)
     n = profile.n
 
@@ -198,7 +180,7 @@ def build_report(cfg):
     complex_spec = chain_complex(lamp)
     telescope = telescope_table(profile, lamp)
     bounds = morse_bounds(profile, lamp, betti)
-    oracles, exponents = _oracle_diagnostics(f, profile, hard_cap)
+    oracles, exponents = _oracle_diagnostics(f, profile)
 
     doc = {
         "schema_version": SCHEMA_VERSION,

@@ -1,12 +1,13 @@
 """Shared strategies and small builders for the test suite."""
 
 from fractions import Fraction
+from functools import reduce
 
 from hypothesis import strategies as st
 
-from polarlink.ideals import Ideal, groebner_basis, ideal_quotient
+from polarlink.ideals import Ideal, groebner_basis, normal_form
 from polarlink.oracle import _echelon_pivots, monomials_below
-from polarlink.orders import GLOBAL, elimination
+from polarlink.orders import GLOBAL, elimination, mono_div, mono_divides
 from polarlink.parse import parse_polynomial
 from polarlink.poly import Polynomial, integer_terms
 
@@ -169,6 +170,62 @@ def tag_free_part(tagged, r):
     )
 
 
+def tagged(f, tags):
+    """f times the monomial tags in the tag variables put before its own."""
+    return Polynomial(len(tags) + f.nvars, {tags + m: c for m, c in f.terms.items()})
+
+
+def is_member(p, I):
+    """Whether p lies in I: its remainder by the reduced Groebner basis."""
+    return normal_form(p, groebner_basis(I)).is_zero()
+
+
+def exact_divide(p, g):
+    """Quotient p/g when g divides p exactly, by long division under
+    degrevlex; raises otherwise."""
+    if g.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    lm = g.leading_monomial(GLOBAL)
+    q = Polynomial.zero(p.nvars)
+    while not p.is_zero():
+        hm = p.leading_monomial(GLOBAL)
+        if not mono_divides(lm, hm):
+            raise ArithmeticError("polynomial division is not exact")
+        term = Polynomial(p.nvars, {mono_div(hm, lm): p.terms[hm] / g.terms[lm]})
+        q, p = q + term, p - term * g
+    return q
+
+
+def intersect(I, J):
+    """I intersect J as the tag-free part of t*I + (1-t)*J (Cox-Little-
+    O'Shea, section 4.3)."""
+    n = I.nvars
+    if I.is_zero() or J.is_zero():
+        return Ideal((), n)
+    one, t = Polynomial.constant(n + 1, 1), Polynomial.variable(n + 1, 0)
+    both = [tagged(f, (1,)) for f in I.gens] + [(one - t) * tagged(g, (0,)) for g in J.gens]
+    return Ideal(tag_free_part(Ideal(both, n + 1), 1), n)
+
+
+def ideal_quotient(I, J):
+    """I : J, via single-generator quotients (I intersect (g))/g, intersected."""
+    if J.is_zero():
+        raise ValueError("quotient by the zero ideal")
+    n = I.nvars
+    if I.is_zero():
+        return I
+    gb = groebner_basis(I)
+    parts = []
+    for g in J.gens:
+        if normal_form(g, gb).is_zero():
+            continue  # g in I, so I : (g) is the whole ring
+        meet = intersect(I, Ideal((g,), n))
+        parts.append(Ideal(tuple(exact_divide(h, g) for h in meet.gens), n))
+    if not parts:
+        return Ideal((Polynomial.constant(n, 1),), n)
+    return reduce(intersect, parts)
+
+
 def canonical(I):
     """The ideal regenerated by its reduced Groebner basis."""
     return Ideal(groebner_basis(I).basis, I.nvars)
@@ -176,7 +233,8 @@ def canonical(I):
 
 def saturate_by_quotients(I, J):
     """I : J^infinity by repeated quotients, with the number of quotient
-    steps until stability: the textbook loop, a test oracle for saturate.
+    steps until stability: the textbook loop, a test oracle for saturate,
+    on the quotient, intersection and division helpers above.
 
     Stability is detected by equality of reduced Groebner bases, which are
     canonical for the ideal under degrevlex.

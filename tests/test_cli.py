@@ -5,7 +5,6 @@ import json
 from polarlink.cli import main
 from polarlink.orders import DEGREE_LIMIT
 from polarlink.polar import CoordinateFrame
-from polarlink.report import oracle_degree_cap
 
 
 def run_cli(capsys, *argv):
@@ -248,17 +247,9 @@ def test_oracle_teissier_excluded_input(capsys):
     assert code == 3
 
 
-def test_degree_cap_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("POLARLINK_MAX_DEGREE", "4")
-    assert oracle_degree_cap() == 4
-    # a cap too small to see the colength stabilize turns into exit 2
-    code, out, _ = run_cli(
-        capsys,
-        "oracle", "truncated-colength",
-        "--gens", "x^9; y", "--vars", "x,y", "--cap", "2",
-    )
-    assert code == 2
-    monkeypatch.delenv("POLARLINK_MAX_DEGREE")
+def test_degree_cap_default(capsys):
+    # a start cap too small to see the colength stabilize is doubled, up to
+    # the hard degree cap, until it does
     code, out, _ = run_cli(
         capsys,
         "oracle", "truncated-colength",

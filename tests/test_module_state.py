@@ -1,12 +1,17 @@
-"""No module of the package holds a mutable container at module level.
+"""No module of the package holds state that outlives a request or reads
+settings from outside the request.
 
-Such a dict, list or set would be state that outlives a request: a cache
-or registry that one report fills and the next one reads.  Work a request
-needs twice is passed along inside the request instead.
+A module-level dict, list or set would be state that outlives a request: a
+cache or registry that one report fills and the next one reads.  Work a
+request needs twice is passed along inside the request instead.  The same
+holds for the environment: a report depends only on its input and options,
+so no module reads an environment variable.
 """
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import polarlink
 
@@ -22,4 +27,22 @@ def test_no_module_level_mutable_containers():
                 value, (dict, list, set)
             ):
                 found.append(f"polarlink.{info.name}.{name}")
+    assert found == []
+
+
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_no_module_reads_the_environment():
+    found = []
+    for path in sorted(Path(polarlink.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT:
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found += [
+                    f"{path.name}:{node.lineno} from os import {alias.name}"
+                    for alias in node.names
+                    if alias.name in ENVIRONMENT
+                ]
     assert found == []
