@@ -19,12 +19,9 @@ from .errors import (
 )
 from .ideals import (
     Ideal,
-    StandardBasis,
     dimension,
-    groebner_basis,
     local_colength,
     mora_standard_basis,
-    normal_form,
     saturate,
 )
 from .link import (
@@ -56,15 +53,12 @@ from .parse import parse_polynomial
 from .polar import (
     CoordinateFrame,
     GammaProfile,
-    critical_dimension,
-    gamma_k,
     gamma_profile,
-    identity_frame,
     jacobian_ideal,
     milnor_number,
     polar_ideal,
     sample_frames,
 )
-from .poly import INFINITE, Polynomial, Rational
+from .poly import INFINITE, Polynomial
 
 __version__ = "0.1.0"

@@ -3,9 +3,11 @@
 Global orders get reduced Groebner bases via Buchberger's algorithm with
 the product and chain criteria; local orders get standard bases via Mora's
 tangent-cone algorithm (weak normal form with ecart-based selection).
-On top of those sit normal form, saturation (tag variables plus
-elimination), Krull dimension of the leading ideal, and the local colength
-that realizes intersection numbers at the origin.
+On top of those sit saturation (tag variables plus elimination), and the
+Krull dimension and local colength at the origin, which realize the
+critical-locus dimension and the intersection numbers.  Both are read from
+the leads of a Mora standard basis alone (Greuel-Pfister, section 1.7), so
+``mora_standard_basis`` returns only its leads.
 
 Saturation I : J^infinity is one Rabinowitsch elimination with one tag
 per generator of J outside I, which is exact, so it needs no certificate
@@ -28,20 +30,17 @@ only and has one representation of a basis element, the tuple
 coprime coefficients, lc > 0 under the order (see ``_element``).
 Fractions are met at two places only.  On the way in, each generator's
 Fraction coefficients are scaled to integers once (``integer_terms``, from
-``poly``, like the product ``mul_terms``); on the way out, each element of
-a result becomes a Polynomial once (``groebner_basis``,
-``mora_standard_basis``, ``saturate``), and ``normal_form``
-divides its remainder by the tracked scale to return the exact Fraction
-remainder.  A polynomial being reduced is a dict {monomial: int} plus a
-heap of (-key, monomial) over its terms (stale entries are skipped when
-popped), fraction-free: its remainder is the Fraction remainder times a
-tracked positive scale.
+``poly``, like the product ``mul_terms``); on the way out, results leave
+the engine as ``saturate``'s ideal, whose elements become Polynomials
+once, and as the leads of ``mora_standard_basis``.  A polynomial being
+reduced is a dict {monomial: int} plus a heap of (-key, monomial) over its
+terms (stale entries are skipped when popped), fraction-free: its
+remainder is the Fraction remainder times a positive factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import gcd, lcm
@@ -84,24 +83,6 @@ class Ideal:
         return not self.gens
 
 
-@dataclass(frozen=True)
-class StandardBasis:
-    """A computed basis tagged by its monomial order.
-
-    For global orders the basis is the reduced Groebner basis (unique for
-    the ideal and order); for local orders it is a minimal Mora standard
-    basis of the localization at the origin.
-    """
-
-    ideal: Ideal
-    order: object
-    basis: tuple
-    reduced: bool
-
-    def leading_monomials(self):
-        return tuple(g.leading_monomial(self.order) for g in self.basis)
-
-
 # --- elements and division ---------------------------------------------
 
 
@@ -122,10 +103,6 @@ def _terms(g):
     return {g[0]: g[2], **{m: c for _, m, c in g[3]}}
 
 
-def _polynomial(g):
-    return Polynomial(len(g[0]), _terms(g))
-
-
 def _heap(h, order):
     """A heap of (-key, monomial) over the terms of h."""
     heap = [(-order.key(m), m) for m in h]
@@ -135,11 +112,10 @@ def _heap(h, order):
 
 def _reduce_step(h, heap, hm, nk, reducer, rem, cut):
     """Cancel the term hm (nk = -key(hm)) as h <- a*h - b*z^(hm-lm)*g with
-    a = lc/gcd(hc, lc) > 0, scaling the remainder rem by a too.  Returns the
-    factor (a, c) by which h and rem grew, a/c: c is the content divided out
-    of them afterwards (1 if none), which keeps the integers from swelling
-    over many steps.  With a cut, under the local order, no term m with
-    -key(m) >= cut is created (see ``_standard_basis_raw``)."""
+    a = lc/gcd(hc, lc) > 0, scaling the remainder rem by a too.  Their
+    common content is divided out afterwards, which keeps the integers from
+    swelling over many steps.  With a cut, under the local order, no term m
+    with -key(m) >= cut is created (see ``_standard_basis_raw``)."""
     lm, nlk, lc, tail, spread = reducer
     check_degree(mono_deg(hm) + spread)  # bounds every new term's degree
     hc = h.pop(hm)
@@ -167,19 +143,17 @@ def _reduce_step(h, heap, hm, nk, reducer, rem, cut):
             else:
                 del h[m]
     c = gcd(*h.values(), *rem.values()) if a != 1 else 1
-    if c <= 1:
-        return a, 1
-    for part in (h, rem):
-        for m in part:
-            part[m] //= c
-    return a, c
+    if c > 1:
+        for part in (h, rem):
+            for m in part:
+                part[m] //= c
 
 
 def _normal_form(h, heap, reducers, order, cut=None):
     """Division remainder of the integer term dict h (consumed, with its
-    heap), and the factor (num, den) by which it grew, num/den: the full
-    remainder under a global order, Mora's weak normal form under a local
-    one, with no term at or past cut (see ``_reduce_step``).
+    heap), up to a positive factor: the full remainder under a global
+    order, Mora's weak normal form under a local one, with no term at or
+    past cut (see ``_reduce_step``).
 
     Under a local order the reducer of least ecart is used, and one whose
     ecart exceeds the current ecart pushes a snapshot of the intermediate
@@ -187,7 +161,7 @@ def _normal_form(h, heap, reducers, order, cut=None):
     """
     local = not order.is_global
     T = list(reducers)
-    rem, num, den = {}, 1, 1
+    rem = {}
     while heap:
         nk, hm = heappop(heap)
         if hm not in h:
@@ -200,7 +174,7 @@ def _normal_form(h, heap, reducers, order, cut=None):
                     break
         if best is None:
             if local:
-                return h, (num, den)
+                return h
             rem[hm] = h.pop(hm)
             continue
         if local:
@@ -208,9 +182,8 @@ def _normal_form(h, heap, reducers, order, cut=None):
             if best[4] > h_ecart:
                 tail = {m: k for k, m in heap if m in h and m != hm}
                 T.append((hm, nk, h[hm], [(k, m, h[m]) for m, k in tail.items()], h_ecart))
-        a, c = _reduce_step(h, heap, hm, nk, best, rem, cut)
-        num, den = num * a, den * c
-    return rem, (num, den)
+        _reduce_step(h, heap, hm, nk, best, rem, cut)
+    return rem
 
 
 def _spoly(gi, gj, big, order, cut):
@@ -293,7 +266,7 @@ def _standard_basis_raw(gens, order, top=None):
             for k in range(len(G))
         ):
             continue  # chain criterion
-        h = _normal_form(*_spoly(G[i], G[j], big, order, cut), G, order, cut)[0]
+        h = _normal_form(*_spoly(G[i], G[j], big, order, cut), G, order, cut)
         if not h:
             continue
         g = _element(h, order)
@@ -307,54 +280,34 @@ def _standard_basis_raw(gens, order, top=None):
 
 def _minimalize(G):
     """Drop elements whose leading monomial another one divides; the rest
-    sorted by leading monomial."""
+    sorted by the degree of the leading monomial, then by the order (for
+    degrevlex, by the order alone).  Degree first puts every divisor of a
+    lead before it, under the local order too, where a divisor is larger."""
     kept = {}
-    for g in sorted(G, key=lambda g: -g[1]):
+    for g in sorted(G, key=lambda g: (mono_deg(g[0]), -g[1])):
         if not any(mono_divides(m, g[0]) for m in kept):
             kept[g[0]] = g
     return list(kept.values())
 
 
 def _reduce_global(G, order):
-    """Minimal basis of the elements G, tails fully reduced, sorted by
-    leading monomial."""
+    """Minimal basis of the elements G, tails fully reduced, sorted as by
+    ``_minimalize``."""
     kept = _minimalize(G)
     for i, g in enumerate(kept):
         others = kept[:i] + kept[i + 1 :]
         if others:
             heap = [(g[1], g[0]), *(t[:2] for t in g[3])]  # sorted, so a heap
-            kept[i] = _element(_normal_form(_terms(g), heap, others, order)[0], order)
+            kept[i] = _element(_normal_form(_terms(g), heap, others, order), order)
     return kept
 
 
-def groebner_basis(I, order=GLOBAL):
-    """Reduced Groebner basis of I under a global order."""
-    if not order.is_global:
-        raise ValueError("groebner_basis requires a global order")
-    raw = _standard_basis_raw(map(integer_terms, I.gens), order)
-    return StandardBasis(I, order, tuple(map(_polynomial, _reduce_global(raw, order))), True)
-
-
 def mora_standard_basis(I):
-    """Minimal Mora standard basis of I in the local ring at the origin;
-    once the leads are m-primary, no element has a term above their
-    corner (see ``_standard_basis_raw``)."""
+    """The leads of a minimal Mora standard basis of I in the local ring at
+    the origin, sorted by degree, then by the local order: they minimally
+    generate the leading ideal of I*O (see ``_standard_basis_raw``)."""
     raw = _standard_basis_raw(map(integer_terms, I.gens), LOCAL)
-    return StandardBasis(I, LOCAL, tuple(map(_polynomial, _minimalize(raw))), False)
-
-
-def normal_form(p, sb):
-    """Division remainder of p by sb under sb's order.
-
-    Zero iff p lies in the ideal; for local orders this is the Mora weak
-    normal form and membership is membership in the localization.
-    """
-    if not sb.basis:
-        return p
-    reducers = [_element(integer_terms(g), sb.order) for g in sb.basis]
-    h, scale = integer_terms(p), lcm(*(c.denominator for c in p.terms.values()))
-    rem, (num, den) = _normal_form(h, _heap(h, sb.order), reducers, sb.order)
-    return Polynomial(p.nvars, {m: Fraction(c * den, scale * num) for m, c in rem.items()})
+    return tuple(g[0] for g in _minimalize(raw))
 
 
 # --- saturation ---------------------------------------------------------
@@ -405,7 +358,7 @@ def saturate(I, J):
 
     def remainders(polys):
         """The nonzero remainders modulo I of the integer term dicts polys."""
-        rems = (_normal_form(dict(p), _heap(p, GLOBAL), gb, GLOBAL)[0] for p in polys)
+        rems = (_normal_form(dict(p), _heap(p, GLOBAL), gb, GLOBAL) for p in polys)
         return [rem for rem in rems if rem]
 
     hs = [h for h in map(integer_terms, J.gens) if remainders([h])]
@@ -427,20 +380,17 @@ def saturate(I, J):
 # --- dimension and colength ---------------------------------------------
 
 
-def dimension(sb):
-    """Krull dimension of the leading-term ideal via maximal independent
-    variable sets; -1 for the unit ideal.  Under a local order this is the
-    local dimension at the origin (components of a monomial variety are
+def dimension(lms, nvars):
+    """Krull dimension of the ideal that the monomials lms generate in
+    nvars variables, via maximal independent variable sets; -1 for the
+    unit ideal.  For the leads of a Mora standard basis this is the local
+    dimension at the origin (components of a monomial variety are
     coordinate subspaces through 0)."""
-    nv = sb.ideal.nvars
-    if not sb.basis:
-        return nv
-    lms = {g.leading_monomial(sb.order) for g in sb.basis}
     if any(mono_deg(m) == 0 for m in lms):
         return -1
     supports = [frozenset(i for i, e in enumerate(m) if e) for m in lms]
-    for size in range(nv, -1, -1):
-        for S in combinations(range(nv), size):
+    for size in range(nvars, -1, -1):
+        for S in combinations(range(nvars), size):
             sset = set(S)
             if not any(sup <= sset for sup in supports):
                 return size
@@ -475,7 +425,7 @@ def _staircase(lms, nvars):
 def local_colength(I):
     """Vector-space dimension of the local ring at the origin modulo I;
     INFINITE when the quotient has positive local dimension."""
-    return INFINITE if I.is_zero() else colength(mora_standard_basis(I))
+    return INFINITE if I.is_zero() else colength(mora_standard_basis(I), I.nvars)
 
 
 def finite_colength(I):
@@ -500,9 +450,9 @@ def finite_colength(I):
         top *= 2
 
 
-def colength(sb):
-    """local_colength of sb's ideal, read from its Mora standard basis sb:
-    the leads miss a pure power of some variable exactly when the local
-    dimension is positive."""
-    stairs = _staircase(sb.leading_monomials(), sb.ideal.nvars)
+def colength(lms, nvars):
+    """local_colength of an ideal in nvars variables, read from the leads
+    lms of its Mora standard basis: they miss a pure power of some variable
+    exactly when the local dimension is positive."""
+    stairs = _staircase(lms, nvars)
     return INFINITE if stairs is None else stairs[0]

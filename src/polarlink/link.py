@@ -54,8 +54,8 @@ class TelescopeRow:
 
 def telescope_sums(lamp, profile, p):
     """The two alternating partial sums of lambda at depth p, recomputed
-    from lambda alone and compared against the gamma values they telescope
-    to.  A mismatch raises TelescopeViolation and means the engine broke an
+    from lambda alone, as a row beside the gamma values they telescope to.
+    A mismatch raises TelescopeViolation and means the engine broke an
     algebraic identity, not that any input is infeasible."""
     g = profile.gamma
     lam = lamp.lam
@@ -69,22 +69,12 @@ def telescope_sums(lamp, profile, p):
             f"telescope identity fails at p={p}: "
             f"bottom {s_bottom} vs {want_bottom}, top {s_top} vs {want_top}"
         )
-    return s_bottom, s_top
+    return TelescopeRow(p, s_bottom, want_bottom, s_top, want_top)
 
 
 def telescope_table(profile, lamp):
-    """telescope_sums at every p, with the expected values alongside."""
-    n = profile.n
-    g = profile.gamma
-    rows = []
-    for p in range(n + 1):
-        s_bottom, s_top = telescope_sums(lamp, profile, p)
-        rows.append(
-            TelescopeRow(
-                p, s_bottom, (-1) ** p * g[p + 1], s_top, 1 + (-1) ** p * g[n - p]
-            )
-        )
-    return tuple(rows)
+    """telescope_sums at every p."""
+    return tuple(telescope_sums(lamp, profile, p) for p in range(profile.n + 1))
 
 
 @dataclass(frozen=True)

@@ -88,12 +88,6 @@ class MonomialOrder:
             key = key * DEGREE_LIMIT - e
         return key
 
-    def greater(self, a, b):
-        return self.key(a) > self.key(b)
-
-    def max(self, monos):
-        return max(monos, key=self.key)
-
 
 GLOBAL = MonomialOrder("degrevlex")
 LOCAL = MonomialOrder("negdegrevlex")

@@ -46,13 +46,6 @@ class CoordinateFrame:
         return p.substitute_linear(self.matrix)
 
 
-def identity_frame(nvars):
-    rows = tuple(
-        tuple(1 if i == j else 0 for j in range(nvars)) for i in range(nvars)
-    )
-    return CoordinateFrame(rows, ("identity",))
-
-
 def sample_frames(nvars, count, seed, bound=10):
     """count invertible frames with entries drawn uniformly from [-bound, bound].
 
@@ -88,8 +81,8 @@ def jacobian_ideal(f):
     return Ideal(gens, f.nvars)
 
 
-def _jacobian_basis(f):
-    """Mora standard basis of the Jacobian ideal of f.
+def _jacobian_leads(f):
+    """The leads of the Mora standard basis of the Jacobian ideal of f.
 
     Raises ExcludedCaseError when the origin is a smooth point of V(f),
     i.e. some partial does not vanish there.
@@ -98,12 +91,6 @@ def _jacobian_basis(f):
     if any(g.constant_term() != 0 for g in J.gens):
         raise ExcludedCaseError("origin is a smooth point of V(f)")
     return mora_standard_basis(J)
-
-
-def critical_dimension(f):
-    """Local dimension s of the critical locus of f at the origin; raises
-    ExcludedCaseError at a smooth origin."""
-    return dimension(_jacobian_basis(f))
 
 
 def milnor_number(g):
@@ -148,20 +135,6 @@ def polar_ideal(fM, frame, k, jacobian):
     return PolarIdeal(sat, exponent, frame, k, fM)
 
 
-def gamma_k(f, frame, k):
-    """Polar multiplicity for index k in one frame; see polar_multiplicity.
-
-    gamma^0 = 0 and gamma^(n+1) = 1 by convention.
-    """
-    n = f.nvars - 1
-    if k == 0:
-        return 0
-    if k == n + 1:
-        return 1
-    fM = frame.transform(f)
-    return polar_multiplicity(polar_ideal(fM, frame, k, jacobian_ideal(fM)))
-
-
 def polar_multiplicity(pol):
     """Local multiplicity of a polar ideal for index k = pol.k: the local
     colength c of its cut by the plane z_0 = ... = z_(k-1) = 0.
@@ -189,7 +162,7 @@ def polar_multiplicity(pol):
     c = local_colength(plane_cut(pol))
     if c is not INFINITE:
         return c  # 0 when the polar variety misses the origin
-    d = dimension(mora_standard_basis(pol.ideal))
+    d = dimension(mora_standard_basis(pol.ideal), pol.ideal.nvars)
     if d != k:
         raise WrongPolarDimension(
             f"polar ideal for k={k} has local dimension {d}"
@@ -237,9 +210,6 @@ class GammaProfile:
     def nvars(self):
         return self.n + 1
 
-    def witness_frame(self, k):
-        return self.frames[self.witness[k - 1]]
-
     def witness_polar_ideal(self, k):
         return self.polar_ideals[self.witness[k - 1]][k - 1]
 
@@ -269,8 +239,8 @@ def gamma_profile(f, trials=5, seed=0, bound=10):
     if n < 1:
         raise ValueError("need at least two variables")
     mult = f.order_of_vanishing()
-    jacobian_basis = _jacobian_basis(f)
-    s, mu = dimension(jacobian_basis), colength(jacobian_basis)
+    leads = _jacobian_leads(f)
+    s, mu = dimension(leads, f.nvars), colength(leads, f.nvars)
     frames = tuple(sample_frames(f.nvars, trials, seed, bound))
 
     per_trial = []

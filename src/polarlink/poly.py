@@ -23,8 +23,6 @@ from operator import add
 
 from .orders import GLOBAL, mono_deg
 
-Rational = Fraction
-
 INFINITE = "infinite"
 
 
@@ -56,10 +54,6 @@ class Polynomial:
     # --- constructors -------------------------------------------------
 
     @staticmethod
-    def zero(nvars):
-        return Polynomial(nvars, {})
-
-    @staticmethod
     def constant(nvars, value):
         return Polynomial(nvars, {(0,) * nvars: Fraction(value)})
 
@@ -88,11 +82,6 @@ class Polynomial:
     def order_of_vanishing(self):
         """Minimal total degree of a term; INFINITE for zero."""
         return min(map(mono_deg, self.terms), default=INFINITE)
-
-    def leading_monomial(self, order):
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return order.max(self.terms)
 
     # --- arithmetic ----------------------------------------------------
 
@@ -133,10 +122,6 @@ class Polynomial:
             base = base * base
             e >>= 1
         return result
-
-    def scale(self, c):
-        c = Fraction(c)
-        return Polynomial(self.nvars, {m: co * c for m, co in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):

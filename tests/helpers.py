@@ -5,10 +5,11 @@ from functools import reduce
 
 from hypothesis import strategies as st
 
-from polarlink.ideals import Ideal, groebner_basis, normal_form
+from polarlink.ideals import Ideal, _reduce_global, _standard_basis_raw, _terms
 from polarlink.oracle import _echelon_pivots, monomials_below
 from polarlink.orders import GLOBAL, elimination, mono_div, mono_divides
 from polarlink.parse import parse_polynomial
+from polarlink.polar import CoordinateFrame, jacobian_ideal, polar_ideal, polar_multiplicity
 from polarlink.poly import Polynomial, integer_terms
 
 V2 = ["x", "y"]
@@ -60,11 +61,28 @@ def reference_key(order, mono):
     return (-key[0],) + key[1:] if order.kind == "negdegrevlex" else key
 
 
+def reduced_basis(I, order=GLOBAL):
+    """The reduced Groebner basis of I under a global order, as Polynomials
+    with coprime integer coefficients and a positive leading one."""
+    raw = _standard_basis_raw(map(integer_terms, I.gens), order)
+    return tuple(Polynomial(I.nvars, _terms(g)) for g in _reduce_global(raw, order))
+
+
+def identity_frame(nvars):
+    return CoordinateFrame(tuple(tuple(int(i == j) for j in range(nvars)) for i in range(nvars)))
+
+
+def gamma_in_frame(f, frame, k):
+    """The polar multiplicity gamma^k of f measured in one frame."""
+    fM = frame.transform(f)
+    return polar_multiplicity(polar_ideal(fM, frame, k, jacobian_ideal(fM)))
+
+
 def fraction_remainder(p, basis, order):
     """Remainder of p on division by basis under a global order: the
     textbook division loop (Cox-Little-O'Shea, section 2.3) in Fraction
     arithmetic, with leading terms chosen by reference_key.  A test oracle
-    for normal_form."""
+    for the engine's ``_normal_form``."""
     leads = [(max(g.terms, key=lambda m: reference_key(order, m)), g) for g in basis]
     h = dict(p.terms)
     remainder = {}
@@ -94,11 +112,11 @@ def reference_substitution(f, matrix):
     n = f.nvars
     forms = []
     for row in matrix:
-        form = Polynomial.zero(n)
+        form = Polynomial(n, {})
         for j, c in enumerate(row):
             form = form + Polynomial.constant(n, c) * Polynomial.variable(n, j)
         forms.append(form)
-    out = Polynomial.zero(n)
+    out = Polynomial(n, {})
     for mono, c in f.terms.items():
         term = Polynomial.constant(n, c)
         for form, e in zip(forms, mono):
@@ -165,7 +183,7 @@ def tag_free_part(tagged, r):
     n = tagged.nvars - r
     return tuple(
         Polynomial(n, {m[r:]: c for m, c in g.terms.items()})
-        for g in groebner_basis(tagged, elimination(r)).basis
+        for g in reduced_basis(tagged, elimination(r))
         if not any(any(m[:r]) for m in g.terms)
     )
 
@@ -177,7 +195,7 @@ def tagged(f, tags):
 
 def is_member(p, I):
     """Whether p lies in I: its remainder by the reduced Groebner basis."""
-    return normal_form(p, groebner_basis(I)).is_zero()
+    return fraction_remainder(p, reduced_basis(I), GLOBAL).is_zero()
 
 
 def exact_divide(p, g):
@@ -185,10 +203,10 @@ def exact_divide(p, g):
     degrevlex; raises otherwise."""
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    lm = g.leading_monomial(GLOBAL)
-    q = Polynomial.zero(p.nvars)
+    lm = max(g.terms, key=GLOBAL.key)
+    q = Polynomial(p.nvars, {})
     while not p.is_zero():
-        hm = p.leading_monomial(GLOBAL)
+        hm = max(p.terms, key=GLOBAL.key)
         if not mono_divides(lm, hm):
             raise ArithmeticError("polynomial division is not exact")
         term = Polynomial(p.nvars, {mono_div(hm, lm): p.terms[hm] / g.terms[lm]})
@@ -214,10 +232,10 @@ def ideal_quotient(I, J):
     n = I.nvars
     if I.is_zero():
         return I
-    gb = groebner_basis(I)
+    gb = reduced_basis(I)
     parts = []
     for g in J.gens:
-        if normal_form(g, gb).is_zero():
+        if fraction_remainder(g, gb, GLOBAL).is_zero():
             continue  # g in I, so I : (g) is the whole ring
         meet = intersect(I, Ideal((g,), n))
         parts.append(Ideal(tuple(exact_divide(h, g) for h in meet.gens), n))
@@ -228,7 +246,7 @@ def ideal_quotient(I, J):
 
 def canonical(I):
     """The ideal regenerated by its reduced Groebner basis."""
-    return Ideal(groebner_basis(I).basis, I.nvars)
+    return Ideal(reduced_basis(I), I.nvars)
 
 
 def saturate_by_quotients(I, J):

@@ -57,12 +57,13 @@ def test_chain_complex_degrees():
 def test_telescope_fermat_cubic_values():
     prof = fake_profile([0, 4, 2, 1])
     lamp = lambda_from_gamma(prof)
-    assert telescope_sums(lamp, prof, 0) == (4, 3)
-    assert telescope_sums(lamp, prof, 1) == (-2, -3)
+    row = telescope_sums(lamp, prof, 0)
+    assert (row.from_bottom, row.from_top) == (4, 3)
+    row = telescope_sums(lamp, prof, 1)
+    assert (row.from_bottom, row.from_top) == (-2, -3)
     # at p=n the bottom sum collapses to (-1)^n
     n = prof.n
-    bottom, _ = telescope_sums(lamp, prof, n)
-    assert bottom == (-1) ** n
+    assert telescope_sums(lamp, prof, n).from_bottom == (-1) ** n
 
 
 @given(

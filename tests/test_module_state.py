@@ -1,11 +1,13 @@
 """No module of the package holds state that outlives a request or reads
-settings from outside the request.
+settings from outside the request, and every name it defines has a caller.
 
 A module-level dict, list or set would be state that outlives a request: a
 cache or registry that one report fills and the next one reads.  Work a
 request needs twice is passed along inside the request instead.  The same
 holds for the environment: a report depends only on its input and options,
-so no module reads an environment variable.
+so no module reads an environment variable.  And the package keeps only
+what a report, the CLI or the benchmark runs: a function that only tests
+call is not part of it.
 """
 
 import ast
@@ -14,6 +16,9 @@ import pkgutil
 from pathlib import Path
 
 import polarlink
+
+PACKAGE = Path(polarlink.__file__).parent
+BENCHMARK = PACKAGE.parent.parent / "perfbench"
 
 
 def test_no_module_level_mutable_containers():
@@ -35,7 +40,7 @@ ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
 
 def test_no_module_reads_the_environment():
     found = []
-    for path in sorted(Path(polarlink.__file__).parent.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT:
                 found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
@@ -46,3 +51,36 @@ def test_no_module_reads_the_environment():
                     if alias.name in ENVIRONMENT
                 ]
     assert found == []
+
+
+def test_every_package_name_has_a_caller():
+    # Callers are the package's modules but __init__.py, which only
+    # re-exports, and the benchmark's, which call the package from outside;
+    # its tests are not callers.  A top-level function or class counts as
+    # called when its name is read, a method when it is read as an attribute.
+    defined, names, attributes = [], set(), set()
+    benchmark = [p for p in BENCHMARK.glob("*.py") if not p.name.startswith("test_")]
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(benchmark):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.parent == PACKAGE:
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    defined.append((f"{path.stem}.{node.name}", node.name, False))
+                if isinstance(node, ast.ClassDef):
+                    defined += [
+                        (f"{path.stem}.{node.name}.{m.name}", m.name, True)
+                        for m in node.body
+                        if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")
+                    ]
+        if path.name != "__init__.py":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    attributes.add(node.attr)
+    uncalled = [
+        full
+        for full, name, method in defined
+        if name not in attributes and (method or name not in names)
+    ]
+    assert uncalled == []

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from helpers import (
     V2,
     fraction_echelon_pivots,
+    identity_frame,
     nonzero_polynomials,
     p2,
     p3,
@@ -34,7 +35,6 @@ from polarlink.oracle import (
 )
 from polarlink.polar import (
     CoordinateFrame,
-    identity_frame,
     jacobian_ideal,
     milnor_number,
     polar_ideal,

@@ -5,14 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-from helpers import V2, V3, nonzero_polynomials, p2, p3, polynomials, rationals
+from helpers import V2, V3, nonzero_polynomials, p2, p3, polynomials
 from polarlink.orders import GLOBAL, LOCAL
 from polarlink.parse import parse_polynomial
 from polarlink.poly import INFINITE, Polynomial, det
 
 
 def test_zero_polynomial_basics():
-    z = Polynomial.zero(2)
+    z = Polynomial(2, {})
     assert z.is_zero()
     assert z.total_degree() == -1
     assert z.order_of_vanishing() is INFINITE
@@ -50,8 +50,8 @@ def test_degree_and_order():
 
 def test_leading_monomials_global_vs_local():
     f = p2("x^2 + y^3")
-    assert f.leading_monomial(GLOBAL) == (0, 3)
-    assert f.leading_monomial(LOCAL) == (2, 0)
+    assert max(f.terms, key=GLOBAL.key) == (0, 3)
+    assert max(f.terms, key=LOCAL.key) == (2, 0)
 
 
 @given(polynomials(), polynomials(), polynomials())
@@ -61,7 +61,7 @@ def test_ring_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
-    assert a - a == Polynomial.zero(a.nvars)
+    assert a - a == Polynomial(a.nvars, {})
 
 
 @given(polynomials(), polynomials())
@@ -82,9 +82,9 @@ def test_degree_is_additive(a, b):
 @given(nonzero_polynomials(), nonzero_polynomials())
 def test_leading_monomial_is_multiplicative(a, b):
     for order in (GLOBAL, LOCAL):
-        la = a.leading_monomial(order)
-        lb = b.leading_monomial(order)
-        lab = (a * b).leading_monomial(order)
+        la = max(a.terms, key=order.key)
+        lb = max(b.terms, key=order.key)
+        lab = max((a * b).terms, key=order.key)
         assert lab == tuple(x + y for x, y in zip(la, lb))
 
 
@@ -122,16 +122,10 @@ def test_to_str_parse_roundtrip(f):
 
 def test_to_str_examples():
     assert p2("y^3 - 3*x^2*y - 1/2").to_str(V2) == "-3*x^2*y + y^3 - 1/2"
-    assert Polynomial.zero(2).to_str(V2) == "0"
+    assert Polynomial(2, {}).to_str(V2) == "0"
     assert Polynomial.constant(2, Fraction(-1, 3)).to_str(V2) == "-1/3"
 
 
 def test_det_and_invert():
     m = [[2, 1, 0], [0, 1, 0], [1, 0, 1]]
     assert det(m) == 2
-
-
-@given(rationals(), polynomials())
-def test_scale_distributes(c, f):
-    assert f.scale(c) + f.scale(-c) == Polynomial.zero(f.nvars)
-    assert f.scale(c) == f * Polynomial.constant(f.nvars, c)
