@@ -46,7 +46,6 @@ from .oracle import (
     gamma_identity_audit,
     stable_colength,
     teissier_check,
-    truncated_colength,
 )
 from .orders import DEGREE_LIMIT, GLOBAL, LOCAL, MonomialOrder, elimination
 from .parse import parse_polynomial

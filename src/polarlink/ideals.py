@@ -68,12 +68,8 @@ class Ideal:
     gens: tuple
     nvars: int
 
-    def __init__(self, gens, nvars=None):
+    def __init__(self, gens, nvars):
         gens = tuple(g for g in gens if not g.is_zero())
-        if nvars is None:
-            if not gens:
-                raise ValueError("cannot infer variable count of the zero ideal")
-            nvars = gens[0].nvars
         if any(g.nvars != nvars for g in gens):
             raise ValueError("generators live in different rings")
         object.__setattr__(self, "gens", gens)

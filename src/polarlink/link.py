@@ -107,7 +107,7 @@ class MorseBound:
     satisfied: object = None
 
 
-def morse_bounds(profile, lamp, betti=None):
+def morse_bounds(profile, betti=None):
     """Both families of link inequalities for p = 0..n.
 
     The right-hand sides are read from gamma; telescope_sums is where the
@@ -150,11 +150,12 @@ class FeasibilityCheck:
     detail: str
 
 
-def betti_feasibility(betti, profile, lamp):
+def betti_feasibility(betti, profile, bounds):
     """Audit a Betti hypothesis against everything the profile forces.
 
-    Checks the vanishing window, both families of Morse bounds at every p,
-    the reduced Euler characteristic, and the component count when given.
+    Checks the vanishing window, both families of Morse bounds at every p
+    (bounds, as morse_bounds fills them for betti), the reduced Euler
+    characteristic, and the component count when given.
     All at the level of ranks; a clean pass does not certify the vector is
     realized by the actual link.
     """
@@ -178,7 +179,7 @@ def betti_feasibility(betti, profile, lamp):
         )
     )
 
-    for b in morse_bounds(profile, lamp, betti):
+    for b in bounds:
         checks.append(
             FeasibilityCheck(
                 f"morse_family{b.family}_p{b.p}",

@@ -1,16 +1,19 @@
 """Independent cross-checks for the polar engine.
 
-The main tool is a truncated colength: inside the finite-dimensional space
-of polynomials of degree below a cap D it spans all truncated multiples of
-the generators and counts, by exact Gaussian elimination, the monomials
-that survive.  For an ideal of finite local colength the count stabilizes
-once D is large enough, so agreement of two consecutive caps together with
-an empty top boundary certifies the value; one elimination at D + 1 that
-ranks the monomials of degree D lowest gives both counts.  The rows are
-integer term dicts: each generator is scaled to integers once by
+The main tool is a colength certified by Nakayama's lemma.  Let count(c) =
+dim Q[z]/(I + m^c), m the maximal ideal at the origin: the number of
+monomials of degree below c that survive the truncated multiples of the
+generators below c, counted by exact Gaussian elimination.  If count(c) =
+count(c + 1), then m^c lies in I*O + m^(c+1), hence in I*O by Nakayama (O
+the local ring), and count(c) is the local colength (Greuel-Pfister,
+section 1.7).  One elimination below a degree top, each row led by its
+lowest-degree term, gives count(c) for every c <= top at once: a
+Macaulay-matrix standard basis (Lazard 1983).  The rows are integer term
+dicts: each generator is scaled to integers once by
 ``poly.integer_terms`` and the elimination is fraction-free.  None of this
 shares code with the standard-basis machinery (``ideals``), only the
-polynomial kernel (``poly``); that is the point.
+polynomial kernel (``poly``) and the monomial orders (``orders``); that is
+the point.
 
 Also here: the closed-form polar multiplicities of Fermat polynomials, the
 Teissier sum check mu + mu' for the first polar curve, and the audit of the
@@ -20,13 +23,14 @@ boundary identities a gamma profile must satisfy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import gcd
 from operator import add
 
 from .errors import ImproperIntersection, NonIsolated
 from .ideals import Ideal, finite_colength
 from .ideals import local_colength  # unused; perfbench/tracer.py rebinds it (ROADMAP item 5)
-from .orders import GLOBAL, mono_deg
+from .orders import LOCAL, mono_deg
 from .poly import INFINITE, integer_terms
 from .polar import milnor_number
 from .polar import polar_ideal  # unused; perfbench/tracer.py rebinds it (ROADMAP item 5)
@@ -56,27 +60,12 @@ class TruncatedColength:
     cap: int
 
 
-def monomials_below(nvars, cap):
-    """All exponent tuples with total degree strictly below cap."""
-    if cap <= 0:
-        return []
-    out = []
-    mono = [0] * nvars
-
-    def rec(i, budget):
-        if i == nvars - 1:
-            for e in range(budget + 1):
-                mono[i] = e
-                out.append(tuple(mono))
-            mono[i] = 0
-            return
-        for e in range(budget + 1):
-            mono[i] = e
-            rec(i + 1, budget - e)
-        mono[i] = 0
-
-    rec(0, cap - 1)
-    return out
+def monomials_of_degree(nvars, d):
+    """All exponent tuples in nvars variables of total degree d, the first
+    exponent rising slowest."""
+    if nvars == 1:
+        return [(d,)]
+    return [(e,) + m for e in range(d + 1) for m in monomials_of_degree(nvars - 1, d - e)]
 
 
 def _echelon_pivots(rows, key):
@@ -111,57 +100,56 @@ def _echelon_pivots(rows, key):
     return pivots
 
 
-def _survivors(I, cap):
-    """The monomials of degree < cap that survive the truncated multiples
-    below cap, and the number that survive those below cap + 1.  One
-    elimination below cap + 1, degree-cap monomials ranked lowest and
-    degrevlex otherwise, gives both: a row without a counterpart below cap
-    has only degree-cap terms, so the pivots of degree < cap are the
-    degrevlex pivots below cap.  The multipliers are the monomials below
-    cap + 1, taken by degree: for each degree the part of a generator that
-    stays at or below cap is cut once."""
-    below = monomials_below(I.nvars, cap + 1)
-    key = {m: (mono_deg(m) < cap, GLOBAL.key(m)) for m in below}
-    by_degree = [[] for _ in range(cap + 1)]
-    for u in below:
-        by_degree[mono_deg(u)].append(u)
+def _counts(I, top):
+    """count(c) = dim Q[z]/(I + m^c) for c = 0, ..., top, from one
+    elimination of the truncated multiples below top, each row led by its
+    lowest-degree term (``LOCAL``).  The rows of degree < c span the
+    multiples below c, and an echelon row whose lead has degree >= c has no
+    term below c, so the pivots of degree < c are those of the image below
+    c: count(c) is the number of monomials of degree < c minus that of the
+    pivots.  The multipliers are the monomials below top, taken by degree:
+    for each degree the part of a generator that stays below top is cut
+    once."""
+    by_degree = [monomials_of_degree(I.nvars, d) for d in range(top)]
     rows = []
     for g in map(integer_terms, I.gens):
         for du, us in enumerate(by_degree):
-            part = [(gm, gc) for gm, gc in g.items() if mono_deg(gm) + du <= cap]
+            part = [(gm, gc) for gm, gc in g.items() if mono_deg(gm) + du < top]
             if not part:
                 break
             rows.extend({tuple(map(add, gm, u)): gc for gm, gc in part} for u in us)
-    pivots = _echelon_pivots(rows, key)
-    here = [m for m in below if mono_deg(m) < cap and m not in pivots]
-    return here, len(below) - len(pivots)
-
-
-def truncated_colength(I, cap):
-    """Colength estimate from degree-truncated linear algebra.
-
-    Stable means the count at cap and cap+1 agree and no surviving monomial
-    sits on the top boundary (degree cap-1); in that case the value is the
-    exact local colength.  Both counts come from one elimination; the zero
-    ideal has no rows, so its count grows with the cap and never stabilizes.
-    """
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
-    here, nxt = _survivors(I, cap)
-    boundary_clear = all(mono_deg(m) < cap - 1 for m in here)
-    return TruncatedColength(len(here), len(here) == nxt and boundary_clear, cap)
+    fresh = [len(us) for us in by_degree]
+    key = {m: LOCAL.key(m) for us in by_degree for m in us}
+    for m in _echelon_pivots(rows, key):
+        fresh[mono_deg(m)] -= 1
+    return list(accumulate(fresh, initial=0))
 
 
 def stable_colength(I, start_cap, hard_cap=HARD_DEGREE_CAP):
-    """Run the truncated colength, doubling the cap until it stabilizes or
-    the hard cap is reached."""
-    cap = max(2, start_cap)
-    cap = min(cap, hard_cap)
+    """The local colength of I at the origin, certified by Nakayama.
+
+    If count(c) = count(c + 1), then m^c lies in I*O + m^(c+1), so in I*O
+    by Nakayama (O the local ring at the origin), and count(c) is the
+    colength.  The counts come from one elimination below top + 1, for
+    top = 2, 4, 8, ... up to hard_cap, until the least such c <= top is
+    found.  cap reports where a cap doubled from start_cap reaches c: the
+    first of s, 2s, 4s, ... (s = max(2, start_cap)), clipped at hard_cap,
+    that is at least c.  Without a certificate the result is
+    (count(hard_cap), False, hard_cap); the zero ideal's counts grow with
+    c, so it is never stable.
+    """
+    top = min(2, hard_cap)
     while True:
-        r = truncated_colength(I, cap)
-        if r.stable or cap >= hard_cap:
-            return r
-        cap = min(2 * cap, hard_cap)
+        counts = _counts(I, top + 1)
+        for c in range(1, top + 1):
+            if counts[c] == counts[c + 1]:
+                cap = min(max(2, start_cap), hard_cap)
+                while cap < c:
+                    cap = min(2 * cap, hard_cap)
+                return TruncatedColength(counts[c], True, cap)
+        if top >= hard_cap:
+            return TruncatedColength(counts[hard_cap], False, hard_cap)
+        top = min(2 * top, hard_cap)
 
 
 def default_cap(f):

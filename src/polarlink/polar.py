@@ -26,13 +26,9 @@ from .poly import INFINITE, det
 
 @dataclass(frozen=True)
 class CoordinateFrame:
-    """Invertible integer change of coordinates z_i -> sum_j m[i][j] z_j.
-
-    seed_trace records (seed, draw index) so a frame can be regenerated.
-    """
+    """Invertible integer change of coordinates z_i -> sum_j m[i][j] z_j."""
 
     matrix: tuple
-    seed_trace: tuple = ()
 
     def __post_init__(self):
         if det(self.matrix) == 0:
@@ -49,9 +45,9 @@ class CoordinateFrame:
 def sample_frames(nvars, count, seed, bound=10):
     """count invertible frames with entries drawn uniformly from [-bound, bound].
 
-    Draws are sequential from random.Random(seed); singular draws are
-    discarded but still advance the draw index, so results only depend on
-    (nvars, seed, bound) and the position in the stream.
+    Draws are sequential from random.Random(seed) and singular draws are
+    discarded, so results only depend on (nvars, seed, bound) and the
+    position in the stream.
     """
     if count < 1:
         raise ValueError("need at least one frame")
@@ -59,17 +55,15 @@ def sample_frames(nvars, count, seed, bound=10):
         raise ValueError("bound must be at least 1")
     rng = random.Random(seed)
     frames = []
-    draw = 0
     while len(frames) < count:
         rows = tuple(
             tuple(rng.randint(-bound, bound) for _ in range(nvars))
             for _ in range(nvars)
         )
         try:
-            frames.append(CoordinateFrame(rows, (seed, draw)))
+            frames.append(CoordinateFrame(rows))
         except ValueError:
             pass  # a singular draw
-        draw += 1
     return frames
 
 
@@ -110,7 +104,6 @@ class PolarIdeal:
 
     ideal: Ideal
     saturation_exponent: int
-    frame: CoordinateFrame
     k: int
     fM: object
 
@@ -130,9 +123,9 @@ def polar_ideal(fM, frame, k, jacobian):
     gens = [fM.partial_derivative(i) for i in range(k, n + 1)]
     partial_ideal = Ideal(gens, fM.nvars)
     if partial_ideal.is_zero():
-        return PolarIdeal(partial_ideal, 0, frame, k, fM)
+        return PolarIdeal(partial_ideal, 0, k, fM)
     sat, exponent = saturate(partial_ideal, jacobian)
-    return PolarIdeal(sat, exponent, frame, k, fM)
+    return PolarIdeal(sat, exponent, k, fM)
 
 
 def polar_multiplicity(pol):
@@ -197,7 +190,6 @@ class GammaProfile:
     mult: int
     s: int
     mu: object
-    trials: int
     threshold: int
     stable: bool
     per_trial: tuple
@@ -205,10 +197,6 @@ class GammaProfile:
     witness: tuple
     frames: tuple
     polar_ideals: tuple
-
-    @property
-    def nvars(self):
-        return self.n + 1
 
     def witness_polar_ideal(self, k):
         return self.polar_ideals[self.witness[k - 1]][k - 1]
@@ -289,7 +277,6 @@ def gamma_profile(f, trials=5, seed=0, bound=10):
         mult=mult,
         s=s,
         mu=mu,
-        trials=trials,
         threshold=threshold,
         stable=stable,
         per_trial=per_trial,

@@ -179,7 +179,7 @@ def build_report(cfg):
     lamp = lambda_from_gamma(profile)
     complex_spec = chain_complex(lamp)
     telescope = telescope_table(profile, lamp)
-    bounds = morse_bounds(profile, lamp, betti)
+    bounds = morse_bounds(profile, betti)
     oracles, exponents = _oracle_diagnostics(f, profile)
 
     doc = {
@@ -246,7 +246,7 @@ def build_report(cfg):
 
     feasibility = None
     if betti is not None:
-        checks = list(betti_feasibility(betti, profile, lamp))
+        checks = list(betti_feasibility(betti, profile, bounds))
         if seq is not None:
             checks.extend(seq.checks)
         feasibility = {

@@ -6,7 +6,7 @@ from functools import reduce
 from hypothesis import strategies as st
 
 from polarlink.ideals import Ideal, _reduce_global, _standard_basis_raw, _terms
-from polarlink.oracle import _echelon_pivots, monomials_below
+from polarlink.oracle import _echelon_pivots, monomials_of_degree
 from polarlink.orders import GLOBAL, elimination, mono_div, mono_divides
 from polarlink.parse import parse_polynomial
 from polarlink.polar import CoordinateFrame, jacobian_ideal, polar_ideal, polar_multiplicity
@@ -150,11 +150,18 @@ def fraction_echelon_pivots(rows, key):
     return pivots
 
 
+def monomials_below(nvars, cap):
+    """All exponent tuples with total degree strictly below cap."""
+    return [m for d in range(cap) for m in monomials_of_degree(nvars, d)]
+
+
 def truncated_colength_by_two_eliminations(I, cap):
     """(value, stable, cap) of the truncated colength from two degrevlex
     eliminations, one of the truncated multiples below cap and one of those
-    below cap + 1, with the zero ideal as its own case: the algorithm that
-    oracle.truncated_colength replaced, kept as its test oracle."""
+    below cap + 1, with the zero ideal as its own case.  Stable means that
+    the two counts agree and that no survivor has degree cap - 1.  The
+    truncated colength the oracle used before its Nakayama certificate,
+    kept as a test oracle for its counts and its caps."""
 
     def survivors(cap):
         below = monomials_below(I.nvars, cap)
@@ -173,6 +180,19 @@ def truncated_colength_by_two_eliminations(I, cap):
     here, nxt = survivors(cap), survivors(cap + 1)
     stable = len(here) == len(nxt) and all(sum(m) < cap - 1 for m in here)
     return len(here), stable, cap
+
+
+def stable_colength_by_doubling(I, start_cap, hard_cap):
+    """(value, stable, cap) of truncated_colength_by_two_eliminations at
+    start_cap, the cap doubled until it is stable or reaches hard_cap: the
+    oracle's certificate before the Nakayama criterion, kept as a test
+    oracle."""
+    cap = min(max(2, start_cap), hard_cap)
+    while True:
+        value, stable, cap = truncated_colength_by_two_eliminations(I, cap)
+        if stable or cap >= hard_cap:
+            return value, stable, cap
+        cap = min(2 * cap, hard_cap)
 
 
 def tag_free_part(tagged, r):

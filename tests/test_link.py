@@ -30,7 +30,6 @@ def fake_profile(gamma, mult=None, s=0):
         mult=mult,
         s=s,
         mu=None,
-        trials=1,
         threshold=1,
         stable=True,
         per_trial=((None,) * n,),
@@ -83,8 +82,7 @@ def test_telescope_never_raises_on_derived_lambda(gamma):
 
 def test_morse_bounds_p0_rows():
     prof = fake_profile([0, 1, 1])  # xy
-    lamp = lambda_from_gamma(prof)
-    rows = morse_bounds(prof, lamp)
+    rows = morse_bounds(prof)
     fam1_p0 = next(b for b in rows if b.family == 1 and b.p == 0)
     fam2_p0 = next(b for b in rows if b.family == 2 and b.p == 0)
     assert fam1_p0.terms == ((1, 0),)
@@ -96,8 +94,7 @@ def test_morse_bounds_p0_rows():
 
 def test_morse_bounds_p1_signs():
     prof = fake_profile([0, 4, 2, 1])
-    lamp = lambda_from_gamma(prof)
-    rows = morse_bounds(prof, lamp)
+    rows = morse_bounds(prof)
     fam1_p1 = next(b for b in rows if b.family == 1 and b.p == 1)
     assert fam1_p1.terms == ((-1, 1), (1, 2))
     assert fam1_p1.rhs == 2
@@ -108,9 +105,8 @@ def test_morse_bounds_p1_signs():
 
 def test_morse_bounds_with_betti_values():
     prof = fake_profile([0, 4, 2, 1])
-    lamp = lambda_from_gamma(prof)
     betti = BettiVector((0, 2, 2, 1))
-    rows = morse_bounds(prof, lamp, betti)
+    rows = morse_bounds(prof, betti)
     fam1_p0 = next(b for b in rows if b.family == 1 and b.p == 0)
     assert (fam1_p0.lhs, fam1_p0.satisfied) == (2, True)
     fam2_p1 = next(b for b in rows if b.family == 2 and b.p == 1)
@@ -124,42 +120,43 @@ def test_allowed_degrees_windows():
     assert allowed_degrees(3, 1) == (0, 2, 3, 4, 5)
 
 
+def feasibility(betti, prof):
+    """betti_feasibility with the bounds filled for betti, as build_report
+    hands them over."""
+    return betti_feasibility(betti, prof, morse_bounds(prof, betti))
+
+
 def test_feasibility_two_lines_passes():
     prof = gamma_profile(p2("x*y"), trials=3, seed=0)
-    lamp = lambda_from_gamma(prof)
-    checks = betti_feasibility(BettiVector((1, 2), components=2), prof, lamp)
+    checks = feasibility(BettiVector((1, 2), components=2), prof)
     assert all(c.passed for c in checks)
 
 
 def test_feasibility_two_lines_overcount_fails_family1_p0():
     prof = gamma_profile(p2("x*y"), trials=3, seed=0)
-    lamp = lambda_from_gamma(prof)
-    checks = betti_feasibility(BettiVector((2, 3)), prof, lamp)
+    checks = feasibility(BettiVector((2, 3)), prof)
     failed = {c.name for c in checks if not c.passed}
     assert "morse_family1_p0" in failed
 
 
 def test_feasibility_a1_surface():
     prof = gamma_profile(p3("x^2+y^2+z^2"), trials=3, seed=0)
-    lamp = lambda_from_gamma(prof)
-    checks = betti_feasibility(BettiVector((0, 0, 0, 1)), prof, lamp)
+    checks = feasibility(BettiVector((0, 0, 0, 1)), prof)
     assert all(c.passed for c in checks)
 
 
 def test_feasibility_window_violation_detected():
     prof = gamma_profile(p3("x^2+y^2+z^2+x^3"), trials=3, seed=0)
-    lamp = lambda_from_gamma(prof)
     # degree 0 and 3 are fine for n=2, but a fake value anywhere is caught
     # by euler/window/bounds; use an s=0 window with a bad degree-0 entry
-    checks = betti_feasibility(BettiVector((1, 0, 0, 1)), prof, lamp)
+    checks = feasibility(BettiVector((1, 0, 0, 1)), prof)
     names = {c.name: c.passed for c in checks}
     assert not names["reduced_euler_characteristic"]
 
 
 def test_feasibility_component_checks():
     prof = gamma_profile(p2("x*y"), trials=3, seed=0)
-    lamp = lambda_from_gamma(prof)
-    checks = betti_feasibility(BettiVector((1, 2), components=3), prof, lamp)
+    checks = feasibility(BettiVector((1, 2), components=3), prof)
     names = {c.name: c.passed for c in checks}
     assert not names["components_equal_top_betti"]
     # c != 1 forces s = n-1 = 0, which holds for xy
@@ -168,9 +165,8 @@ def test_feasibility_component_checks():
 
 def test_feasibility_wrong_length_rejected():
     prof = gamma_profile(p2("x*y"), trials=3, seed=0)
-    lamp = lambda_from_gamma(prof)
     with pytest.raises(ValueError):
-        betti_feasibility(BettiVector((1, 2, 3)), prof, lamp)
+        feasibility(BettiVector((1, 2, 3)), prof)
 
 
 def test_betti_vector_validation():

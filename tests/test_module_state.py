@@ -7,7 +7,7 @@ request needs twice is passed along inside the request instead.  The same
 holds for the environment: a report depends only on its input and options,
 so no module reads an environment variable.  And the package keeps only
 what a report, the CLI or the benchmark runs: a function that only tests
-call is not part of it.
+call is not part of it, nor a field that only tests read.
 """
 
 import ast
@@ -53,15 +53,21 @@ def test_no_module_reads_the_environment():
     assert found == []
 
 
+def sources():
+    """(path, syntax tree) of the package's modules and the benchmark's
+    scripts, its tests left out."""
+    benchmark = [p for p in BENCHMARK.glob("*.py") if not p.name.startswith("test_")]
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(benchmark):
+        yield path, ast.parse(path.read_text(encoding="utf-8"))
+
+
 def test_every_package_name_has_a_caller():
     # Callers are the package's modules but __init__.py, which only
     # re-exports, and the benchmark's, which call the package from outside;
     # its tests are not callers.  A top-level function or class counts as
     # called when its name is read, a method when it is read as an attribute.
     defined, names, attributes = [], set(), set()
-    benchmark = [p for p in BENCHMARK.glob("*.py") if not p.name.startswith("test_")]
-    for path in sorted(PACKAGE.glob("*.py")) + sorted(benchmark):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for path, tree in sources():
         if path.parent == PACKAGE:
             for node in tree.body:
                 if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -84,3 +90,27 @@ def test_every_package_name_has_a_caller():
         if name not in attributes and (method or name not in names)
     ]
     assert uncalled == []
+
+
+def test_every_package_field_is_read():
+    # The same callers; an annotated field of a package class counts as
+    # used when one of them reads it as an attribute.  Passing it to the
+    # constructor does not count.  Fields are matched by name alone, so a
+    # field that shares its name with an attribute read elsewhere escapes.
+    fields, reads = [], set()
+    for path, tree in sources():
+        if path.parent == PACKAGE:
+            fields += [
+                (f"{path.stem}.{node.name}.{field.target.id}", field.target.id)
+                for node in tree.body
+                if isinstance(node, ast.ClassDef)
+                for field in node.body
+                if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+            ]
+        if path.name != "__init__.py":
+            reads.update(
+                node.attr
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            )
+    assert [full for full, name in fields if name not in reads] == []

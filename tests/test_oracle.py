@@ -1,4 +1,4 @@
-"""The truncated-colength oracle and the other independent cross-checks.
+"""The colength oracle and the other independent cross-checks.
 
 These are the trust anchors for the standard-basis engine, so they get
 their own frozen cases before anything downstream relies on them.
@@ -16,9 +16,11 @@ from helpers import (
     V2,
     fraction_echelon_pivots,
     identity_frame,
+    monomials_below,
     nonzero_polynomials,
     p2,
     p3,
+    stable_colength_by_doubling,
     truncated_colength_by_two_eliminations,
 )
 from polarlink import oracle
@@ -27,10 +29,9 @@ from polarlink.ideals import Ideal, local_colength
 from polarlink.oracle import (
     bezout_gamma,
     default_cap,
-    monomials_below,
+    monomials_of_degree,
     stable_colength,
     teissier_check,
-    truncated_colength,
     verdict,
 )
 from polarlink.polar import (
@@ -41,7 +42,7 @@ from polarlink.polar import (
     sample_frames,
 )
 from polarlink.orders import GLOBAL
-from polarlink.poly import INFINITE, integer_terms
+from polarlink.poly import INFINITE, Polynomial, integer_terms
 from polarlink.report import RunConfig, run_compute
 
 
@@ -50,6 +51,8 @@ def ideal2(*texts):
 
 
 def test_monomials_below_counts():
+    assert monomials_of_degree(2, 2) == [(0, 2), (1, 1), (2, 0)]
+    assert [len(monomials_of_degree(3, d)) for d in range(4)] == [1, 3, 6, 10]
     assert len(monomials_below(1, 5)) == 5
     assert len(monomials_below(2, 4)) == 10
     assert len(monomials_below(3, 3)) == 10
@@ -57,51 +60,61 @@ def test_monomials_below_counts():
 
 
 def test_truncated_simple_point():
-    r = truncated_colength(ideal2("x", "y^2"), 4)
-    assert (r.value, r.stable) == (2, True)
+    I = ideal2("x", "y^2")
+    assert oracle._counts(I, 4) == [0, 1, 2, 2, 2]
+    r = stable_colength(I, 4)
+    assert (r.value, r.stable, r.cap) == (2, True, 4)
 
 
 def test_truncated_cusp_pair():
-    r = truncated_colength(ideal2("y^2", "x^2+y^3"), 6)
+    I = ideal2("y^2", "x^2+y^3")
+    assert oracle._counts(I, 6) == [0, 1, 3, 4, 4, 4, 4]
+    r = stable_colength(I, 6)
     assert (r.value, r.stable) == (4, True)
 
 
 def test_truncated_positive_dimensional_never_stabilizes():
-    r = truncated_colength(ideal2("x*y"), 4)
-    assert not r.stable
-    r2 = truncated_colength(ideal2("x*y"), 8)
-    assert not r2.stable
-    assert r2.value > r.value
+    counts = oracle._counts(ideal2("x*y"), 8)
+    assert all(a < b for a, b in zip(counts, counts[1:]))
+    r = stable_colength(ideal2("x*y"), 4, hard_cap=8)
+    assert (r.value, r.stable, r.cap) == (counts[8], False, 8)
 
 
 def test_truncated_cap_too_small_is_unstable():
-    # the ideal has colength 4 but cap 2 sees too little
-    r = truncated_colength(ideal2("y^2", "x^2+y^3"), 2)
-    assert not r.stable
+    # the ideal has colength 4, first certified at c = 3, beyond the hard cap
+    r = stable_colength(ideal2("y^2", "x^2+y^3"), 2, hard_cap=2)
+    assert (r.value, r.stable, r.cap) == (3, False, 2)
 
 
 def test_stable_colength_doubles_until_stable():
     r = stable_colength(ideal2("y^2", "x^2+y^3"), 2)
-    assert r.stable
-    assert r.value == 4
-    assert r.cap > 2
+    assert (r.value, r.stable, r.cap) == (4, True, 4)
+
+
+def test_x_squared_is_certified_at_the_start_cap():
+    # count(2) = count(3) = 2 certifies at c = 2 by Nakayama; the survivor x
+    # of degree 1 on the top boundary of cap 2 does not defer it to cap 4.
+    r = stable_colength(Ideal((Polynomial(1, {(2,): Fraction(1)}),), 1), 2)
+    assert (r.value, r.stable, r.cap) == (2, True, 2)
 
 
 def test_truncated_unit_ideal():
-    r = truncated_colength(ideal2("1 + x"), 4)
+    assert oracle._counts(ideal2("1 + x"), 4) == [0] * 5
+    r = stable_colength(ideal2("1 + x"), 4)
     assert (r.value, r.stable) == (0, True)
 
 
 def test_truncated_zero_ideal():
     for nvars, cap in product(range(1, 4), range(1, 9)):
         zero = Ideal((), nvars)
-        r = truncated_colength(zero, cap)
-        assert not r.stable
-        assert (r.value, r.stable, r.cap) == truncated_colength_by_two_eliminations(zero, cap)
+        counts = oracle._counts(zero, cap)
+        assert counts == [len(monomials_below(nvars, c)) for c in range(cap + 1)]
+        r = stable_colength(zero, 2, hard_cap=cap)
+        assert (r.value, r.stable, r.cap) == stable_colength_by_doubling(zero, 2, cap)
 
 
 def test_truncated_rational_generators():
-    r = truncated_colength(ideal2("1/2*x^2+3/4*y^3", "2/3*y^2"), 6)
+    r = stable_colength(ideal2("1/2*x^2+3/4*y^3", "2/3*y^2"), 6)
     assert (r.value, r.stable, r.cap) == (4, True, 6)
 
 
@@ -125,12 +138,31 @@ ideals_in_one_to_three_variables = st.integers(1, 3).flatmap(
 
 @settings(max_examples=200)
 @given(ideals_in_one_to_three_variables, st.integers(1, 8))
-def test_one_elimination_meets_the_two_eliminations(I, cap):
-    r = truncated_colength(I, cap)
-    assert (r.value, r.stable, r.cap) == truncated_colength_by_two_eliminations(I, cap)
+def test_one_elimination_meets_the_two_eliminations(I, top):
+    counts = oracle._counts(I, top)
+    for c in range(1, top + 1):
+        assert counts[c] == truncated_colength_by_two_eliminations(I, c)[0]
+
+
+@settings(max_examples=200)
+@given(ideals_in_one_to_three_variables, st.integers(1, 6), st.integers(1, 8))
+def test_the_certificate_meets_the_doubling_reference(I, start, hard_cap):
+    # Where the reference is stable, so is the certificate, with the same
+    # value and a cap no larger.  It is stable where the reference is not
+    # only when the least c is hard_cap, where the boundary clause fails.
+    r = stable_colength(I, start, hard_cap)
+    value, stable, cap = stable_colength_by_doubling(I, start, hard_cap)
+    assert r.value == value
+    assert r.cap <= cap
+    if stable:
+        assert r.stable
+    elif r.stable:
+        assert r.cap == hard_cap
 
 
 def test_each_truncated_colength_runs_one_elimination(monkeypatch):
+    # One elimination gives every count below top; the certificate runs one
+    # for each top it tries, 2, 4, 8, ... up to the hard cap.
     echelon, calls = oracle._echelon_pivots, []
 
     def counting(rows, key):
@@ -139,9 +171,13 @@ def test_each_truncated_colength_runs_one_elimination(monkeypatch):
 
     monkeypatch.setattr(oracle, "_echelon_pivots", counting)
     ideals = (ideal2("y^2", "x^2+y^3"), ideal2("x*y"), Ideal((), 2))
-    for I, cap in product(ideals, (1, 4, 9)):
-        truncated_colength(I, cap)
+    for I, top in product(ideals, (1, 4, 9)):
+        oracle._counts(I, top)
     assert len(calls) == 9
+    calls.clear()
+    for I in ideals:
+        stable_colength(I, 2, hard_cap=16)
+    assert len(calls) == 2 + 4 + 4
 
 
 def test_the_truncated_colength_uses_nothing_from_the_engine():
@@ -153,7 +189,7 @@ def test_the_truncated_colength_uses_nothing_from_the_engine():
 
     found = [
         f"{fn.__name__}: {name}"
-        for fn in (truncated_colength, oracle._survivors, oracle._echelon_pivots)
+        for fn in (stable_colength, oracle._counts, oracle._echelon_pivots)
         for name in names(fn.__code__)
         if getattr(getattr(oracle, name, None), "__module__", None) == "polarlink.ideals"
     ]

@@ -213,7 +213,7 @@ def test_gamma_profile_quadric_any_seed():
 def test_gamma_profile_single_trial():
     prof = gamma_profile(p2("x^2+y^3"), trials=1, seed=2)
     assert prof.gamma == (0, 1, 1)
-    assert prof.trials == 1
+    assert len(prof.frames) == prof.threshold == 1
 
 
 def test_gamma_profile_whitney():
