@@ -9,13 +9,9 @@ from .errors import (
     DegreeLimitError,
     ExcludedCaseError,
     GammaIdentityViolation,
-    ImproperIntersection,
-    NonIsolated,
     NoValidFrame,
     ParseError,
     PolarlinkError,
-    TelescopeViolation,
-    WrongPolarDimension,
 )
 from .ideals import (
     Ideal,
@@ -27,7 +23,6 @@ from .ideals import (
 from .link import (
     BettiVector,
     ChainComplexSpec,
-    LambdaProfile,
     MorseBound,
     N1Sequence,
     allowed_degrees,
@@ -36,7 +31,6 @@ from .link import (
     lambda_from_gamma,
     morse_bounds,
     n1_exact_sequence,
-    telescope_sums,
     telescope_table,
 )
 from .oracle import (

@@ -17,8 +17,6 @@ from .errors import (
     EXIT_OK,
     EXIT_UNSTABLE,
     ExcludedCaseError,
-    ImproperIntersection,
-    NonIsolated,
     ParseError,
 )
 from .ideals import Ideal
@@ -191,9 +189,8 @@ def _cmd_oracle_teissier(args):
         if len(results) == wanted:
             break
         fM = fr.transform(f)
-        try:
-            v = teissier_check(polar_ideal(fM, fr, 1, jacobian_ideal(fM)), mu)
-        except (NonIsolated, ImproperIntersection):
+        v = teissier_check(polar_ideal(fM, fr, 1, jacobian_ideal(fM)), mu)
+        if v is None:
             continue
         results.append(
             {

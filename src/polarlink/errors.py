@@ -30,32 +30,13 @@ class ExcludedCaseError(PolarlinkError):
         self.reason = reason
 
 
-class ImproperIntersection(PolarlinkError):
-    """Polar ideal meets the coordinate plane in positive dimension; the
-    sampled frame is not generic for this slice."""
-
-
-class WrongPolarDimension(PolarlinkError):
-    """Polar ideal has local dimension different from the expected k."""
-
-
 class NoValidFrame(PolarlinkError):
-    """Every sampled frame failed the genericity checks for some k."""
+    """For some k, no sampled frame cut the polar variety in finite colength."""
 
 
 class GammaIdentityViolation(PolarlinkError):
     """A computed profile broke one of the hard identities (gamma^n must
     equal mult - 1); indicates an engine bug or insufficient genericity."""
-
-
-class TelescopeViolation(PolarlinkError):
-    """Alternating partial sums of lambda disagree with gamma; impossible
-    when lambda is built from gamma, so always a bug."""
-
-
-class NonIsolated(PolarlinkError):
-    """An operation requiring an isolated singularity met an infinite
-    Milnor number."""
 
 
 class DegreeLimitError(PolarlinkError, ValueError):

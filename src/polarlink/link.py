@@ -12,35 +12,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import TelescopeViolation
-
-
-@dataclass(frozen=True)
-class LambdaProfile:
-    """Ranks lambda^0..lambda^n of the link complex."""
-
-    n: int
-    lam: tuple
-
 
 def lambda_from_gamma(profile):
+    """The ranks lambda^0..lambda^n of the link complex."""
     g = profile.gamma
-    lam = tuple(g[k] + g[k + 1] for k in range(profile.n + 1))
-    return LambdaProfile(profile.n, lam)
+    return tuple(g[k] + g[k + 1] for k in range(profile.n + 1))
 
 
 @dataclass(frozen=True)
 class ChainComplexSpec:
     """Term ranks and the cohomology degree each term computes."""
 
-    n: int
     ranks: tuple
     degrees: tuple
 
 
-def chain_complex(lamp):
-    degrees = tuple(lamp.n + k - 1 for k in range(lamp.n + 1))
-    return ChainComplexSpec(lamp.n, lamp.lam, degrees)
+def chain_complex(lam):
+    n = len(lam) - 1
+    return ChainComplexSpec(lam, tuple(n + k - 1 for k in range(n + 1)))
 
 
 @dataclass(frozen=True)
@@ -52,29 +41,22 @@ class TelescopeRow:
     from_top_expected: int
 
 
-def telescope_sums(lamp, profile, p):
-    """The two alternating partial sums of lambda at depth p, recomputed
-    from lambda alone, as a row beside the gamma values they telescope to.
-    A mismatch raises TelescopeViolation and means the engine broke an
-    algebraic identity, not that any input is infeasible."""
+def telescope_table(profile, lam):
+    """At every depth p, the two alternating partial sums of lambda beside
+    the gamma values they telescope to.  They agree by construction, as
+    lambda is built from gamma; nothing is checked here."""
     g = profile.gamma
-    lam = lamp.lam
     n = profile.n
-    s_bottom = sum((-1) ** k * lam[k] for k in range(p + 1))
-    s_top = sum((-1) ** k * lam[n - k] for k in range(p + 1))
-    want_bottom = (-1) ** p * g[p + 1]
-    want_top = 1 + (-1) ** p * g[n - p]
-    if s_bottom != want_bottom or s_top != want_top:
-        raise TelescopeViolation(
-            f"telescope identity fails at p={p}: "
-            f"bottom {s_bottom} vs {want_bottom}, top {s_top} vs {want_top}"
+    return tuple(
+        TelescopeRow(
+            p,
+            sum((-1) ** k * lam[k] for k in range(p + 1)),
+            (-1) ** p * g[p + 1],
+            sum((-1) ** k * lam[n - k] for k in range(p + 1)),
+            1 + (-1) ** p * g[n - p],
         )
-    return TelescopeRow(p, s_bottom, want_bottom, s_top, want_top)
-
-
-def telescope_table(profile, lamp):
-    """telescope_sums at every p."""
-    return tuple(telescope_sums(lamp, profile, p) for p in range(profile.n + 1))
+        for p in range(n + 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -110,8 +92,8 @@ class MorseBound:
 def morse_bounds(profile, betti=None):
     """Both families of link inequalities for p = 0..n.
 
-    The right-hand sides are read from gamma; telescope_sums is where the
-    alternating sums of lambda are checked against them.
+    The right-hand sides are read from gamma, which the alternating sums
+    of lambda telescope to (telescope_table).
     """
     n = profile.n
     g = profile.gamma

@@ -27,7 +27,6 @@ from itertools import accumulate
 from math import gcd
 from operator import add
 
-from .errors import ImproperIntersection, NonIsolated
 from .ideals import Ideal, finite_colength
 from .ideals import local_colength  # unused; perfbench/tracer.py rebinds it (ROADMAP item 5)
 from .orders import LOCAL, mono_deg
@@ -174,13 +173,12 @@ def teissier_check(pol, mu):
     pol is the first polar ideal of f (k = 1) in the frame to check, as
     polar.polar_ideal builds it, which carries f in that frame too, and
     mu = milnor_number(f), which the caller has already computed.  The
-    frame must be usable: f needs an isolated singularity and the slice
-    must keep one too; NonIsolated flags unusable frames, and
-    ImproperIntersection a zero polar ideal.
+    result is None when the frame is unusable: f or its slice has a
+    non-isolated singularity, or the polar ideal is zero.
 
-    The polar curve then cuts V(f) in finite colength, so the meet is
-    counted by ideals.finite_colength.  By curve selection, take an arc
-    gamma(t) through 0 in V(meet).  The meet contains d_1 f, ..., d_n f
+    In a usable frame the polar curve cuts V(f) in finite colength, so the
+    meet is counted by ideals.finite_colength.  By curve selection, take an
+    arc gamma(t) through 0 in V(meet).  The meet contains d_1 f, ..., d_n f
     and f, so on the arc d/dt f(gamma) = d_0 f(gamma) * gamma_0' = 0.
     Either d_0 f vanishes on the arc, which then lies in Crit(f), or
     gamma_0 is constant 0 and the arc lies in Crit(f restricted to
@@ -188,14 +186,11 @@ def teissier_check(pol, mu):
     arc is constant and V(meet) is the origin.
     """
     if mu is INFINITE:
-        raise NonIsolated("f does not have an isolated singularity")
+        return None
     fM = pol.fM
-    sliced = fM.substitute_zero([0])
-    mu_slice = milnor_number(sliced)
-    if mu_slice is INFINITE:
-        raise NonIsolated("the hyperplane slice in this frame is not isolated")
-    if pol.ideal.is_zero():
-        raise ImproperIntersection("first polar ideal is zero in this frame")
+    mu_slice = milnor_number(fM.substitute_zero([0]))
+    if mu_slice is INFINITE or pol.ideal.is_zero():
+        return None
     lhs = finite_colength(Ideal(pol.ideal.gens + (fM,), fM.nvars))
     return verdict(
         "teissier_polar_against_slice",

@@ -5,7 +5,7 @@ saturation of (df/dz_k, ..., df/dz_n) by the full Jacobian ideal, computed
 after a linear change of coordinates.  Its local colength against the plane
 z_0 = ... = z_(k-1) = 0 is the polar multiplicity; the profile samples
 random integer frames and keeps, per k, the minimum over the frames where
-the polar ideal has the expected dimension and the intersection is finite.
+the cut is finite.
 """
 
 from __future__ import annotations
@@ -13,13 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import (
-    ExcludedCaseError,
-    GammaIdentityViolation,
-    ImproperIntersection,
-    NoValidFrame,
-    WrongPolarDimension,
-)
+from .errors import ExcludedCaseError, GammaIdentityViolation, NoValidFrame
 from .ideals import Ideal, colength, dimension, local_colength, mora_standard_basis, saturate
 from .poly import INFINITE, det
 
@@ -121,48 +115,22 @@ def polar_ideal(fM, frame, k, jacobian):
     if frame.size != fM.nvars:
         raise ValueError("frame size does not match the variable count")
     gens = [fM.partial_derivative(i) for i in range(k, n + 1)]
-    partial_ideal = Ideal(gens, fM.nvars)
-    if partial_ideal.is_zero():
-        return PolarIdeal(partial_ideal, 0, k, fM)
-    sat, exponent = saturate(partial_ideal, jacobian)
+    sat, exponent = saturate(Ideal(gens, fM.nvars), jacobian)
     return PolarIdeal(sat, exponent, k, fM)
 
 
 def polar_multiplicity(pol):
     """Local multiplicity of a polar ideal for index k = pol.k: the local
-    colength c of its cut by the plane z_0 = ... = z_(k-1) = 0.
+    colength of its cut by the plane z_0 = ... = z_(k-1) = 0, 0 when the
+    polar variety misses the origin, or None when the cut is not finite.
 
-    Raises WrongPolarDimension when the polar ideal does not define a
-    k-dimensional germ (empty germ counts as multiplicity 0), and
-    ImproperIntersection when the cut is not finite.
-
-    The cut is read first, and the local dimension d of the polar ideal
-    only when c is INFINITE.  This is enough: the polar ideal P is
-    (df/dz_k, ..., df/dz_n) : J^infinity, and every minimal prime of a
-    saturation is a minimal prime of the ideal saturated, here one with
-    n+1-k generators, so by Krull's height theorem every component of
-    V(P) through the origin has dimension at least k.  A cut by k
-    hyperplanes of finite colength c > 0 therefore forces d = k, and c = 0
-    means that the germ misses the origin.  Only an infinite cut leaves
-    WrongPolarDimension (d != k) and ImproperIntersection (d = k) to tell
-    apart.
+    A finite cut is a proper one: the polar ideal is (df/dz_k, ...,
+    df/dz_n) : J^infinity, so by Krull's height theorem every component of
+    its germ has dimension at least k, and a cut by k hyperplanes of finite
+    colength forces dimension k.
     """
-    k = pol.k
-    if pol.ideal.is_zero():
-        raise WrongPolarDimension(
-            f"polar ideal for k={k} is zero in this frame"
-        )
     c = local_colength(plane_cut(pol))
-    if c is not INFINITE:
-        return c  # 0 when the polar variety misses the origin
-    d = dimension(mora_standard_basis(pol.ideal), pol.ideal.nvars)
-    if d != k:
-        raise WrongPolarDimension(
-            f"polar ideal for k={k} has local dimension {d}"
-        )
-    raise ImproperIntersection(
-        f"polar variety for k={k} meets the coordinate plane improperly"
-    )
+    return None if c is INFINITE else c
 
 
 def plane_cut(pol):
@@ -177,7 +145,7 @@ class GammaProfile:
     """Polar multiplicities gamma^0..gamma^(n+1) with sampling diagnostics.
 
     per_trial[t][k-1] is the value gamma^k measured in frame t, or None if
-    that frame was invalid for k.  witness[k-1] is the first trial index
+    the cut for k is not finite in that frame.  witness[k-1] is the first trial index
     attaining the reported minimum and agreement[k-1] how many trials did.
     polar_ideals[t][k-1] is the k-th polar ideal built in frame t, kept so
     that later checks read it instead of building it again.  mu is the
@@ -208,8 +176,6 @@ def check_excluded(f):
         raise ExcludedCaseError("f is locally constant")
     if f.constant_term() != 0:
         raise ExcludedCaseError("f(0) != 0")
-    if f.is_constant():
-        raise ExcludedCaseError("f is locally constant")
 
 
 def gamma_profile(f, trials=5, seed=0, bound=10):
@@ -241,10 +207,7 @@ def gamma_profile(f, trials=5, seed=0, bound=10):
         for k in range(1, n + 1):
             pol = polar_ideal(fM, fr, k, jacobian)
             pols.append(pol)
-            try:
-                row.append(polar_multiplicity(pol))
-            except (ImproperIntersection, WrongPolarDimension):
-                row.append(None)
+            row.append(polar_multiplicity(pol))
         per_trial.append(tuple(row))
         polar_ideals.append(tuple(pols))
     per_trial = tuple(per_trial)

@@ -18,8 +18,6 @@ from .errors import (
     EXIT_UNSTABLE,
     ExcludedCaseError,
     GammaIdentityViolation,
-    ImproperIntersection,
-    NonIsolated,
     NoValidFrame,
     ParseError,
 )
@@ -121,21 +119,15 @@ def _oracle_diagnostics(f, profile):
                 context=f"cap={r.cap}",
             )
         )
-        for pols in profile.polar_ideals:
-            try:
-                verdicts.append(teissier_check(pols[0], profile.mu))
-                break
-            except (NonIsolated, ImproperIntersection):
-                continue
-        else:
-            verdicts.append(
-                OracleVerdict(
-                    "teissier_polar_against_slice",
-                    "a usable frame",
-                    "none among the sampled frames",
-                    False,
-                )
-            )
+        # Lazy: frames are checked only until the first usable one.
+        checks = (teissier_check(pols[0], profile.mu) for pols in profile.polar_ideals)
+        unusable = OracleVerdict(
+            "teissier_polar_against_slice",
+            "a usable frame",
+            "none among the sampled frames",
+            False,
+        )
+        verdicts.append(next((v for v in checks if v is not None), unusable))
     return verdicts, exponents
 
 
@@ -176,9 +168,9 @@ def build_report(cfg):
             )
         betti = BettiVector(tuple(cfg.betti), cfg.components)
 
-    lamp = lambda_from_gamma(profile)
-    complex_spec = chain_complex(lamp)
-    telescope = telescope_table(profile, lamp)
+    lam = lambda_from_gamma(profile)
+    complex_spec = chain_complex(lam)
+    telescope = telescope_table(profile, lam)
     bounds = morse_bounds(profile, betti)
     oracles, exponents = _oracle_diagnostics(f, profile)
 
@@ -191,7 +183,7 @@ def build_report(cfg):
         "mult": profile.mult,
         "s": profile.s,
         "gamma": list(profile.gamma),
-        "lambda": list(lamp.lam),
+        "lambda": list(lam),
         "chain_complex": {
             "ranks": list(complex_spec.ranks),
             "cohomology_degrees": list(complex_spec.degrees),

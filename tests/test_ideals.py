@@ -331,6 +331,11 @@ def test_saturation_of_the_unit_ideal_has_exponent_zero():
     assert e == 0
 
 
+def test_saturation_of_the_zero_ideal_is_the_zero_ideal():
+    # polar_ideal saturates a zero partial ideal like any other.
+    assert saturate(Ideal((), 2), ideal2("x", "y")) == (Ideal((), 2), 0)
+
+
 @pytest.mark.parametrize("text", ["x*y*(x+y)", "x*y*(x+y)*(x-y)"])
 def test_polar_saturations_of_line_arrangements_match_the_quotient_loop(text):
     # At frame seed 2 these polar ideals are saturated by two or three

@@ -13,7 +13,6 @@ from polarlink.link import (
     lambda_from_gamma,
     morse_bounds,
     n1_exact_sequence,
-    telescope_sums,
     telescope_table,
 )
 from polarlink.polar import GammaProfile, gamma_profile
@@ -41,9 +40,9 @@ def fake_profile(gamma, mult=None, s=0):
 
 
 def test_lambda_componentwise():
-    assert lambda_from_gamma(fake_profile([0, 1, 1, 1])).lam == (1, 2, 2)
-    assert lambda_from_gamma(fake_profile([0, 4, 2, 1])).lam == (4, 6, 3)
-    assert lambda_from_gamma(fake_profile([0, 1, 1])).lam == (1, 2)
+    assert lambda_from_gamma(fake_profile([0, 1, 1, 1])) == (1, 2, 2)
+    assert lambda_from_gamma(fake_profile([0, 4, 2, 1])) == (4, 6, 3)
+    assert lambda_from_gamma(fake_profile([0, 1, 1])) == (1, 2)
 
 
 def test_chain_complex_degrees():
@@ -55,14 +54,13 @@ def test_chain_complex_degrees():
 
 def test_telescope_fermat_cubic_values():
     prof = fake_profile([0, 4, 2, 1])
-    lamp = lambda_from_gamma(prof)
-    row = telescope_sums(lamp, prof, 0)
-    assert (row.from_bottom, row.from_top) == (4, 3)
-    row = telescope_sums(lamp, prof, 1)
-    assert (row.from_bottom, row.from_top) == (-2, -3)
+    rows = telescope_table(prof, lambda_from_gamma(prof))
+    assert [row.p for row in rows] == [0, 1, 2]
+    assert (rows[0].from_bottom, rows[0].from_top) == (4, 3)
+    assert (rows[1].from_bottom, rows[1].from_top) == (-2, -3)
     # at p=n the bottom sum collapses to (-1)^n
     n = prof.n
-    assert telescope_sums(lamp, prof, n).from_bottom == (-1) ** n
+    assert rows[n].from_bottom == (-1) ** n
 
 
 @given(
@@ -72,8 +70,7 @@ def test_telescope_fermat_cubic_values():
 )
 def test_telescope_never_raises_on_derived_lambda(gamma):
     prof = fake_profile(gamma)
-    lamp = lambda_from_gamma(prof)
-    rows = telescope_table(prof, lamp)
+    rows = telescope_table(prof, lambda_from_gamma(prof))
     assert len(rows) == prof.n + 1
     for row in rows:
         assert row.from_bottom == row.from_bottom_expected

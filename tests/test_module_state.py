@@ -11,11 +11,13 @@ call is not part of it, nor a field that only tests read.
 """
 
 import ast
+import builtins
 import importlib
 import pkgutil
 from pathlib import Path
 
 import polarlink
+from polarlink import errors, report
 
 PACKAGE = Path(polarlink.__file__).parent
 BENCHMARK = PACKAGE.parent.parent / "perfbench"
@@ -114,3 +116,30 @@ def test_every_package_field_is_read():
                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
             )
     assert [full for full, name in fields if name not in reads] == []
+
+
+def test_every_error_type_is_mapped_by_run_compute():
+    # An error class that run_compute does not catch, directly or through a
+    # base or subclass, is one that some caller swallows on its own or one
+    # that escapes as a traceback.  The caught types are read from the
+    # except clauses of run_compute's source.
+    tree = ast.parse((PACKAGE / "report.py").read_text(encoding="utf-8"))
+    (run_compute,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "run_compute"
+    ]
+    caught = []
+    for handler in ast.walk(run_compute):
+        if isinstance(handler, ast.ExceptHandler):
+            kinds = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+            caught += [getattr(report, k.id, None) or getattr(builtins, k.id) for k in kinds]
+    assert caught
+    unmapped = [
+        name
+        for name, value in vars(errors).items()
+        if isinstance(value, type)
+        and value.__module__ == errors.__name__
+        and not any(issubclass(value, c) or issubclass(c, value) for c in caught)
+    ]
+    assert unmapped == []
