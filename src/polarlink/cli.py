@@ -167,6 +167,7 @@ def _cmd_oracle_truncated(args):
 def _cmd_oracle_teissier(args):
     try:
         varnames = _split_vars(args.vars)
+        RunConfig(args.poly, varnames, seed=args.seed, bound=args.bound).validate()
         f = parse_polynomial(args.poly, varnames)
         check_excluded(f)
         wanted = args.frames

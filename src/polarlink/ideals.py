@@ -346,8 +346,6 @@ def saturate(I, J):
     (h)^m * S are multiplied by each h_i until none is left, which ends
     because S is the saturation.  There is no certificate and no fallback.
     """
-    if J.is_zero():
-        raise ValueError("saturation by the zero ideal")
     n = I.nvars
     gens = [integer_terms(f) for f in I.gens]
     gb = _reduce_global(_standard_basis_raw(gens, GLOBAL), GLOBAL)

@@ -70,8 +70,6 @@ class BettiVector:
     def __post_init__(self):
         if any(v < 0 for v in self.values):
             raise ValueError("Betti numbers must be non-negative")
-        if self.components is not None and self.components < 1:
-            raise ValueError("component count must be positive")
 
 
 @dataclass(frozen=True)
@@ -142,10 +140,6 @@ def betti_feasibility(betti, profile, bounds):
     realized by the actual link.
     """
     n = profile.n
-    if len(betti.values) != 2 * n:
-        raise ValueError(
-            f"expected {2 * n} Betti numbers for n={n}, got {len(betti.values)}"
-        )
     checks = []
 
     window = allowed_degrees(n, profile.s)
@@ -217,8 +211,6 @@ class N1Sequence:
 
 
 def n1_exact_sequence(profile, betti=None):
-    if profile.n != 1:
-        raise ValueError("the four-term sequence only applies when n = 1")
     mult = profile.mult
     b0 = betti.values[0] if betti is not None else None
     b1 = betti.values[1] if betti is not None else None

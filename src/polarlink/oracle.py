@@ -159,8 +159,6 @@ def default_cap(f):
 def bezout_gamma(n, d, k):
     """Polar multiplicity of the Fermat polynomial sum z_i^d in n+1
     variables: (d-1)^(n+1-k)."""
-    if not 0 <= k <= n + 1:
-        raise ValueError("k out of range")
     if k == 0:
         return 0
     return (d - 1) ** (n + 1 - k)
@@ -172,9 +170,11 @@ def teissier_check(pol, mu):
 
     pol is the first polar ideal of f (k = 1) in the frame to check, as
     polar.polar_ideal builds it, which carries f in that frame too, and
-    mu = milnor_number(f), which the caller has already computed.  The
-    result is None when the frame is unusable: f or its slice has a
-    non-isolated singularity, or the polar ideal is zero.
+    mu = milnor_number(f), which the caller has computed for an f that
+    check_excluded passed.  The result is None when the frame is unusable:
+    f or its slice has a non-isolated singularity.  The polar ideal is then
+    not zero: it contains d_1 fM, ..., d_n fM, so were it zero, fM would be
+    a polynomial in z_0 alone, with Jacobian ideal (d_0 fM), and mu INFINITE.
 
     In a usable frame the polar curve cuts V(f) in finite colength, so the
     meet is counted by ideals.finite_colength.  By curve selection, take an
@@ -189,7 +189,7 @@ def teissier_check(pol, mu):
         return None
     fM = pol.fM
     mu_slice = milnor_number(fM.substitute_zero([0]))
-    if mu_slice is INFINITE or pol.ideal.is_zero():
+    if mu_slice is INFINITE:
         return None
     lhs = finite_colength(Ideal(pol.ideal.gens + (fM,), fM.nvars))
     return verdict(

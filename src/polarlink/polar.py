@@ -28,10 +28,6 @@ class CoordinateFrame:
         if det(self.matrix) == 0:
             raise ValueError("frame matrix is singular")
 
-    @property
-    def size(self):
-        return len(self.matrix)
-
     def transform(self, p):
         return p.substitute_linear(self.matrix)
 
@@ -43,8 +39,6 @@ def sample_frames(nvars, count, seed, bound=10):
     discarded, so results only depend on (nvars, seed, bound) and the
     position in the stream.
     """
-    if count < 1:
-        raise ValueError("need at least one frame")
     if bound < 1:
         raise ValueError("bound must be at least 1")
     rng = random.Random(seed)
@@ -62,32 +56,14 @@ def sample_frames(nvars, count, seed, bound=10):
 
 
 def jacobian_ideal(f):
-    """Ideal of all first partials.  f must be non-constant."""
-    if f.is_zero() or f.is_constant():
-        raise ValueError("jacobian of a constant polynomial")
+    """Ideal of all first partials; the zero ideal for a constant f."""
     gens = [f.partial_derivative(i) for i in range(f.nvars)]
     return Ideal(gens, f.nvars)
 
 
-def _jacobian_leads(f):
-    """The leads of the Mora standard basis of the Jacobian ideal of f.
-
-    Raises ExcludedCaseError when the origin is a smooth point of V(f),
-    i.e. some partial does not vanish there.
-    """
-    J = jacobian_ideal(f)
-    if any(g.constant_term() != 0 for g in J.gens):
-        raise ExcludedCaseError("origin is a smooth point of V(f)")
-    return mora_standard_basis(J)
-
-
 def milnor_number(g):
-    """Local colength of the Jacobian ideal; INFINITE when the singularity
-    at the origin is not isolated (and for g identically zero)."""
-    if g.is_zero():
-        return INFINITE
-    if g.constant_term() != 0:
-        raise ValueError("g does not vanish at the origin")
+    """Local colength of the Jacobian ideal of g, given g(0) = 0; INFINITE
+    when the singularity at the origin is not isolated, as for g = 0."""
     return local_colength(jacobian_ideal(g))
 
 
@@ -102,18 +78,15 @@ class PolarIdeal:
     fM: object
 
 
+# frame is unused; perfbench/tracer.py reads it (ROADMAP item 5)
 def polar_ideal(fM, frame, k, jacobian):
     """k-th polar ideal of f in the given frame, from fM = frame.transform(f)
     and jacobian = jacobian_ideal(fM), both built once per frame.
 
-    Generated by the partials of fM with respect to z_k..z_n, saturated by
-    the full Jacobian ideal to remove the critical locus.
+    Generated by the partials of fM with respect to z_k..z_n (1 <= k <= n),
+    saturated by the full Jacobian ideal to remove the critical locus.
     """
     n = fM.nvars - 1
-    if not 1 <= k <= n:
-        raise ValueError(f"polar index k={k} out of range 1..{n}")
-    if frame.size != fM.nvars:
-        raise ValueError("frame size does not match the variable count")
     gens = [fM.partial_derivative(i) for i in range(k, n + 1)]
     sat, exponent = saturate(Ideal(gens, fM.nvars), jacobian)
     return PolarIdeal(sat, exponent, k, fM)
@@ -171,11 +144,13 @@ class GammaProfile:
 
 
 def check_excluded(f):
-    """Raise ExcludedCaseError for inputs outside the covered setting."""
+    """Raise ExcludedCaseError unless f != 0, f(0) = 0 and f has no linear term."""
     if f.is_zero():
         raise ExcludedCaseError("f is locally constant")
     if f.constant_term() != 0:
         raise ExcludedCaseError("f(0) != 0")
+    if f.order_of_vanishing() == 1:
+        raise ExcludedCaseError("origin is a smooth point of V(f)")
 
 
 def gamma_profile(f, trials=5, seed=0, bound=10):
@@ -184,16 +159,12 @@ def gamma_profile(f, trials=5, seed=0, bound=10):
     The reported gamma^k is the minimum over valid frames; the profile is
     stable when for every k at least ceil(trials/2) frames agree on that
     minimum.  gamma^0 = 0 and gamma^(n+1) = 1 by convention, and
-    gamma^n = mult(f) - 1 is enforced as a consistency check.
+    gamma^n = mult(f) - 1 is enforced as a consistency check.  The caller
+    has run the gate of report.build_report on trials, bound, n and f.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    check_excluded(f)
     n = f.nvars - 1
-    if n < 1:
-        raise ValueError("need at least two variables")
     mult = f.order_of_vanishing()
-    leads = _jacobian_leads(f)
+    leads = mora_standard_basis(jacobian_ideal(f))
     s, mu = dimension(leads, f.nvars), colength(leads, f.nvars)
     frames = tuple(sample_frames(f.nvars, trials, seed, bound))
 

@@ -69,9 +69,6 @@ class Polynomial:
     def is_zero(self):
         return not self.terms
 
-    def is_constant(self):
-        return all(mono_deg(m) == 0 for m in self.terms)
-
     def constant_term(self):
         return self.terms.get((0,) * self.nvars, Fraction(0))
 

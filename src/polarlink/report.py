@@ -43,7 +43,7 @@ from .oracle import (
     verdict,
 )
 from .parse import parse_polynomial
-from .polar import gamma_profile, jacobian_ideal, plane_cut
+from .polar import check_excluded, gamma_profile, jacobian_ideal, plane_cut
 from .polar import polar_ideal  # unused; perfbench/tracer.py rebinds it (ROADMAP item 5)
 
 SCHEMA_VERSION = 1
@@ -154,12 +154,11 @@ def _input_echo(cfg):
 
 
 def build_report(cfg):
-    """Full pipeline on validated input; raises the typed errors."""
+    """Judge the whole request, then run the pipeline; raises the typed errors."""
     cfg.validate()
     f = parse_polynomial(cfg.poly_text, cfg.varnames)
-    profile = gamma_profile(f, cfg.trials, cfg.seed, cfg.bound)
-    n = profile.n
-
+    check_excluded(f)
+    n = f.nvars - 1
     betti = None
     if cfg.betti is not None:
         if len(cfg.betti) != 2 * n:
@@ -167,6 +166,7 @@ def build_report(cfg):
                 f"expected {2 * n} Betti numbers for n={n}, got {len(cfg.betti)}"
             )
         betti = BettiVector(tuple(cfg.betti), cfg.components)
+    profile = gamma_profile(f, cfg.trials, cfg.seed, cfg.bound)
 
     lam = lambda_from_gamma(profile)
     complex_spec = chain_complex(lam)
@@ -270,9 +270,7 @@ def run_compute(cfg):
         return _error_document(cfg, "excluded", e.reason), EXIT_EXCLUDED
     except (NoValidFrame, GammaIdentityViolation) as e:
         return _error_document(cfg, "engine", str(e)), EXIT_UNSTABLE
-    except ParseError as e:
-        return _error_document(cfg, "input", str(e)), EXIT_INPUT_ERROR
-    except ValueError as e:
+    except (ParseError, ValueError) as e:
         return _error_document(cfg, "input", str(e)), EXIT_INPUT_ERROR
 
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from polarlink.cli import main
 from polarlink.orders import DEGREE_LIMIT
 from polarlink.polar import CoordinateFrame
@@ -247,6 +249,42 @@ def test_oracle_teissier_excluded_input(capsys):
     assert code == 3
 
 
+BOTH = ("compute", "teissier")
+
+# One row per refused request: its name, options laid over a valid request,
+# the entry points that take them, the documented exit code and the reason.
+EDGES = (
+    ("trials-0", ("--trials", "0"), ("compute",), 1, "trials must be at least 1"),
+    ("bound-0", ("--bound", "0"), BOTH, 1, "bound must be at least 1"),
+    ("one-var", ("--poly", "x^2", "--vars", "x"), BOTH, 1, "need at least two variables"),
+    ("components-0", ("--components", "0"), ("compute",), 1, "component count must be positive"),
+    ("betti-negative", ("--betti", "1,-2"), ("compute",), 1, "Betti numbers must be non-negative"),
+    ("betti-length", ("--betti", "1,2,3"), ("compute",), 1, "expected 2 Betti numbers for n=1, got 3"),
+    ("duplicate-var", ("--vars", "x,x"), BOTH, 1, "duplicate variable name"),
+    ("parse-error", ("--poly", "x +"), BOTH, 1, "unexpected end of input"),
+    ("unit-at-origin", ("--poly", "x + 1"), BOTH, 3, "f(0) != 0"),
+    ("zero", ("--poly", "0"), BOTH, 3, "f is locally constant"),
+    ("smooth-origin", ("--poly", "x + y^2"), BOTH, 3, "origin is a smooth point of V(f)"),
+    ("frames-0", ("--frames", "0"), ("teissier",), 1, "--frames must be at least 1"),
+)
+ENTRY = {"compute": ("compute",), "teissier": ("oracle", "teissier")}
+
+
+@pytest.mark.parametrize(
+    "command, options, exit_code, reason",
+    [
+        pytest.param(command, options, code, reason, id=f"{command}-{name}")
+        for name, options, commands, code, reason in EDGES
+        for command in commands
+    ],
+)
+def test_both_entry_points_refuse_a_request_at_the_gate(capsys, command, options, exit_code, reason):
+    code, out, err = run_cli(capsys, *ENTRY[command], "--poly", "x^2+y^3", "--vars", "x,y", *options)
+    assert code == exit_code
+    assert reason in out + err
+    assert "Traceback" not in err
+
+
 def test_degree_cap_default(capsys):
     # a start cap too small to see the colength stabilize is doubled, up to
     # the hard degree cap, until it does
@@ -300,4 +338,14 @@ def test_oracle_teissier_refuses_degrees_past_the_order_limit(capsys, monkeypatc
     )
     assert code == 1
     assert "limit" in err
+    assert calls == []
+
+
+@pytest.mark.parametrize("betti", ["1,2,3", "0,-1"])
+def test_compute_refuses_a_malformed_betti_before_any_frame(capsys, monkeypatch, betti):
+    # x^2 in (x, y) fails in the engine; the Betti vector is judged first.
+    calls = _count_frame_transforms(monkeypatch)
+    code, doc, _ = compute_doc(capsys, "--poly", "x^2", "--vars", "x,y", "--betti", betti)
+    assert code == 1
+    assert doc["error"]["kind"] == "input"
     assert calls == []

@@ -297,6 +297,14 @@ def test_saturation_classic():
     assert e == 1
 
 
+def test_saturation_by_the_zero_ideal_is_the_unit_ideal():
+    # I : (0)^infinity is the whole ring, reached at exponent 1 unless I is
+    # already the unit ideal.
+    sat, e = saturate(ideal2("x^2", "x*y"), Ideal((), 2))
+    assert (sat.gens, e) == ((p2("1"),), 1)
+    assert saturate(ideal2("1"), Ideal((), 2)) == (ideal2("1"), 0)
+
+
 def test_saturation_strips_a_factor():
     sat, e = saturate(ideal2("x*y"), ideal2("x"))
     assert sat.gens == (p2("y"),)

@@ -7,7 +7,9 @@ request needs twice is passed along inside the request instead.  The same
 holds for the environment: a report depends only on its input and options,
 so no module reads an environment variable.  And the package keeps only
 what a report, the CLI or the benchmark runs: a function that only tests
-call is not part of it, nor a field that only tests read.
+call is not part of it, nor a field that only tests read.  A request is
+judged once, at its entry point: the standing assumptions on f are decided
+in one function, which only the entry points call.
 """
 
 import ast
@@ -116,6 +118,27 @@ def test_every_package_field_is_read():
                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
             )
     assert [full for full, name in fields if name not in reads] == []
+
+
+def callers(name):
+    """The package's top-level functions and classes, as module.name, whose
+    bodies call name."""
+    found = set()
+    for path, tree in sources():
+        if path.parent == PACKAGE:
+            for top in tree.body:
+                for node in ast.walk(top):
+                    if isinstance(node, ast.Call) and name in (
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None),
+                    ):
+                        found.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    return found
+
+
+def test_the_excluded_cases_are_decided_at_the_gate_alone():
+    assert callers("ExcludedCaseError") == {"polar.check_excluded"}
+    assert callers("check_excluded") == {"report.build_report", "cli._cmd_oracle_teissier"}
 
 
 def test_every_error_type_is_mapped_by_run_compute():
