@@ -181,18 +181,17 @@ def _cmd_oracle_teissier(args):
         return EXIT_EXCLUDED
     results = []
     budget = 20 * wanted
-    pool = sample_frames(len(varnames), budget, args.seed, args.bound)
     mu = milnor_number(f)
-    if mu is INFINITE:
-        # No frame is usable, so no polar ideal needs building.
-        pool = []
+    # No frame is usable when mu is INFINITE, so none is drawn.
+    pool = [] if mu is INFINITE else sample_frames(len(varnames), budget, args.seed, args.bound)
     for fr in pool:
         if len(results) == wanted:
             break
         fM = fr.transform(f)
-        v = teissier_check(polar_ideal(fM, fr, 1, jacobian_ideal(fM)), mu)
-        if v is None:
-            continue
+        mu_slice = milnor_number(fM.substitute_zero([0]))
+        if mu_slice is INFINITE:
+            continue  # an unusable frame: no polar ideal is built for it
+        v = teissier_check(polar_ideal(fM, fr, 1, jacobian_ideal(fM)), mu, mu_slice)
         results.append(
             {
                 "frame": [list(r) for r in fr.matrix],

@@ -30,8 +30,8 @@ from operator import add
 from .ideals import Ideal, finite_colength
 from .ideals import local_colength  # unused; perfbench/tracer.py rebinds it (ROADMAP item 5)
 from .orders import LOCAL, mono_deg
-from .poly import INFINITE, integer_terms
-from .polar import milnor_number
+from .poly import integer_terms
+from .polar import milnor_number  # unused; perfbench/tracer.py rebinds it (ROADMAP item 5)
 from .polar import polar_ideal  # unused; perfbench/tracer.py rebinds it (ROADMAP item 5)
 
 HARD_DEGREE_CAP = 40
@@ -164,33 +164,29 @@ def bezout_gamma(n, d, k):
     return (d - 1) ** (n + 1 - k)
 
 
-def teissier_check(pol, mu):
+def teissier_check(pol, mu, mu_slice):
     """Intersection number of the first polar curve with V(f) versus the
     sum of the Milnor numbers of f and its slice by z_0 = 0 in the frame.
 
     pol is the first polar ideal of f (k = 1) in the frame to check, as
-    polar.polar_ideal builds it, which carries f in that frame too, and
-    mu = milnor_number(f), which the caller has computed for an f that
-    check_excluded passed.  The result is None when the frame is unusable:
-    f or its slice has a non-isolated singularity.  The polar ideal is then
-    not zero: it contains d_1 fM, ..., d_n fM, so were it zero, fM would be
-    a polynomial in z_0 alone, with Jacobian ideal (d_0 fM), and mu INFINITE.
+    polar.polar_ideal builds it, which carries f in that frame too.  mu =
+    milnor_number(f) and mu_slice, the Milnor number of that f with z_0 = 0,
+    come from the caller, which uses the check only where both are finite:
+    a frame where the slice is not isolated is unusable.  The polar ideal is
+    then not zero: it contains d_1 fM, ..., d_n fM, so were it zero, fM
+    would be a polynomial in z_0 alone, with Jacobian ideal (d_0 fM), and mu
+    INFINITE.
 
-    In a usable frame the polar curve cuts V(f) in finite colength, so the
-    meet is counted by ideals.finite_colength.  By curve selection, take an
-    arc gamma(t) through 0 in V(meet).  The meet contains d_1 f, ..., d_n f
-    and f, so on the arc d/dt f(gamma) = d_0 f(gamma) * gamma_0' = 0.
-    Either d_0 f vanishes on the arc, which then lies in Crit(f), or
-    gamma_0 is constant 0 and the arc lies in Crit(f restricted to
-    z_0 = 0).  Both are the origin alone, as mu and mu' are finite, so the
-    arc is constant and V(meet) is the origin.
+    The polar curve then cuts V(f) in finite colength, so the meet is
+    counted by ideals.finite_colength.  By curve selection, take an arc
+    gamma(t) through 0 in V(meet).  The meet contains d_1 f, ..., d_n f and
+    f, so on the arc d/dt f(gamma) = d_0 f(gamma) * gamma_0' = 0.  Either
+    d_0 f vanishes on the arc, which then lies in Crit(f), or gamma_0 is
+    constant 0 and the arc lies in Crit(f restricted to z_0 = 0).  Both are
+    the origin alone, as mu and mu_slice are finite, so the arc is constant
+    and V(meet) is the origin.
     """
-    if mu is INFINITE:
-        return None
     fM = pol.fM
-    mu_slice = milnor_number(fM.substitute_zero([0]))
-    if mu_slice is INFINITE:
-        return None
     lhs = finite_colength(Ideal(pol.ideal.gens + (fM,), fM.nvars))
     return verdict(
         "teissier_polar_against_slice",

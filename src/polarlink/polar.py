@@ -3,9 +3,13 @@
 For f vanishing at the origin of C^(n+1), the k-th polar ideal is the
 saturation of (df/dz_k, ..., df/dz_n) by the full Jacobian ideal, computed
 after a linear change of coordinates.  Its local colength against the plane
-z_0 = ... = z_(k-1) = 0 is the polar multiplicity; the profile samples
-random integer frames and keeps, per k, the minimum over the frames where
-the cut is finite.
+H_k = {z_0 = ... = z_(k-1) = 0} is the polar multiplicity; the profile
+samples random integer frames and keeps, per k, the minimum over the frames
+where the cut is finite.  Above the critical dimension s, that is for
+k > s, the multiplicity in a frame is the Milnor number of f cut by H_k
+(see gamma_profile), so the profile builds a polar ideal there only at the
+frames whose ideal the report reads: the witness frame of each k, and for
+s = 0 the frame of the Teissier check.
 """
 
 from __future__ import annotations
@@ -106,6 +110,14 @@ def polar_multiplicity(pol):
     return None if c is INFINITE else c
 
 
+def section_multiplicity(fM, k):
+    """gamma^k in a frame for k > s, from fM = frame.transform(f): the
+    Milnor number of fM cut by the plane z_0 = ... = z_(k-1) = 0, or None
+    when it is INFINITE (see gamma_profile)."""
+    mu = milnor_number(fM.substitute_zero(range(k)))
+    return None if mu is INFINITE else mu
+
+
 def plane_cut(pol):
     """The polar ideal cut by the plane z_0 = ... = z_(k-1) = 0, as an
     ideal in the remaining variables z_k..z_n."""
@@ -118,12 +130,18 @@ class GammaProfile:
     """Polar multiplicities gamma^0..gamma^(n+1) with sampling diagnostics.
 
     per_trial[t][k-1] is the value gamma^k measured in frame t, or None if
-    the cut for k is not finite in that frame.  witness[k-1] is the first trial index
-    attaining the reported minimum and agreement[k-1] how many trials did.
-    polar_ideals[t][k-1] is the k-th polar ideal built in frame t, kept so
-    that later checks read it instead of building it again.  mu is the
-    Milnor number (INFINITE unless s = 0), read from the same Jacobian
-    basis as s; threshold is the agreement every k needs for stability.
+    the frame is invalid for k there: for k <= s the cut of the polar ideal
+    is not finite, for k > s the Milnor number of the section is INFINITE.
+    witness[k-1] is the first trial index attaining the reported minimum and
+    agreement[k-1] how many trials did.  polar_ideals[t][k-1] is the k-th
+    polar ideal of frame t where one was built, and None elsewhere.  It is
+    built in every frame for k <= s, where it gives gamma^k; for k > s only
+    at the witness frame of k, and for k = 1 at the Teissier frame too.
+    teissier_trial is that frame, the first whose per_trial[t][0] is not
+    None, when s = 0, and None otherwise.  Later checks read these ideals
+    instead of building them again.  mu is the Milnor number (INFINITE
+    unless s = 0), read from the same Jacobian basis as s; threshold is the
+    agreement every k needs for stability.
     """
 
     n: int
@@ -138,6 +156,7 @@ class GammaProfile:
     witness: tuple
     frames: tuple
     polar_ideals: tuple
+    teissier_trial: object
 
     def witness_polar_ideal(self, k):
         return self.polar_ideals[self.witness[k - 1]][k - 1]
@@ -161,26 +180,47 @@ def gamma_profile(f, trials=5, seed=0, bound=10):
     minimum.  gamma^0 = 0 and gamma^(n+1) = 1 by convention, and
     gamma^n = mult(f) - 1 is enforced as a consistency check.  The caller
     has run the gate of report.build_report on trials, bound, n and f.
+
+    For k <= s (s = dim Crit f at 0) gamma^k in a frame is the multiplicity
+    of the saturated polar ideal.  For k > s it is the Milnor number of f
+    restricted to H_k = {z_0 = ... = z_(k-1) = 0}, and no ideal is needed
+    (Teissier's mu* sequence in generic frames: Teissier, "Cycles
+    evanescents, sections planes et conditions de Whitney", Asterisque 7-8,
+    1973).  Let I = (df/dz_k, ..., df/dz_n) in the frame, O the local ring
+    at 0 and J the Jacobian ideal, and suppose mu(f|H_k) is finite.
+    I + (z_0, ..., z_(k-1)) is the Jacobian ideal of f|H_k, so V(I) has
+    dimension at most k at 0, and at least k by Krull, as I has n + 1 - k
+    generators.  So I*O is a complete intersection: unmixed (Macaulay),
+    with every associated prime of dimension k.  V(J) has dimension s < k,
+    so no associated prime contains J, (I : J^infinity)*O = I*O, and the
+    cut by H_k has colength mu(f|H_k).  For s = 0 the converse holds too:
+    where mu(f|H_k) is INFINITE, V(I) cut by H_k holds a curve through 0,
+    which meets V(J) = {0} only at 0 and so lies in V(I : J^infinity); the
+    cut is not finite either.  For s >= 1 such a frame is invalid for k, as
+    the prepolar condition asks (ROADMAP item 10).
     """
     n = f.nvars - 1
     mult = f.order_of_vanishing()
     leads = mora_standard_basis(jacobian_ideal(f))
     s, mu = dimension(leads, f.nvars), colength(leads, f.nvars)
     frames = tuple(sample_frames(f.nvars, trials, seed, bound))
+    transformed = tuple(fr.transform(f) for fr in frames)
 
     per_trial = []
     polar_ideals = []
-    for fr in frames:
-        fM = fr.transform(f)
-        jacobian = jacobian_ideal(fM)
-        row = []
-        pols = []
-        for k in range(1, n + 1):
-            pol = polar_ideal(fM, fr, k, jacobian)
-            pols.append(pol)
-            row.append(polar_multiplicity(pol))
-        per_trial.append(tuple(row))
-        polar_ideals.append(tuple(pols))
+    for fr, fM in zip(frames, transformed):
+        pols = [None] * n
+        if s:
+            jacobian = jacobian_ideal(fM)
+            for k in range(1, s + 1):
+                pols[k - 1] = polar_ideal(fM, fr, k, jacobian)
+        per_trial.append(
+            tuple(
+                polar_multiplicity(pol) if k <= s else section_multiplicity(fM, k)
+                for k, pol in enumerate(pols, start=1)
+            )
+        )
+        polar_ideals.append(pols)
     per_trial = tuple(per_trial)
 
     gamma = [0] * (n + 2)
@@ -198,13 +238,24 @@ def gamma_profile(f, trials=5, seed=0, bound=10):
         hits = [t for t, row in enumerate(per_trial) if row[k - 1] == best]
         agreement.append(len(hits))
         witness.append(hits[0])
-
-    threshold = (trials + 1) // 2
-    stable = all(a >= threshold for a in agreement)
     if gamma[n] != mult - 1:
         raise GammaIdentityViolation(
             f"gamma^n = {gamma[n]} disagrees with mult - 1 = {mult - 1}"
         )
+
+    # Above s, the report reads a polar ideal only at these (frame, k).
+    read = [(witness[k - 1], k) for k in range(s + 1, n + 1)]
+    teissier_trial = None
+    if s == 0:
+        teissier_trial = next(t for t, row in enumerate(per_trial) if row[0] is not None)
+        read.append((teissier_trial, 1))
+    for t, k in read:
+        if polar_ideals[t][k - 1] is None:
+            fM = transformed[t]
+            polar_ideals[t][k - 1] = polar_ideal(fM, frames[t], k, jacobian_ideal(fM))
+
+    threshold = (trials + 1) // 2
+    stable = all(a >= threshold for a in agreement)
     return GammaProfile(
         n=n,
         gamma=tuple(gamma),
@@ -217,5 +268,6 @@ def gamma_profile(f, trials=5, seed=0, bound=10):
         agreement=tuple(agreement),
         witness=tuple(witness),
         frames=frames,
-        polar_ideals=tuple(polar_ideals),
+        polar_ideals=tuple(map(tuple, polar_ideals)),
+        teissier_trial=teissier_trial,
     )

@@ -35,7 +35,6 @@ from .link import (
     telescope_table,
 )
 from .oracle import (
-    OracleVerdict,
     default_cap,
     gamma_identity_audit,
     stable_colength,
@@ -119,15 +118,9 @@ def _oracle_diagnostics(f, profile):
                 context=f"cap={r.cap}",
             )
         )
-        # Lazy: frames are checked only until the first usable one.
-        checks = (teissier_check(pols[0], profile.mu) for pols in profile.polar_ideals)
-        unusable = OracleVerdict(
-            "teissier_polar_against_slice",
-            "a usable frame",
-            "none among the sampled frames",
-            False,
-        )
-        verdicts.append(next((v for v in checks if v is not None), unusable))
+        # For s = 0, per_trial[t][0] is the Milnor number of the slice z_0 = 0.
+        t = profile.teissier_trial
+        verdicts.append(teissier_check(profile.polar_ideals[t][0], profile.mu, profile.per_trial[t][0]))
     return verdicts, exponents
 
 

@@ -78,6 +78,36 @@ def gamma_in_frame(f, frame, k):
     return polar_multiplicity(polar_ideal(fM, frame, k, jacobian_ideal(fM)))
 
 
+def saturating_per_trial(f, frames):
+    """per_trial of f over frames, every k in every frame read from the
+    saturated polar ideal: the multiplicity of its cut, None where the cut
+    is not finite.  The profile computed it so before it read gamma^k above
+    the critical dimension from sections; kept as a test oracle for
+    polar.section_multiplicity."""
+    rows = []
+    for fr in frames:
+        fM = fr.transform(f)
+        jacobian = jacobian_ideal(fM)
+        rows.append(
+            tuple(polar_multiplicity(polar_ideal(fM, fr, k, jacobian)) for k in range(1, f.nvars))
+        )
+    return tuple(rows)
+
+
+def record_calls(monkeypatch, module, name):
+    """Replace module.name by a spy; returns the list it fills with the
+    (args, result) of every call."""
+    calls = []
+    original = getattr(module, name)
+
+    def spy(*args):
+        calls.append((args, original(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
 def fraction_remainder(p, basis, order):
     """Remainder of p on division by basis under a global order: the
     textbook division loop (Cox-Little-O'Shea, section 2.3) in Fraction

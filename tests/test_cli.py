@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from helpers import record_calls
+from polarlink import cli
 from polarlink.cli import main
 from polarlink.orders import DEGREE_LIMIT
 from polarlink.polar import CoordinateFrame
@@ -349,3 +351,30 @@ def test_compute_refuses_a_malformed_betti_before_any_frame(capsys, monkeypatch,
     assert code == 1
     assert doc["error"]["kind"] == "input"
     assert calls == []
+
+
+def test_oracle_teissier_draws_no_frame_when_mu_is_infinite(capsys, monkeypatch):
+    # y^2 - x^2*z is not isolated, so no frame can be usable: none is drawn.
+    draws = record_calls(monkeypatch, cli, "sample_frames")
+    code, out, err = run_cli(
+        capsys, "oracle", "teissier", "--poly", "y^2 - x^2*z", "--vars", "x,y,z", "--frames", "1"
+    )
+    assert code == 2
+    assert json.loads(out) == {"checks": [], "requested": 1}
+    assert err == "error: only 0 usable frames in 20 draws\n"
+    assert draws == []
+
+
+def test_oracle_teissier_builds_no_polar_ideal_in_an_unusable_frame(capsys, monkeypatch):
+    # At seed 4 and bound 1 the first frame puts x*y to 0 on z_0 = 0; the
+    # slice's Milnor number rules it out before its polar ideal is built.
+    built = record_calls(monkeypatch, cli, "polar_ideal")
+    code, out, _ = run_cli(
+        capsys, "oracle", "teissier", "--poly", "x*y", "--vars", "x,y",
+        "--frames", "3", "--seed", "4", "--bound", "1",
+    )
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert len(checks) == 3
+    assert checks[0]["frame"] != [[-1, 0], [-1, 1]]
+    assert [list(map(list, args[1].matrix)) for args, _ in built] == [c["frame"] for c in checks]

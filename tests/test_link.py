@@ -37,6 +37,7 @@ def fake_profile(gamma, mult=None, s=0):
         witness=(0,) * n,
         frames=(),
         polar_ideals=(),
+        teissier_trial=None,
     )
 
 

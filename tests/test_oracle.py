@@ -35,6 +35,7 @@ from polarlink.oracle import (
 )
 from polarlink.polar import (
     CoordinateFrame,
+    gamma_profile,
     jacobian_ideal,
     milnor_number,
     polar_ideal,
@@ -226,10 +227,16 @@ def test_verdict_passes_iff_equal():
     assert not verdict("t", 3, 4).passed
 
 
+def slice_mu(fM):
+    """The Milnor number of fM cut by z_0 = 0, which teissier_check takes
+    from its caller."""
+    return milnor_number(fM.substitute_zero([0]))
+
+
 def test_teissier_cusp_identity_frame():
     f = p2("x^2+y^3")
     pol = polar_ideal(f, identity_frame(2), 1, jacobian_ideal(f))
-    v = teissier_check(pol, milnor_number(f))
+    v = teissier_check(pol, milnor_number(f), slice_mu(f))
     assert v.passed
     assert (v.expected, v.actual) == (4, 4)
 
@@ -238,15 +245,20 @@ def test_teissier_cusp_generic_frames():
     f = p2("x^2+y^3")
     for fr in sample_frames(2, 3, seed=7):
         fM = fr.transform(f)
-        v = teissier_check(polar_ideal(fM, fr, 1, jacobian_ideal(fM)), milnor_number(f))
+        v = teissier_check(polar_ideal(fM, fr, 1, jacobian_ideal(fM)), milnor_number(f), slice_mu(fM))
         assert v.passed
         assert v.actual == 3  # mu 2 plus generic slice mu 1
 
 
 def test_teissier_rejects_nonisolated():
+    # mu is INFINITE, so no frame is usable: the profile names no Teissier
+    # frame and the report carries no Teissier verdict.
     f = p3("y^2 - x^2*z")
-    pol = polar_ideal(f, identity_frame(3), 1, jacobian_ideal(f))
-    assert teissier_check(pol, milnor_number(f)) is None
+    assert milnor_number(f) is INFINITE
+    assert gamma_profile(f, trials=5, seed=0).teissier_trial is None
+    doc, code = run_compute(RunConfig("y^2 - x^2*z", ("x", "y", "z")))
+    assert code == 0
+    assert "teissier_polar_against_slice" not in [v["name"] for v in doc["oracles"]["verdicts"]]
 
 
 def test_teissier_check_reuses_the_transformed_polynomial(monkeypatch):
@@ -267,10 +279,21 @@ def test_teissier_check_reuses_the_transformed_polynomial(monkeypatch):
 
 
 def test_teissier_rejects_degenerate_frame():
-    # the identity frame slices xy along one of its own branches
+    # The identity frame slices xy along one of its own branches, so its
+    # slice is not isolated and the frame is unusable.  At frame seed 4 and
+    # bound 1 the first frame, ((-1, 0), (-1, 1)), maps x to -x, so f is 0
+    # on z_0 = 0 too: it reads None and the check runs in the next frame.
     f = p2("x*y")
-    pol = polar_ideal(f, identity_frame(2), 1, jacobian_ideal(f))
-    assert teissier_check(pol, milnor_number(f)) is None
+    assert slice_mu(f) is INFINITE
+    prof = gamma_profile(f, trials=5, seed=4, bound=1)
+    assert prof.per_trial[0] == (None,)
+    assert prof.teissier_trial == 1
+    fM = prof.frames[1].transform(f)
+    v = teissier_check(prof.polar_ideals[1][0], prof.mu, slice_mu(fM))
+    assert (v.passed, v.expected) == (True, 2)
+    doc, code = run_compute(RunConfig("x*y", ("x", "y"), seed=4, bound=1))
+    (teissier,) = [v for v in doc["oracles"]["verdicts"] if v["name"] == "teissier_polar_against_slice"]
+    assert (teissier["passed"], teissier["expected"]) == (True, 2)
 
 
 # Isolated surfaces whose Teissier check used to stall in Mora's loop at
@@ -311,5 +334,5 @@ def test_teissier_counts_the_meet_with_finite_colength(monkeypatch):
     f = p3("x^2+y^4+z^5")
     for fr in sample_frames(3, 2, seed=0):
         fM = fr.transform(f)
-        v = teissier_check(polar_ideal(fM, fr, 1, jacobian_ideal(fM)), milnor_number(f))
+        v = teissier_check(polar_ideal(fM, fr, 1, jacobian_ideal(fM)), milnor_number(f), slice_mu(fM))
         assert v.passed

@@ -1,5 +1,7 @@
 """Polar ideals, frames, and the sampled multiplicity profiles."""
 
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,9 +13,12 @@ from helpers import (
     p2,
     p3,
     polynomials,
+    record_calls,
     reference_substitution,
+    saturating_per_trial,
 )
-from polarlink import polar, poly
+from polarlink import polar, poly, report
+from polarlink.parse import parse_polynomial
 from polarlink.errors import EXIT_INPUT_ERROR, ExcludedCaseError
 from polarlink.ideals import dimension, mora_standard_basis
 from polarlink.polar import (
@@ -24,9 +29,10 @@ from polarlink.polar import (
     milnor_number,
     polar_ideal,
     sample_frames,
+    section_multiplicity,
 )
 from polarlink.poly import INFINITE, det
-from polarlink.report import RunConfig, run_compute
+from polarlink.report import RunConfig, bundled_corpus_path, run_compute
 
 
 def test_jacobian_gens():
@@ -263,3 +269,66 @@ def test_profile_needs_two_variables():
     doc, code = run_compute(RunConfig("x^2", ("x",), trials=1))
     assert code == EXIT_INPUT_ERROR
     assert doc["error"] == {"kind": "input", "reason": "need at least two variables"}
+
+
+# The corpus inputs, and inputs of the benchmark's workloads whose
+# saturating profile takes milliseconds a frame: isolated curves and
+# surfaces, and nonisolated surfaces and a threefold with s = 1.
+with open(bundled_corpus_path(), encoding="utf-8") as _fh:
+    SECTION_INPUTS = tuple((e["poly"], tuple(e["vars"])) for e in map(json.loads, _fh))
+SECTION_INPUTS += tuple(
+    (text, ("x", "y", "z"))
+    for text in (
+        "x^2+y^2+z^4",
+        "x^2*y+y^3+z^2",
+        "x^2*y+y^4+z^2",
+        "x^3+x*y^3+z^2",
+        "(x^2-y^2)*z",
+        "x*y*(x+y)",
+        "x*y*(x+y)*(x-y)",
+        "x*y",
+        "x*y*z*(x+y+z)",
+    )
+) + (
+    ("x^2*y+y^5", ("x", "y")),
+    ("x^3+x*y^3", ("x", "y")),
+    ("x*y*(x+y)*(x-y)*(x+2*y)", ("x", "y")),
+    ("x*y+z^2*w", ("x", "y", "z", "w")),
+)
+
+
+@given(st.sampled_from(SECTION_INPUTS), st.integers(0, 2**32), st.sampled_from((1, 2)))
+def test_sections_above_the_critical_dimension_read_the_saturated_cut(case, seed, bound):
+    # A small bound makes degenerate frames common.  For s = 0 the section
+    # and the saturated cut agree everywhere, None included; for s >= 1
+    # they agree wherever the section's Milnor number is finite.
+    f = parse_polynomial(*case)
+    s = critical_dimension(f)
+    frames = sample_frames(f.nvars, 2, seed, bound)
+    for fr, row in zip(frames, saturating_per_trial(f, frames)):
+        fM = fr.transform(f)
+        for k in range(s + 1, f.nvars):
+            section = section_multiplicity(fM, k)
+            if s == 0 or section is not None:
+                assert section == row[k - 1], (case, fr.matrix, k)
+
+
+def test_the_fermat_cubic_saturates_only_at_its_witness_frames(monkeypatch):
+    # s = 0, so every gamma^k comes from a section, and a polar ideal is
+    # built once for each k at its witness frame, frame 0.  The Teissier
+    # check runs in frame 0 too and reads the k = 1 ideal built there.
+    saturations = record_calls(monkeypatch, polar, "saturate")
+    built = record_calls(monkeypatch, polar, "polar_ideal")
+    checked = record_calls(monkeypatch, report, "teissier_check")
+    doc, code = run_compute(RunConfig("x^3+y^3+z^3", ("x", "y", "z"), seed=0))
+    assert code == 0
+    assert doc["stability"]["witness_trials"] == [0, 0]
+    assert len(saturations) == doc["n"] == 2
+    first_frame = doc["stability"]["frames"][0]
+    assert [(list(map(list, args[1].matrix)), args[2]) for args, _ in built] == [
+        (first_frame, 1),
+        (first_frame, 2),
+    ]
+    (((teissier_pol, mu, mu_slice), _),) = checked
+    assert teissier_pol is built[0][1]
+    assert (mu, mu_slice) == (8, doc["stability"]["per_trial"][0][0]) == (8, 4)
