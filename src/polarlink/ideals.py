@@ -1,8 +1,10 @@
 """Groebner bases, Mora standard bases, and derived ideal operations.
 
 Global orders get reduced Groebner bases via Buchberger's algorithm with
-the product and chain criteria; local orders get standard bases via Mora's
-tangent-cone algorithm (weak normal form with ecart-based selection).
+the product and chain criteria, taking pairs by sugar (Giovini, Mora,
+Niesi, Robbiano, Traverso, ISSAC 1991); local orders get standard bases
+via Mora's tangent-cone algorithm (weak normal form with ecart-based
+selection), taking pairs by degree.
 On top of those sit saturation (tag variables plus elimination), and the
 Krull dimension and local colength at the origin, which realize the
 critical-locus dimension and the intersection numbers.  Both are read from
@@ -11,7 +13,8 @@ the leads of a Mora standard basis alone (Greuel-Pfister, section 1.7), so
 
 Saturation I : J^infinity is one Rabinowitsch elimination with one tag
 per generator of J outside I, which is exact, so it needs no certificate
-and no fallback.
+and no fallback.  The elimination starts from the reduced basis of I that
+saturation builds anyway, and forms no pair within it.
 
 Mora's loop cuts at the highest corner (Greuel-Pfister, section 1.7; the
 ``noether`` of Singular).  Once the leads of the basis so far generate an
@@ -196,12 +199,26 @@ def _spoly(gi, gj, big, order, cut):
 # --- basis computation ------------------------------------------------
 
 
-def _standard_basis_raw(gens, order, top=None):
+def _standard_basis_raw(gens, order, top=None, settled=0):
     """Buchberger / Mora pair loop over the nonzero integer term dicts gens;
     returns an unreduced list of elements.  A basis holding an element whose
     lm has degree 0 is the unit ideal: under a local order the lm is a
-    least-degree term, so the element is a local unit.  Pairs are taken by
-    (deg lcm, i, j); pending holds those not yet taken.
+    least-degree term, so the element is a local unit.  pending holds the
+    pairs not yet taken.  The first settled of gens are distinct elements
+    of a Groebner basis under the (global) order of the ideal they
+    generate; no pair between two of them is formed, as every such
+    S-polynomial reduces to zero by them (``_eliminate_tags``).
+
+    Under a global order pairs are taken by (sugar, deg lcm, i, j).  The
+    sugar of an input element is its largest term degree, that of a pair
+    the larger of sugar_i + deg lcm - deg lm_i over its two elements, and
+    that of a new element the larger of its pair's sugar and its own
+    largest term degree: the degree each would have, were the input
+    homogenized.  Under an order that is not degree-compatible, such as
+    the elimination orders, deg lcm says little about the degrees a pair
+    produces, and sugar keeps low-degree work first.  Under the local
+    order pairs are taken by (deg lcm, i, j): the cut below needs them by
+    degree.
 
     Under the local order the loop cuts at a degree top (Greuel-Pfister,
     section 1.7, the highest corner).  Once the leads generate an m-primary
@@ -221,15 +238,19 @@ def _standard_basis_raw(gens, order, top=None):
         return []
     nvars = len(G[0][0])
     origin = (0,) * nvars
+    local = not order.is_global
     one = [_element({origin: 1}, order)]
     if any(g[0] == origin for g in G):
         return one
 
     pairs, pending = [], set()
+    sugar = [mono_deg(g[0]) + g[4] for g in G]
 
     def add_pairs(t):
         for k in range(t):
-            heappush(pairs, (mono_deg(mono_lcm(G[k][0], G[t][0])), k, t))
+            d = mono_deg(mono_lcm(G[k][0], G[t][0]))
+            s = d if local else d + max(sugar[k] - mono_deg(G[k][0]), sugar[t] - mono_deg(G[t][0]))
+            heappush(pairs, (s, d, k, t))
             pending.add((k, t))
 
     def lower_top():
@@ -237,22 +258,22 @@ def _standard_basis_raw(gens, order, top=None):
         under the local order -key(m) >= (top + 1) * L^n exactly when
         deg m > top, the degree being the key's leading digit."""
         nonlocal top
-        stairs = None if order.is_global else _staircase([g[0] for g in G], nvars)
+        stairs = _staircase([g[0] for g in G], nvars) if local else None
         if stairs is not None:
             top = stairs[1] + 1 if top is None else min(top, stairs[1] + 1)
         return None if top is None else (top + 1) * DEGREE_LIMIT**nvars
 
-    for t in range(len(G)):
+    for t in range(settled, len(G)):
         add_pairs(t)
     cut = lower_top()
     while pairs:
-        d, i, j = heappop(pairs)
+        s, d, i, j = heappop(pairs)
         if top is not None and d > top:
             break
         pending.discard((i, j))
         lmi, lmj = G[i][0], G[j][0]
         big = mono_lcm(lmi, lmj)
-        if order.is_global and big == mono_mul(lmi, lmj):
+        if not local and big == mono_mul(lmi, lmj):
             continue  # product criterion: coprime leading monomials
         if any(
             k not in (i, j)
@@ -269,6 +290,7 @@ def _standard_basis_raw(gens, order, top=None):
         if g[0] == origin:
             return one
         G.append(g)
+        sugar.append(max(s, mono_deg(g[0]) + g[4]))
         add_pairs(len(G) - 1)
         cut = lower_top()
     return G
@@ -309,17 +331,24 @@ def mora_standard_basis(I):
 # --- saturation ---------------------------------------------------------
 
 
-def _eliminate_tags(gens, r):
-    """The tag elimination of ``saturate``: the integer term dicts gens (in
-    r tag variables followed by the others) generate an ideal, and its
+def _eliminate_tags(basis, tag, r):
+    """The tag elimination of ``saturate``: basis, the reduced degrevlex
+    basis of an ideal I as elements, and the integer term dict tag (in r
+    tag variables followed by the others) generate an ideal, and its
     elements free of the tags are generated by the tag-free elements of its
     reduced elimination basis, returned as integer term dicts in the other
-    variables.  An element is tag-free when its lm is: any term with a tag
-    would be larger.  Only those of the raw basis are reduced: only
-    tag-free leads divide their terms, so they come out as in the whole
-    reduced basis."""
+    variables.  basis, lifted with zero tag exponents, is settled (see
+    ``_standard_basis_raw``): the S-polynomial of two of its elements is
+    tag-free, and the elimination order restricted to tag-free monomials is
+    degrevlex, under which basis reduces it to zero.  An element is
+    tag-free when its lm is: any term with a tag would be larger.  Only
+    those of the raw basis are reduced: only tag-free leads divide their
+    terms, so they come out as in the whole reduced basis."""
     order = elimination(r)
-    free = [g for g in _standard_basis_raw(gens, order) if not any(g[0][:r])]
+    pad = (0,) * r
+    lifted = [{pad + m: c for m, c in _terms(g).items()} for g in basis]
+    raw = _standard_basis_raw(lifted + [tag], order, settled=len(lifted))
+    free = [g for g in raw if not any(g[0][:r])]
     return [{m[r:]: c for m, c in _terms(g).items()} for g in _reduce_global(free, order)]
 
 
@@ -344,16 +373,25 @@ def saturate(I, J):
     I and S is the unit ideal.  The exponent is then the least m with
     (h)^m * S inside I: the remainders modulo I of generators of
     (h)^m * S are multiplied by each h_i until none is left, which ends
-    because S is the saturation.  There is no certificate and no fallback.
+    because S is the saturation.  Each round keeps one remainder of each
+    class of proportional ones, its primitive form: the remainder is
+    linear, and so is multiplication by h_i, so the products of a dropped
+    remainder lie in I exactly when those of the kept one do, and the
+    least m is the same.  There is no certificate and no fallback.
+
+    The elimination starts from gb, the reduced basis of I built for those
+    remainders, with no pair formed between two of its elements (see
+    ``_eliminate_tags``), rather than from the generators of I.
     """
     n = I.nvars
-    gens = [integer_terms(f) for f in I.gens]
-    gb = _reduce_global(_standard_basis_raw(gens, GLOBAL), GLOBAL)
+    gb = _reduce_global(_standard_basis_raw(map(integer_terms, I.gens), GLOBAL), GLOBAL)
 
     def remainders(polys):
-        """The nonzero remainders modulo I of the integer term dicts polys."""
+        """The distinct nonzero remainders modulo I of the integer term
+        dicts polys, up to a scalar: one primitive term dict per class of
+        proportional ones."""
         rems = (_normal_form(dict(p), _heap(p, GLOBAL), gb, GLOBAL) for p in polys)
-        return [rem for rem in rems if rem]
+        return [_terms(g) for g in dict.fromkeys(_element(rem, GLOBAL) for rem in rems if rem)]
 
     hs = [h for h in map(integer_terms, J.gens) if remainders([h])]
     r = len(hs)
@@ -362,8 +400,7 @@ def saturate(I, J):
     for i, h in enumerate(hs):
         t_i = pad[:i] + (1,) + pad[i + 1 :]
         tag.update({t_i + m: -c for m, c in h.items()})
-    lifted = [{pad + m: c for m, c in f.items()} for f in gens]
-    kept = _eliminate_tags(lifted + [tag], r)
+    kept = _eliminate_tags(gb, tag, r)
     pending, exponent = remainders(kept), 0
     while pending:
         pending = remainders([mul_terms(h, p) for h in hs for p in pending])

@@ -9,7 +9,7 @@ integer term dicts {monomial: int}, with two shared helpers here.
 ``Polynomial.__mul__``.  The engine (``ideals``), the oracle (``oracle``)
 and ``substitute_linear`` compute on integer term dicts from these
 helpers, and Fractions are built only for the coefficients of the
-polynomials they return.
+polynomials they return.  ``det`` eliminates on integers too.
 A polynomial stores a finite map from exponent tuples to nonzero
 coefficients; the zero polynomial stores nothing.  Values are immutable
 after construction and safe to share between workers.
@@ -247,23 +247,21 @@ def mul_terms(f, g):
 
 
 def det(matrix):
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    n = len(matrix)
-    m = [[Fraction(x) for x in row] for row in matrix]
-    sign = 1
-    prod = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+    """Exact determinant of a square integer matrix by Bareiss's
+    fraction-free elimination: after step k every entry left is a k+1 by
+    k+1 minor, so each division by the previous pivot is exact."""
+    m = [list(row) for row in matrix]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        pivot = next((r for r in range(k, n) if m[r][k]), None)
         if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
+            return 0
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
-        prod *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                factor = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    return sign * prod
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if n else 1

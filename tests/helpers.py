@@ -135,6 +135,30 @@ def fraction_remainder(p, basis, order):
     return Polynomial(p.nvars, remainder)
 
 
+def fraction_det(matrix):
+    """Determinant of a square matrix by Gaussian elimination in Fraction
+    arithmetic.  A test oracle for poly.det, which eliminates on integers."""
+    n = len(matrix)
+    m = [[Fraction(x) for x in row] for row in matrix]
+    sign = 1
+    prod = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            sign = -sign
+        prod *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            if m[r][col] != 0:
+                factor = m[r][col] * inv
+                for c in range(col, n):
+                    m[r][c] -= factor * m[col][c]
+    return sign * prod
+
+
 def reference_substitution(f, matrix):
     """f(M z) expanded term by term, the sum over the terms c*z^e of f of
     c * prod_i (row_i . z)^e_i, with Polynomial +, * and ** only.  A test

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -20,17 +20,20 @@ from helpers import (
     p2,
     p3,
     polynomials,
+    record_calls,
     reduced_basis,
     saturate_by_quotients,
     tag_free_part,
     tagged,
 )
+from polarlink import ideals
 from polarlink.ideals import (
     Ideal,
     _element,
     _heap,
     _minimalize,
     _normal_form,
+    _reduce_global,
     _staircase,
     _standard_basis_raw,
     _terms,
@@ -42,9 +45,10 @@ from polarlink.ideals import (
 )
 from polarlink.errors import DegreeLimitError
 from polarlink.oracle import stable_colength
-from polarlink.orders import DEGREE_LIMIT, GLOBAL, LOCAL, mono_divides
+from polarlink.orders import DEGREE_LIMIT, GLOBAL, LOCAL, elimination, mono_divides
 from polarlink.polar import jacobian_ideal, sample_frames
 from polarlink.poly import INFINITE, Polynomial, integer_terms
+from polarlink.report import RunConfig, run_compute
 
 
 def ideal2(*texts):
@@ -156,6 +160,50 @@ def test_buchberger_criterion(gens):
         for j in range(i + 1, len(basis)):
             s = _spoly_for_test(basis[i], basis[j], GLOBAL)
             assert not remainder(s, G)
+
+
+def assert_groebner_by_fraction_division(basis, gens, order):
+    """basis is a Groebner basis of an ideal holding gens, checked with the
+    Fraction division loop of the helpers, which shares no code with the
+    engine's pair queue or reduction: every generator and every
+    S-polynomial reduces to zero."""
+    for g in gens:
+        assert fraction_remainder(g, basis, order).is_zero()
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            s = _spoly_for_test(basis[i], basis[j], order)
+            assert fraction_remainder(s, basis, order).is_zero()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(nonzero_polynomials(nvars=3, max_terms=3, max_exp=2), min_size=1, max_size=3))
+def test_the_reduced_basis_passes_buchberger_by_fraction_division(gens):
+    I = Ideal(tuple(gens), 3)
+    assert_groebner_by_fraction_division(reduced_basis(I), I.gens, GLOBAL)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(nonzero_polynomials(nvars=2, max_terms=3, max_exp=2), min_size=1, max_size=2),
+    st.lists(nonzero_polynomials(nvars=2, max_terms=2, max_exp=2), min_size=1, max_size=2),
+    st.data(),
+)
+def test_a_seeded_elimination_basis_passes_buchberger_by_fraction_division(gens, hs, data):
+    # The reduced degrevlex basis of I, lifted with zero tag exponents, is
+    # the settled prefix: no pair within it is formed.  The rest are a
+    # Rabinowitsch polynomial in r = len(hs) tags and a random polynomial
+    # in the tags and the variables.
+    r = len(hs)
+    order = elimination(r)
+    gb = reduced_basis(Ideal(tuple(gens), 2))
+    rabinowitsch = Polynomial.constant(r + 2, 1)
+    for i, h in enumerate(hs):
+        rabinowitsch = rabinowitsch - tagged(h, tuple(int(j == i) for j in range(r)))
+    extra = data.draw(nonzero_polynomials(nvars=r + 2, max_terms=2, max_exp=1))
+    inputs = [tagged(g, (0,) * r) for g in gb] + [rabinowitsch, extra]
+    raw = _standard_basis_raw(map(integer_terms, inputs), order, settled=len(gb))
+    basis = [Polynomial(r + 2, _terms(g)) for g in _reduce_global(raw, order)]
+    assert_groebner_by_fraction_division(basis, inputs, order)
 
 
 @settings(max_examples=25)
@@ -380,6 +428,46 @@ def test_saturation_matches_the_quotient_loop(gens, jgens):
     assert sat.gens == loop_sat.gens
     assert e == loop_e
     assert_primitive(sat.gens, GLOBAL)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(nonzero_polynomials(nvars=3, max_terms=2, max_exp=2), min_size=1, max_size=2),
+    st.lists(nonzero_polynomials(nvars=3, max_terms=2, max_exp=1), min_size=2, max_size=3),
+)
+def test_saturation_by_several_tags_in_three_variables_matches_the_quotient_loop(gens, jgens):
+    I = Ideal(tuple(gens), 3)
+    J = Ideal(tuple(jgens), 3)
+    assume(sum(not is_member(h, I) for h in J.gens) >= 2)
+    sat, e = saturate(I, J)
+    loop_sat, loop_e = saturate_by_quotients(I, J)
+    assert (sat.gens, e) == (loop_sat.gens, loop_e)
+
+
+@pytest.mark.parametrize(
+    "gens, jgens, exponent",
+    [
+        (("x^3+x^3*y", "x*y*z"), ("x^2+x*y", "x*z", "x*z+x"), 3),
+        (("x^2*z^2+x^3", "x+y", "y^3+z^2"), ("x*z+z", "y+y^2"), 4),
+        (("y*z^3+x*z", "y*z^3+x^2"), ("z", "x"), 4),
+    ],
+)
+def test_the_saturation_exponent_waits_for_every_distinct_remainder(gens, jgens, exponent):
+    # In each of these the first remainder of a round leaves I a round
+    # before another one does, so an exponent read from one remainder per
+    # round would be too small.
+    I, J = ideal3(*gens), ideal3(*jgens)
+    sat, e = saturate(I, J)
+    assert (sat.gens, e) == (saturate_by_quotients(I, J)[0].gens, exponent)
+
+
+def test_saturations_of_four_planes_form_few_s_polynomials(monkeypatch):
+    # x*y*z*w at frame seed 0 saturates 18 polar ideals; the tag
+    # elimination starts from the basis of I and takes pairs by sugar.
+    # Pairs by degree from the generators of I formed 462.
+    formed = record_calls(monkeypatch, ideals, "_spoly")
+    run_compute(RunConfig("x*y*z*w", ("x", "y", "z", "w"), seed=0))
+    assert len(formed) == 237
 
 
 @settings(max_examples=20)

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import V2, V3, nonzero_polynomials, p2, p3, polynomials
+from helpers import V2, V3, fraction_det, nonzero_polynomials, p2, p3, polynomials
 from polarlink.orders import GLOBAL, LOCAL
 from polarlink.parse import parse_polynomial
 from polarlink.poly import INFINITE, Polynomial, det
@@ -129,3 +130,22 @@ def test_to_str_examples():
 def test_det_and_invert():
     m = [[2, 1, 0], [0, 1, 0], [1, 0, 1]]
     assert det(m) == 2
+
+
+@st.composite
+def integer_matrices(draw):
+    """Square integer matrices up to 5 by 5; in about half of those of size
+    at least 2 the last row is a combination of two others, so singular."""
+    n = draw(st.integers(0, 5))
+    rows = draw(st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n))
+    if n >= 2 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, n - 2), min_size=2, max_size=2))
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows[-1] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+    return rows
+
+
+@given(integer_matrices())
+def test_det_is_the_fraction_determinant(m):
+    assert det(m) == fraction_det(m)
+    assert type(det(m)) is int
