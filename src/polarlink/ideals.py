@@ -8,23 +8,16 @@ selection), taking pairs by degree.
 On top of those sit saturation (tag variables plus elimination), and the
 Krull dimension and local colength at the origin, which realize the
 critical-locus dimension and the intersection numbers.  Both are read from
-the leads of a Mora standard basis alone (Greuel-Pfister, section 1.7), so
-``mora_standard_basis`` returns only its leads.
+the leads of a Mora standard basis alone (Greuel-Pfister, section 1.7):
+the colength from Mora's loop cut at a degree N, doubled until the leads'
+corner or a Bezout bound settles it (``local_colength``), and, where the
+colength is infinite, the dimension from the uncut loop, whose leads are
+all that ``mora_standard_basis`` returns.
 
 Saturation I : J^infinity is one Rabinowitsch elimination with one tag
 per generator of J outside I, which is exact, so it needs no certificate
 and no fallback.  The elimination starts from the reduced basis of I that
 saturation builds anyway, and forms no pair within it.
-
-Mora's loop cuts at the highest corner (Greuel-Pfister, section 1.7; the
-``noether`` of Singular).  Once the leads of the basis so far generate an
-m-primary ideal, let N be their corner, the least degree at which they
-divide every monomial.  The basis lies in I*O (O the local ring at the
-origin), so m^N lies in I*O + m^(N+1), hence in I*O by Nakayama, and the
-loop drops every term of degree above N: it then computes the standard
-basis of I*O + m^(N+1) = I*O, with the same leads.  ``finite_colength``
-runs the same loop cut at a degree N from the start, for ideals known to
-be zero-dimensional, and doubles N until the leads' corner is at most N.
 
 Everything is exact, and every call computes its basis afresh: the module
 keeps no state between calls.  The engine works on integer coefficients
@@ -220,19 +213,16 @@ def _standard_basis_raw(gens, order, top=None, settled=0):
     order pairs are taken by (deg lcm, i, j): the cut below needs them by
     degree.
 
-    Under the local order the loop cuts at a degree top (Greuel-Pfister,
-    section 1.7, the highest corner).  Once the leads generate an m-primary
-    ideal, top is at most their corner N, the least degree at which they
-    divide every monomial.  Every element of G lies in I*O (I the ideal of
-    gens, O the local ring), so m^N lies in I*O + m^(N+1), and m^N in I*O
-    by Nakayama.  Terms of degree above top are then terms of I*O: no
-    reduction creates one, and a pair whose lcm has degree above top, whose
-    S-polynomial has only such terms, is skipped (pairs come by degree, so
-    the loop ends there).  That is the loop for I*O + m^(top+1) = I*O: every
-    element stays in I*O and keeps its lead, so the leads, and with them
-    ``dimension`` and ``colength``, are those of the uncut loop.  A caller
-    may set top from the start (``finite_colength``); the loop then computes
-    a standard basis of I*O + m^(top+1)."""
+    Under the local order a caller may cut the loop at a degree top
+    (``local_colength``): no reduction creates a term of degree above top,
+    and the loop ends at the first pair whose lcm has a larger degree
+    (pairs come by degree).  That is the loop for I*O + m^(top+1), I the
+    ideal of gens and O the local ring.  Once the leads generate an
+    m-primary ideal, top falls to their corner N, the least degree at
+    which they divide every monomial, if N is lower (Greuel-Pfister,
+    section 1.7): the elements lie in I*O + m^(top+1), so m^N lies in
+    I*O + m^(N+1), hence in I*O by Nakayama, and I*O + m^(N+1) =
+    I*O + m^(top+1).  Without top the loop is Mora's, uncut."""
     G = list(dict.fromkeys(_element(g, order) for g in gens))
     if not G:
         return []
@@ -258,10 +248,12 @@ def _standard_basis_raw(gens, order, top=None, settled=0):
         under the local order -key(m) >= (top + 1) * L^n exactly when
         deg m > top, the degree being the key's leading digit."""
         nonlocal top
-        stairs = _staircase([g[0] for g in G], nvars) if local else None
+        if top is None:
+            return None
+        stairs = _staircase([g[0] for g in G], nvars)
         if stairs is not None:
-            top = stairs[1] + 1 if top is None else min(top, stairs[1] + 1)
-        return None if top is None else (top + 1) * DEGREE_LIMIT**nvars
+            top = min(top, stairs[1] + 1)
+        return (top + 1) * DEGREE_LIMIT**nvars
 
     for t in range(settled, len(G)):
         add_pairs(t)
@@ -454,36 +446,42 @@ def _staircase(lms, nvars):
 
 
 def local_colength(I):
-    """Vector-space dimension of the local ring at the origin modulo I;
-    INFINITE when the quotient has positive local dimension."""
-    return INFINITE if I.is_zero() else colength(mora_standard_basis(I), I.nvars)
+    """Vector-space dimension of the local ring O at the origin modulo I;
+    INFINITE when the quotient has positive local dimension.
 
-
-def finite_colength(I):
-    """local_colength of an ideal I known to be zero-dimensional at the
-    origin, by Mora's loop cut at a degree N from the start.
-
-    That loop gives a standard basis of I*O + m^(N+1), whose leads agree
-    with those of I*O in degrees <= N: an element of m^(N+1) has no term
-    there, and under the local order a lead is a least-degree term.  Once
-    their corner is at most N, every monomial of degree N lies in the
-    leading ideal of I*O, so the monomials outside the leads are those
-    outside the leading ideal of I*O, and their count is the colength.
-    Otherwise N is doubled, from 2.  On an ideal that is not
-    zero-dimensional this only ends at the degree limit."""
+    Mora's loop cut at a degree N (see ``_standard_basis_raw``) gives the
+    leads of I*O in degrees <= N, as under the local order a lead is a
+    least-degree term.  So dim O/(I*O + m^(N+1)) monomials of degree <= N
+    lie outside them, and once their corner is at most N, that is the
+    colength.  If I*O is m-primary, v general combinations of generators
+    of degree <= D meet in an isolated point at 0 (v the number of
+    variables), so the colength is at most D^v (refined Bezout: Fulton,
+    Intersection Theory, section 12.3).  So once more than D^v monomials
+    of degree <= N lie outside the leads, as they do for some N where I*O
+    is not m-primary, the colength is INFINITE.  Else N is doubled, from 2."""
     gens = [integer_terms(g) for g in I.gens]
+    bound = max((g.total_degree() for g in I.gens), default=0) ** I.nvars
     top = 2
     while True:
         check_degree(top)
-        stairs = _staircase([g[0] for g in _standard_basis_raw(gens, LOCAL, top)], I.nvars)
+        lms = [g[0] for g in _standard_basis_raw(gens, LOCAL, top)]
+        stairs = _staircase(lms, I.nvars)
         if stairs is not None and stairs[1] < top:
             return stairs[0]
+        if stairs is None and _outside_exceeds(lms, I.nvars, top, bound):
+            return INFINITE
         top *= 2
 
 
-def colength(lms, nvars):
-    """local_colength of an ideal in nvars variables, read from the leads
-    lms of its Mora standard basis: they miss a pure power of some variable
-    exactly when the local dimension is positive."""
-    stairs = _staircase(lms, nvars)
-    return INFINITE if stairs is None else stairs[0]
+def _outside_exceeds(lms, nvars, top, bound):
+    """Whether more than bound monomials of degree <= top lie outside the
+    monomials lms, counted degree by degree: those outside form an order
+    ideal, so each of degree d + 1 is a variable times one of degree d."""
+    layer, count = {(0,) * nvars}, 0
+    for _ in range(top + 1):
+        layer = {m for m in layer if not any(mono_divides(lm, m) for lm in lms)}
+        count += len(layer)
+        if count > bound:
+            return True
+        layer = {m[:i] + (m[i] + 1,) + m[i + 1 :] for m in layer for i in range(nvars)}
+    return False

@@ -27,8 +27,7 @@ from itertools import accumulate
 from math import gcd
 from operator import add
 
-from .ideals import Ideal, finite_colength
-from .ideals import local_colength  # unused; perfbench/tracer.py rebinds it (ROADMAP item 5)
+from .ideals import Ideal, local_colength
 from .orders import LOCAL, mono_deg
 from .poly import integer_terms
 from .polar import milnor_number  # unused; perfbench/tracer.py rebinds it (ROADMAP item 5)
@@ -178,7 +177,7 @@ def teissier_check(pol, mu, mu_slice):
     INFINITE.
 
     The polar curve then cuts V(f) in finite colength, so the meet is
-    counted by ideals.finite_colength.  By curve selection, take an arc
+    counted by ideals.local_colength.  By curve selection, take an arc
     gamma(t) through 0 in V(meet).  The meet contains d_1 f, ..., d_n f and
     f, so on the arc d/dt f(gamma) = d_0 f(gamma) * gamma_0' = 0.  Either
     d_0 f vanishes on the arc, which then lies in Crit(f), or gamma_0 is
@@ -187,7 +186,7 @@ def teissier_check(pol, mu, mu_slice):
     and V(meet) is the origin.
     """
     fM = pol.fM
-    lhs = finite_colength(Ideal(pol.ideal.gens + (fM,), fM.nvars))
+    lhs = local_colength(Ideal(pol.ideal.gens + (fM,), fM.nvars))
     return verdict(
         "teissier_polar_against_slice",
         mu + mu_slice,

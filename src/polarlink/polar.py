@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import ExcludedCaseError, GammaIdentityViolation, NoValidFrame
-from .ideals import Ideal, colength, dimension, local_colength, mora_standard_basis, saturate
+from .ideals import Ideal, dimension, local_colength, mora_standard_basis, saturate
 from .poly import INFINITE, det
 
 
@@ -139,9 +139,8 @@ class GammaProfile:
     at the witness frame of k, and for k = 1 at the Teissier frame too.
     teissier_trial is that frame, the first whose per_trial[t][0] is not
     None, when s = 0, and None otherwise.  Later checks read these ideals
-    instead of building them again.  mu is the Milnor number (INFINITE
-    unless s = 0), read from the same Jacobian basis as s; threshold is the
-    agreement every k needs for stability.
+    instead of building them again.  mu is the Milnor number, INFINITE
+    unless s = 0; threshold is the agreement every k needs for stability.
     """
 
     n: int
@@ -181,6 +180,9 @@ def gamma_profile(f, trials=5, seed=0, bound=10):
     gamma^n = mult(f) - 1 is enforced as a consistency check.  The caller
     has run the gate of report.build_report on trials, bound, n and f.
 
+    s = 0 where mu = milnor_number(f) is finite; only where it is INFINITE
+    does s come from the uncut Mora basis of the Jacobian ideal.
+
     For k <= s (s = dim Crit f at 0) gamma^k in a frame is the multiplicity
     of the saturated polar ideal.  For k > s it is the Milnor number of f
     restricted to H_k = {z_0 = ... = z_(k-1) = 0}, and no ideal is needed
@@ -201,8 +203,8 @@ def gamma_profile(f, trials=5, seed=0, bound=10):
     """
     n = f.nvars - 1
     mult = f.order_of_vanishing()
-    leads = mora_standard_basis(jacobian_ideal(f))
-    s, mu = dimension(leads, f.nvars), colength(leads, f.nvars)
+    mu = milnor_number(f)
+    s = 0 if mu is not INFINITE else dimension(mora_standard_basis(jacobian_ideal(f)), f.nvars)
     frames = tuple(sample_frames(f.nvars, trials, seed, bound))
     transformed = tuple(fr.transform(f) for fr in frames)
 

@@ -1,5 +1,7 @@
 """Shared strategies and small builders for the test suite."""
 
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import reduce
 
@@ -106,6 +108,23 @@ def record_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, spy)
     return calls
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block once it has run for seconds: a
+    stalled loop then fails its test instead of hanging the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def fraction_remainder(p, basis, order):

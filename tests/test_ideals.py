@@ -25,6 +25,7 @@ from helpers import (
     saturate_by_quotients,
     tag_free_part,
     tagged,
+    time_limit,
 )
 from polarlink import ideals
 from polarlink.ideals import (
@@ -38,7 +39,6 @@ from polarlink.ideals import (
     _standard_basis_raw,
     _terms,
     dimension,
-    finite_colength,
     local_colength,
     mora_standard_basis,
     saturate,
@@ -46,6 +46,7 @@ from polarlink.ideals import (
 from polarlink.errors import DegreeLimitError
 from polarlink.oracle import stable_colength
 from polarlink.orders import DEGREE_LIMIT, GLOBAL, LOCAL, elimination, mono_divides
+from polarlink.parse import parse_polynomial
 from polarlink.polar import jacobian_ideal, sample_frames
 from polarlink.poly import INFINITE, Polynomial, integer_terms
 from polarlink.report import RunConfig, run_compute
@@ -59,9 +60,10 @@ def ideal3(*texts):
     return Ideal(tuple(p3(t) for t in texts), 3)
 
 
-def engine_basis(I, order):
-    """The engine's unreduced basis of I, as its elements."""
-    return _standard_basis_raw(map(integer_terms, I.gens), order)
+def engine_basis(I, order, top=None):
+    """The engine's unreduced basis of I, as its elements; under the local
+    order, cut at the degree top if one is given."""
+    return _standard_basis_raw(map(integer_terms, I.gens), order, top)
 
 
 def elements(polys, order):
@@ -465,9 +467,11 @@ def test_saturations_of_four_planes_form_few_s_polynomials(monkeypatch):
     # x*y*z*w at frame seed 0 saturates 18 polar ideals; the tag
     # elimination starts from the basis of I and takes pairs by sugar.
     # Pairs by degree from the generators of I formed 462.
+    # Only those under global orders are counted: the local ones belong to
+    # the colength loop.
     formed = record_calls(monkeypatch, ideals, "_spoly")
     run_compute(RunConfig("x*y*z*w", ("x", "y", "z", "w"), seed=0))
-    assert len(formed) == 237
+    assert sum(args[3].is_global for args, _ in formed) == 225
 
 
 @settings(max_examples=20)
@@ -556,6 +560,16 @@ def test_colength_sees_local_units():
     assert local_colength(ideal2("x - x^2", "y")) == 1
 
 
+@pytest.mark.parametrize("text", ["x^2*y^2+z^2*w", "x*y*z*w"])
+def test_a_jacobian_ideal_that_is_not_m_primary_is_infinite_in_dense_coordinates(text):
+    # In a random frame the uncut loop ran past 60 s on the first; the cut
+    # loop stops once more than 3^4 monomials lie outside its leads.
+    (frame,) = sample_frames(4, 1, 0)
+    J = jacobian_ideal(frame.transform(parse_polynomial(text, ("x", "y", "z", "w"))))
+    with time_limit(10):
+        assert local_colength(J) is INFINITE
+
+
 # --- the highest corner -------------------------------------------------
 
 
@@ -578,6 +592,11 @@ def test_staircase_of_leads_that_miss_a_pure_power_is_infinite():
     assert _staircase([(2, 0), (1, 1)], 2) is None
     assert _staircase([(0, 0, 1), (1, 1, 0)], 3) is None
     assert _staircase([], 2) is None
+
+
+def cut_leads(I, top):
+    """The leads of Mora's loop for I cut at the degree top."""
+    return [g[0] for g in engine_basis(I, LOCAL, top)]
 
 
 def m_primary_ideals():
@@ -606,16 +625,21 @@ def _m_primary(n, powers, tails, extra):
 
 @settings(max_examples=40, deadline=None)
 @given(m_primary_ideals())
-def test_finite_colength_meets_mora_and_the_truncation_oracle(I):
+def test_local_colength_meets_one_cut_and_the_truncation_oracle(I):
+    # The oracle certifies m^c in I*O for some c <= 16, so one loop cut at
+    # 16 is past the corner and gives the leads of I*O.  The uncut loop is
+    # no reference here: on dense m-primary ideals it can run for minutes.
     r = stable_colength(I, 4, hard_cap=16)
     assert r.stable
-    assert finite_colength(I) == local_colength(I) == r.value
+    assert local_colength(I) == _staircase(cut_leads(I, 16), I.nvars)[0] == r.value
 
 
 @settings(max_examples=40, deadline=None)
 @given(m_primary_ideals())
 def test_a_basis_cut_at_the_corner_is_a_standard_basis(I):
     # The basis cut at the corner is still a standard basis of I in the
-    # local ring: every generator has weak normal form zero.
-    G = _minimalize(engine_basis(I, LOCAL))
+    # local ring: every generator has weak normal form zero.  The pure
+    # powers z_i^a_i, a_i <= 3, put the corner at 7 or below.
+    corner = _staircase(cut_leads(I, 7), I.nvars)[1] + 1
+    G = _minimalize(engine_basis(I, LOCAL, corner))
     assert all(not remainder(g, G, LOCAL) for g in I.gens)

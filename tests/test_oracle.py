@@ -20,10 +20,11 @@ from helpers import (
     nonzero_polynomials,
     p2,
     p3,
+    record_calls,
     stable_colength_by_doubling,
     truncated_colength_by_two_eliminations,
 )
-from polarlink import oracle
+from polarlink import ideals, oracle
 from polarlink.ideals import Ideal, local_colength
 from polarlink.oracle import (
     bezout_gamma,
@@ -327,12 +328,19 @@ def test_the_slice_that_stalled_the_milnor_number_is_three():
     assert milnor_number(fM.substitute_zero([0])) == 3
 
 
-def test_teissier_counts_the_meet_with_finite_colength(monkeypatch):
-    # The meet is finite once mu and mu' are, so the check never asks
-    # Mora's loop whether it is.
-    monkeypatch.setattr(oracle, "local_colength", None)
+def test_teissier_counts_the_meet_with_the_cut_loop(monkeypatch):
+    # The meet is finite once mu and mu' are, and the check counts it with
+    # Mora's loop cut at a degree: the uncut loop, which stalled on these
+    # meets, never runs.
     f = p3("x^2+y^4+z^5")
     for fr in sample_frames(3, 2, seed=0):
         fM = fr.transform(f)
-        v = teissier_check(polar_ideal(fM, fr, 1, jacobian_ideal(fM)), milnor_number(f), slice_mu(fM))
+        pol = polar_ideal(fM, fr, 1, jacobian_ideal(fM))
+        mu, mu_slice = milnor_number(f), slice_mu(fM)
+        with monkeypatch.context() as patch:
+            uncut = record_calls(patch, ideals, "mora_standard_basis")
+            loops = record_calls(patch, ideals, "_standard_basis_raw")
+            v = teissier_check(pol, mu, mu_slice)
         assert v.passed
+        assert uncut == []
+        assert loops and all(args[2] is not None for args, _ in loops)

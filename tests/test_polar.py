@@ -16,6 +16,7 @@ from helpers import (
     record_calls,
     reference_substitution,
     saturating_per_trial,
+    time_limit,
 )
 from polarlink import polar, poly, report
 from polarlink.parse import parse_polynomial
@@ -73,6 +74,14 @@ def test_milnor_numbers():
 
 def test_milnor_smooth_point_is_zero():
     assert milnor_number(p2("x + x^2*y")) == 0
+
+
+def test_the_five_variable_slice_that_stalled_has_milnor_number_four():
+    # The uncut loop spent 21-50 s per frame on this slice.
+    (frame,) = sample_frames(5, 1, 0)
+    f = parse_polynomial("x^3+y^3+z^3+w^2+v^2", ("x", "y", "z", "w", "v"))
+    with time_limit(10):
+        assert milnor_number(frame.transform(f).substitute_zero([0])) == 4
 
 
 # --- frames ---------------------------------------------------------------
@@ -193,6 +202,25 @@ def test_a_finite_cut_builds_no_basis_of_the_polar_ideal(monkeypatch):
     f = p3("x^3+y^3+z^3")
     assert [gamma_in_frame(f, identity_frame(3), k) for k in (1, 2)] == [4, 2]
     assert built == []
+
+
+def test_a_profile_in_dense_coordinates_matches_the_adapted_one():
+    # x^2+y^4+z^5 written in a bound-5 frame: the uncut basis of its
+    # Jacobian ideal ran past 60 s.
+    (frame,) = sample_frames(3, 1, 0, 5)
+    with time_limit(10):
+        prof = gamma_profile(frame.transform(p3("x^2+y^4+z^5")))
+    assert (prof.s, prof.mu, prof.gamma, prof.stable) == (0, 12, (0, 3, 1, 1), True)
+
+
+def test_the_uncut_jacobian_basis_is_built_only_for_a_critical_locus(monkeypatch):
+    # mu comes from the cut loop; s needs the uncut leads only where mu is
+    # INFINITE.
+    built = record_calls(monkeypatch, polar, "mora_standard_basis")
+    gamma_profile(p3("x^3+y^3+z^3"), trials=1)
+    assert built == []
+    gamma_profile(p3("y^2 - x^2*z"), trials=1)
+    assert [args for args, _ in built] == [(jacobian_ideal(p3("y^2 - x^2*z")),)]
 
 
 def test_gamma_profile_two_lines():

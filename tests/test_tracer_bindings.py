@@ -34,10 +34,11 @@ def test_every_traced_binding_resolves():
     assert missing == []
 
 
-def test_a_traced_request_counts_one_round_per_saturation_exponent(monkeypatch):
-    # x*y in (x, y, z) has s = 1, so every frame saturates its first polar
-    # ideal.  Each rebound name is set through monkeypatch first, so that
-    # the names install() rebinds are restored after this test.
+def install_tracer(monkeypatch):
+    """A tracer installed on polarlink's modules, as the benchmark's traced
+    pass installs it, and its traced run_compute and canonical_json.  Each
+    rebound name is set through monkeypatch first, so that the names
+    install() rebinds are restored after the test."""
     tracer_module = load_tracer()
     modules = {
         name: importlib.import_module(f"polarlink.{name}")
@@ -45,10 +46,16 @@ def test_a_traced_request_counts_one_round_per_saturation_exponent(monkeypatch):
     }
     for module, name, _ in tracer_module._BINDINGS:
         monkeypatch.setattr(modules[module], name, getattr(modules[module], name))
-    saturations = record_calls(monkeypatch, modules["polar"], "saturate")
     tracer = tracer_module.Tracer()
     tracer.install(modules)
-    run_compute, canonical_json = tracer.entry_points
+    return tracer, tracer.entry_points
+
+
+def test_a_traced_request_counts_one_round_per_saturation_exponent(monkeypatch):
+    # x*y in (x, y, z) has s = 1, so every frame saturates its first polar
+    # ideal.
+    saturations = record_calls(monkeypatch, importlib.import_module("polarlink.polar"), "saturate")
+    tracer, (run_compute, canonical_json) = install_tracer(monkeypatch)
     tracer.start_request(0)
     doc, code = run_compute(RunConfig("x*y", ("x", "y", "z"), seed=0))
     canonical_json(doc)
@@ -57,3 +64,17 @@ def test_a_traced_request_counts_one_round_per_saturation_exponent(monkeypatch):
     assert calls["report.run_compute"] == calls["report.canonical_json"] == 1
     assert calls["ideals.saturate"] == len(saturations) > 0
     assert tracer.counters["ideals.saturate.rounds"] == sum(e + 1 for _, (_, e) in saturations)
+
+
+def test_a_traced_isolated_request_shows_its_teissier_meet(monkeypatch):
+    # x^2+y^3+z^3 has s = 0, so the report checks Teissier's identity, and
+    # the check counts its meet with ideals.local_colength.
+    tracer, (run_compute, _) = install_tracer(monkeypatch)
+    tracer.start_request(0)
+    _, code = run_compute(RunConfig("x^2+y^3+z^3", ("x", "y", "z"), seed=0))
+    spans = tracer.spans
+    meets = [
+        s for s in spans if s[0] == "ideals.local_colength" and s[3] >= 0 and spans[s[3]][0] == "oracle.teissier_check"
+    ]
+    assert code == 0
+    assert len(meets) == tracer.summary()["calls"]["oracle.teissier_check"] == 1
