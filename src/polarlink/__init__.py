@@ -8,7 +8,6 @@ from .errors import (
     EXIT_UNSTABLE,
     DegreeLimitError,
     ExcludedCaseError,
-    GammaIdentityViolation,
     NoValidFrame,
     ParseError,
     PolarlinkError,

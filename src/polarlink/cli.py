@@ -2,7 +2,7 @@
 
 Exit codes: 0 success with a stable profile, 1 input errors, 2 unstable
 profiles or failed audits (results are still emitted), 3 excluded cases
-(f(0) != 0, smooth origin, locally constant f).
+(f(0) != 0, smooth origin, locally constant f, f not reduced at 0).
 """
 
 from __future__ import annotations
@@ -169,10 +169,10 @@ def _cmd_oracle_teissier(args):
         varnames = _split_vars(args.vars)
         RunConfig(args.poly, varnames, seed=args.seed, bound=args.bound).validate()
         f = parse_polynomial(args.poly, varnames)
-        check_excluded(f)
         wanted = args.frames
         if wanted < 1:
             raise ValueError("--frames must be at least 1")
+        mu, _ = check_excluded(f)
     except (ParseError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -181,7 +181,6 @@ def _cmd_oracle_teissier(args):
         return EXIT_EXCLUDED
     results = []
     budget = 20 * wanted
-    mu = milnor_number(f)
     # No frame is usable when mu is INFINITE, so none is drawn.
     pool = [] if mu is INFINITE else sample_frames(len(varnames), budget, args.seed, args.bound)
     for fr in pool:

@@ -20,7 +20,7 @@ class ParseError(PolarlinkError):
 
 class ExcludedCaseError(PolarlinkError):
     """The input falls outside the standing assumptions: f(0) = 0 and the
-    origin a singular point of a not-locally-constant f.
+    origin a singular point of a not-locally-constant f reduced there.
 
     `reason` is a short machine-readable string, one per excluded case.
     """
@@ -31,12 +31,8 @@ class ExcludedCaseError(PolarlinkError):
 
 
 class NoValidFrame(PolarlinkError):
-    """For some k, no sampled frame cut the polar variety in finite colength."""
-
-
-class GammaIdentityViolation(PolarlinkError):
-    """A computed profile broke one of the hard identities (gamma^n must
-    equal mult - 1); indicates an engine bug or insufficient genericity."""
+    """For some k, no sampled frame was valid, or for k = n, the line H_n of
+    every valid frame lay in the tangent cone: a sampling failure."""
 
 
 class DegreeLimitError(PolarlinkError, ValueError):

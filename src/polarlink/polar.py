@@ -5,11 +5,10 @@ saturation of (df/dz_k, ..., df/dz_n) by the full Jacobian ideal, computed
 after a linear change of coordinates.  Its local colength against the plane
 H_k = {z_0 = ... = z_(k-1) = 0} is the polar multiplicity; the profile
 samples random integer frames and keeps, per k, the minimum over the frames
-where the cut is finite.  Above the critical dimension s, that is for
-k > s, the multiplicity in a frame is the Milnor number of f cut by H_k
-(see gamma_profile), so the profile builds a polar ideal there only at the
-frames whose ideal the report reads: the witness frame of each k, and for
-s = 0 the frame of the Teissier check.
+where the cut is finite.  Above the critical dimension s, which the gate
+check_excluded reads, that is for k > s, the multiplicity in a frame is
+the Milnor number of f cut by H_k (see gamma_profile), so the profile
+builds a polar ideal there only at the witness frame of each k.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import ExcludedCaseError, GammaIdentityViolation, NoValidFrame
+from .errors import ExcludedCaseError, NoValidFrame
 from .ideals import Ideal, dimension, local_colength, mora_standard_basis, saturate
 from .poly import INFINITE, det
 
@@ -135,12 +134,10 @@ class GammaProfile:
     witness[k-1] is the first trial index attaining the reported minimum and
     agreement[k-1] how many trials did.  polar_ideals[t][k-1] is the k-th
     polar ideal of frame t where one was built, and None elsewhere.  It is
-    built in every frame for k <= s, where it gives gamma^k; for k > s only
-    at the witness frame of k, and for k = 1 at the Teissier frame too.
-    teissier_trial is that frame, the first whose per_trial[t][0] is not
-    None, when s = 0, and None otherwise.  Later checks read these ideals
-    instead of building them again.  mu is the Milnor number, INFINITE
-    unless s = 0; threshold is the agreement every k needs for stability.
+    built in every frame for k <= s, where it gives gamma^k, and for k > s
+    only at the witness frame of k; later checks read these ideals instead
+    of building them again.  mu (INFINITE unless s = 0) and s come from the
+    gate, check_excluded; threshold is the agreement every k needs.
     """
 
     n: int
@@ -155,33 +152,42 @@ class GammaProfile:
     witness: tuple
     frames: tuple
     polar_ideals: tuple
-    teissier_trial: object
 
     def witness_polar_ideal(self, k):
         return self.polar_ideals[self.witness[k - 1]][k - 1]
 
 
 def check_excluded(f):
-    """Raise ExcludedCaseError unless f != 0, f(0) = 0 and f has no linear term."""
+    """Judge the standing assumptions on f and return (mu, s): its Milnor
+    number and the dimension of its critical locus at the origin, s read
+    from the uncut Mora basis of the Jacobian ideal only where mu is INFINITE.
+
+    For f(0) = 0 in n + 1 variables, f is reduced at 0 exactly when
+    s <= n - 1.  If g^2 divides f with g(0) = 0, df vanishes on V(g), so
+    s = n.  Conversely f is constant on each connected component of Crit f
+    near 0 (curve selection lemma), so a component of Crit f of dimension n
+    is a component V(g) of V(f); f and df vanish on it, so g^2 divides f.
+    """
     if f.is_zero():
         raise ExcludedCaseError("f is locally constant")
     if f.constant_term() != 0:
         raise ExcludedCaseError("f(0) != 0")
     if f.order_of_vanishing() == 1:
         raise ExcludedCaseError("origin is a smooth point of V(f)")
+    mu = milnor_number(f)
+    s = 0 if mu is not INFINITE else dimension(mora_standard_basis(jacobian_ideal(f)), f.nvars)
+    if s == f.nvars - 1:
+        raise ExcludedCaseError("f is not reduced at the origin")
+    return mu, s
 
 
-def gamma_profile(f, trials=5, seed=0, bound=10):
+def gamma_profile(f, mu, s, trials=5, seed=0, bound=10):
     """Sample polar multiplicities of f over `trials` random frames.
 
     The reported gamma^k is the minimum over valid frames; the profile is
     stable when for every k at least ceil(trials/2) frames agree on that
-    minimum.  gamma^0 = 0 and gamma^(n+1) = 1 by convention, and
-    gamma^n = mult(f) - 1 is enforced as a consistency check.  The caller
-    has run the gate of report.build_report on trials, bound, n and f.
-
-    s = 0 where mu = milnor_number(f) is finite; only where it is INFINITE
-    does s come from the uncut Mora basis of the Jacobian ideal.
+    minimum.  gamma^0 = 0 and gamma^(n+1) = 1 by convention.  The caller
+    has run the gate of report.build_report, whose check_excluded gave mu, s.
 
     For k <= s (s = dim Crit f at 0) gamma^k in a frame is the multiplicity
     of the saturated polar ideal.  For k > s it is the Milnor number of f
@@ -200,11 +206,13 @@ def gamma_profile(f, trials=5, seed=0, bound=10):
     which meets V(J) = {0} only at 0 and so lies in V(I : J^infinity); the
     cut is not finite either.  For s >= 1 such a frame is invalid for k, as
     the prepolar condition asks (ROADMAP item 10).
+
+    As f is reduced, s < n, and gamma^n in a frame is the order of f on the
+    line H_n minus 1: at least mult(f) - 1, with equality exactly when the
+    line misses the tangent cone.  A minimum above it is a sampling failure.
     """
     n = f.nvars - 1
     mult = f.order_of_vanishing()
-    mu = milnor_number(f)
-    s = 0 if mu is not INFINITE else dimension(mora_standard_basis(jacobian_ideal(f)), f.nvars)
     frames = tuple(sample_frames(f.nvars, trials, seed, bound))
     transformed = tuple(fr.transform(f) for fr in frames)
 
@@ -241,20 +249,15 @@ def gamma_profile(f, trials=5, seed=0, bound=10):
         agreement.append(len(hits))
         witness.append(hits[0])
     if gamma[n] != mult - 1:
-        raise GammaIdentityViolation(
-            f"gamma^n = {gamma[n]} disagrees with mult - 1 = {mult - 1}"
+        raise NoValidFrame(
+            f"no frame for k={n} after {trials} trials has its line H_{n} off the tangent cone"
         )
 
-    # Above s, the report reads a polar ideal only at these (frame, k).
-    read = [(witness[k - 1], k) for k in range(s + 1, n + 1)]
-    teissier_trial = None
-    if s == 0:
-        teissier_trial = next(t for t, row in enumerate(per_trial) if row[0] is not None)
-        read.append((teissier_trial, 1))
-    for t, k in read:
-        if polar_ideals[t][k - 1] is None:
-            fM = transformed[t]
-            polar_ideals[t][k - 1] = polar_ideal(fM, frames[t], k, jacobian_ideal(fM))
+    # Above s, the report reads a polar ideal only at the witness frame of k.
+    for k in range(s + 1, n + 1):
+        t = witness[k - 1]
+        fM = transformed[t]
+        polar_ideals[t][k - 1] = polar_ideal(fM, frames[t], k, jacobian_ideal(fM))
 
     threshold = (trials + 1) // 2
     stable = all(a >= threshold for a in agreement)
@@ -271,5 +274,4 @@ def gamma_profile(f, trials=5, seed=0, bound=10):
         witness=tuple(witness),
         frames=frames,
         polar_ideals=tuple(map(tuple, polar_ideals)),
-        teissier_trial=teissier_trial,
     )

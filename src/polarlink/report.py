@@ -17,7 +17,6 @@ from .errors import (
     EXIT_OK,
     EXIT_UNSTABLE,
     ExcludedCaseError,
-    GammaIdentityViolation,
     NoValidFrame,
     ParseError,
 )
@@ -118,9 +117,8 @@ def _oracle_diagnostics(f, profile):
                 context=f"cap={r.cap}",
             )
         )
-        # For s = 0, per_trial[t][0] is the Milnor number of the slice z_0 = 0.
-        t = profile.teissier_trial
-        verdicts.append(teissier_check(profile.polar_ideals[t][0], profile.mu, profile.per_trial[t][0]))
+        # gamma^1 is the Milnor number of the slice z_0 = 0 at its witness frame.
+        verdicts.append(teissier_check(profile.witness_polar_ideal(1), profile.mu, profile.gamma[1]))
     return verdicts, exponents
 
 
@@ -150,7 +148,6 @@ def build_report(cfg):
     """Judge the whole request, then run the pipeline; raises the typed errors."""
     cfg.validate()
     f = parse_polynomial(cfg.poly_text, cfg.varnames)
-    check_excluded(f)
     n = f.nvars - 1
     betti = None
     if cfg.betti is not None:
@@ -159,7 +156,8 @@ def build_report(cfg):
                 f"expected {2 * n} Betti numbers for n={n}, got {len(cfg.betti)}"
             )
         betti = BettiVector(tuple(cfg.betti), cfg.components)
-    profile = gamma_profile(f, cfg.trials, cfg.seed, cfg.bound)
+    mu, s = check_excluded(f)
+    profile = gamma_profile(f, mu, s, cfg.trials, cfg.seed, cfg.bound)
 
     lam = lambda_from_gamma(profile)
     complex_spec = chain_complex(lam)
@@ -261,7 +259,7 @@ def run_compute(cfg):
         return build_report(cfg)
     except ExcludedCaseError as e:
         return _error_document(cfg, "excluded", e.reason), EXIT_EXCLUDED
-    except (NoValidFrame, GammaIdentityViolation) as e:
+    except NoValidFrame as e:
         return _error_document(cfg, "engine", str(e)), EXIT_UNSTABLE
     except (ParseError, ValueError) as e:
         return _error_document(cfg, "input", str(e)), EXIT_INPUT_ERROR
@@ -362,21 +360,42 @@ def bundled_corpus_path():
     return os.path.join(os.path.dirname(__file__), "data", "corpus.jsonl")
 
 
-def _corpus_entry_audits(entry, doc, code):
-    """Per-entry audit verdicts; failures make the corpus run exit 2."""
-    audits = []
+def _failed_audits(entry, doc):
+    """Names of the audits a corpus entry fails; any makes the run exit 2."""
     if "error" in doc:
-        audits.append(("run", False, doc["error"]["reason"]))
-        return audits
-    audits.append(("stable", doc["stability"]["stable"], ""))
-    audits.append(("oracles", doc["oracles"]["all_passed"], ""))
-    expect = entry.get("expect_gamma")
-    if expect is not None:
-        ok = list(expect) == doc["gamma"]
-        audits.append(
-            ("expect_gamma", ok, f"expected {expect}, got {doc['gamma']}")
-        )
-    return audits
+        return ["run"]
+    audits = {
+        "stable": doc["stability"]["stable"],
+        "oracles": doc["oracles"]["all_passed"],
+        "expect_gamma": entry.get("expect_gamma") in (None, doc["gamma"]),
+    }
+    return [name for name, ok in audits.items() if not ok]
+
+
+def _corpus_entry(raw):
+    """The entry on one line of a corpus; raises ValueError saying what is
+    wrong with it.  A JSON true or false is not an int."""
+    try:
+        entry = json.loads(raw)
+    except json.JSONDecodeError as e:
+        raise ValueError(f"is not valid JSON: {e}") from None
+    if not isinstance(entry, dict) or not {"name", "poly", "vars"} <= set(entry):
+        raise ValueError("needs name, poly and vars fields")
+
+    def listed(v, kind):
+        return type(v) is list and all(type(x) is kind for x in v)
+
+    for field, ok in (
+        ("name", type(entry["name"]) is str),
+        ("poly", type(entry["poly"]) is str),
+        ("vars", listed(entry["vars"], str)),
+        ("betti", entry.get("betti") is None or listed(entry["betti"], int)),
+        ("components", entry.get("components") is None or type(entry["components"]) is int),
+        ("expect_gamma", entry.get("expect_gamma") is None or listed(entry["expect_gamma"], int)),
+    ):
+        if not ok:
+            raise ValueError(f"has a {field} field of the wrong type")
+    return entry
 
 
 def run_corpus(path, trials=5, seed=0, bound=10):
@@ -400,42 +419,26 @@ def run_corpus(path, trials=5, seed=0, bound=10):
         if not raw:
             continue
         try:
-            entry = json.loads(raw)
-        except json.JSONDecodeError as e:
-            return (
-                f"error: corpus line {lineno} is not valid JSON: {e}\n",
-                [],
-                EXIT_INPUT_ERROR,
+            entry = _corpus_entry(raw)
+            cfg = RunConfig(
+                poly_text=entry["poly"],
+                varnames=tuple(entry["vars"]),
+                trials=trials,
+                seed=seed,
+                bound=bound,
+                betti=tuple(entry["betti"]) if entry.get("betti") is not None else None,
+                components=entry.get("components"),
             )
-        if not isinstance(entry, dict) or not {"name", "poly", "vars"} <= set(entry):
-            return (
-                f"error: corpus line {lineno} needs name, poly and vars fields\n",
-                [],
-                EXIT_INPUT_ERROR,
-            )
-        cfg = RunConfig(
-            poly_text=entry["poly"],
-            varnames=tuple(entry["vars"]),
-            trials=trials,
-            seed=seed,
-            bound=bound,
-            betti=tuple(entry["betti"]) if entry.get("betti") is not None else None,
-            components=entry.get("components"),
-        )
-        doc, code = run_compute(cfg)
-        if code == EXIT_INPUT_ERROR:
-            return (
-                f"error: corpus line {lineno} ({entry['name']}): "
-                f"{doc['error']['reason']}\n",
-                [],
-                EXIT_INPUT_ERROR,
-            )
+            doc, code = run_compute(cfg)
+            if code == EXIT_INPUT_ERROR:
+                raise ValueError(f"({entry['name']}): {doc['error']['reason']}")
+        except ValueError as e:
+            return f"error: corpus line {lineno} {e}\n", [], EXIT_INPUT_ERROR
         reports.append((entry["name"], doc, code))
         if code == EXIT_EXCLUDED:
             lines.append(f"{entry['name']:24s} excluded: {doc['error']['reason']}")
             continue
-        audits = _corpus_entry_audits(entry, doc, code)
-        bad = [name for name, ok, _ in audits if not ok]
+        bad = _failed_audits(entry, doc)
         if bad:
             failed = True
         gamma = doc.get("gamma", "-")

@@ -11,7 +11,14 @@ from polarlink.ideals import Ideal, _reduce_global, _standard_basis_raw, _terms
 from polarlink.oracle import _echelon_pivots, monomials_of_degree
 from polarlink.orders import GLOBAL, elimination, mono_div, mono_divides
 from polarlink.parse import parse_polynomial
-from polarlink.polar import CoordinateFrame, jacobian_ideal, polar_ideal, polar_multiplicity
+from polarlink.polar import (
+    CoordinateFrame,
+    check_excluded,
+    gamma_profile,
+    jacobian_ideal,
+    polar_ideal,
+    polar_multiplicity,
+)
 from polarlink.poly import Polynomial, integer_terms
 
 V2 = ["x", "y"]
@@ -72,6 +79,12 @@ def reduced_basis(I, order=GLOBAL):
 
 def identity_frame(nvars):
     return CoordinateFrame(tuple(tuple(int(i == j) for j in range(nvars)) for i in range(nvars)))
+
+
+def gated_profile(f, trials=5, seed=0, bound=10):
+    """gamma_profile of f with the mu and s that the gate reads, as a
+    report computes it."""
+    return gamma_profile(f, *check_excluded(f), trials, seed, bound)
 
 
 def gamma_in_frame(f, frame, k):

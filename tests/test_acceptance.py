@@ -10,11 +10,12 @@ import json
 
 import pytest
 
+from helpers import gated_profile
 from polarlink.cli import main
 from polarlink.ideals import Ideal
 from polarlink.oracle import bezout_gamma, teissier_check
 from polarlink.parse import parse_polynomial
-from polarlink.polar import gamma_profile, jacobian_ideal, milnor_number, polar_ideal, sample_frames
+from polarlink.polar import jacobian_ideal, milnor_number, polar_ideal, sample_frames
 from polarlink.poly import INFINITE
 from polarlink.report import (
     RunConfig,
@@ -74,7 +75,7 @@ def test_criterion_1_fermat_family():
     for n, d in cases:
         varnames = names[: n + 1]
         poly = " + ".join(f"{v}^{d}" for v in varnames)
-        profile = gamma_profile(parse_polynomial(poly, varnames))
+        profile = gated_profile(parse_polynomial(poly, varnames))
         assert profile.stable, (n, d)
         for k in range(n + 2):
             assert profile.gamma[k] == bezout_gamma(n, d, k), (n, d, k)
@@ -137,7 +138,7 @@ def test_criterion_5_teissier_on_isolated_members(corpus_entries):
     for entry in corpus_entries:
         varnames = tuple(entry["vars"])
         f = parse_polynomial(entry["poly"], varnames)
-        profile = gamma_profile(f, trials=3)
+        profile = gated_profile(f, trials=3)
         if profile.s != 0:
             continue
         passed_frames = []

@@ -166,6 +166,27 @@ def test_corpus_missing_fields_rejected(capsys, tmp_path):
     assert "line 1" in out
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("components", "2"),
+        ("betti", "01"),
+        ("poly", 5),
+        ("expect_gamma", 5),
+        ("vars", "xy"),
+        ("betti", [0, 1.5]),
+    ],
+)
+def test_corpus_mistyped_field_names_the_line_and_the_field(capsys, tmp_path, field, value):
+    path = tmp_path / "c.jsonl"
+    good = {"name": "cusp", "poly": "x^2 + y^3", "vars": ["x", "y"]}
+    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: value}) + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "corpus", str(path), "--trials", "1")
+    assert code == 1
+    assert out == f"error: corpus line 2 has a {field} field of the wrong type\n"
+    assert "Traceback" not in err
+
+
 def test_corpus_empty_file_passes_vacuously(capsys, tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("\n\n", encoding="utf-8")
@@ -267,6 +288,7 @@ EDGES = (
     ("unit-at-origin", ("--poly", "x + 1"), BOTH, 3, "f(0) != 0"),
     ("zero", ("--poly", "0"), BOTH, 3, "f is locally constant"),
     ("smooth-origin", ("--poly", "x + y^2"), BOTH, 3, "origin is a smooth point of V(f)"),
+    ("non-reduced", ("--poly", "x^2*y"), BOTH, 3, "f is not reduced at the origin"),
     ("frames-0", ("--frames", "0"), ("teissier",), 1, "--frames must be at least 1"),
 )
 ENTRY = {"compute": ("compute",), "teissier": ("oracle", "teissier")}
@@ -345,7 +367,8 @@ def test_oracle_teissier_refuses_degrees_past_the_order_limit(capsys, monkeypatc
 
 @pytest.mark.parametrize("betti", ["1,2,3", "0,-1"])
 def test_compute_refuses_a_malformed_betti_before_any_frame(capsys, monkeypatch, betti):
-    # x^2 in (x, y) fails in the engine; the Betti vector is judged first.
+    # x^2 in (x, y) is refused at the gate as not reduced; the Betti vector
+    # is judged first.
     calls = _count_frame_transforms(monkeypatch)
     code, doc, _ = compute_doc(capsys, "--poly", "x^2", "--vars", "x,y", "--betti", betti)
     assert code == 1

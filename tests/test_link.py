@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import p2, p3
+from helpers import gated_profile, p2, p3
 from polarlink.link import (
     BettiVector,
     allowed_degrees,
@@ -15,7 +15,7 @@ from polarlink.link import (
     n1_exact_sequence,
     telescope_table,
 )
-from polarlink.polar import GammaProfile, gamma_profile
+from polarlink.polar import GammaProfile
 from polarlink.report import RunConfig
 
 
@@ -37,7 +37,6 @@ def fake_profile(gamma, mult=None, s=0):
         witness=(0,) * n,
         frames=(),
         polar_ideals=(),
-        teissier_trial=None,
     )
 
 
@@ -126,26 +125,26 @@ def feasibility(betti, prof):
 
 
 def test_feasibility_two_lines_passes():
-    prof = gamma_profile(p2("x*y"), trials=3, seed=0)
+    prof = gated_profile(p2("x*y"), trials=3, seed=0)
     checks = feasibility(BettiVector((1, 2), components=2), prof)
     assert all(c.passed for c in checks)
 
 
 def test_feasibility_two_lines_overcount_fails_family1_p0():
-    prof = gamma_profile(p2("x*y"), trials=3, seed=0)
+    prof = gated_profile(p2("x*y"), trials=3, seed=0)
     checks = feasibility(BettiVector((2, 3)), prof)
     failed = {c.name for c in checks if not c.passed}
     assert "morse_family1_p0" in failed
 
 
 def test_feasibility_a1_surface():
-    prof = gamma_profile(p3("x^2+y^2+z^2"), trials=3, seed=0)
+    prof = gated_profile(p3("x^2+y^2+z^2"), trials=3, seed=0)
     checks = feasibility(BettiVector((0, 0, 0, 1)), prof)
     assert all(c.passed for c in checks)
 
 
 def test_feasibility_window_violation_detected():
-    prof = gamma_profile(p3("x^2+y^2+z^2+x^3"), trials=3, seed=0)
+    prof = gated_profile(p3("x^2+y^2+z^2+x^3"), trials=3, seed=0)
     # degree 0 and 3 are fine for n=2, but a fake value anywhere is caught
     # by euler/window/bounds; use an s=0 window with a bad degree-0 entry
     checks = feasibility(BettiVector((1, 0, 0, 1)), prof)
@@ -154,7 +153,7 @@ def test_feasibility_window_violation_detected():
 
 
 def test_feasibility_component_checks():
-    prof = gamma_profile(p2("x*y"), trials=3, seed=0)
+    prof = gated_profile(p2("x*y"), trials=3, seed=0)
     checks = feasibility(BettiVector((1, 2), components=3), prof)
     names = {c.name: c.passed for c in checks}
     assert not names["components_equal_top_betti"]
@@ -171,21 +170,21 @@ def test_betti_vector_validation():
 
 
 def test_n1_sequence_ranks():
-    prof = gamma_profile(p2("x*y"), trials=3, seed=0)
+    prof = gated_profile(p2("x*y"), trials=3, seed=0)
     seq = n1_exact_sequence(prof)
     assert seq.ranks == (None, 1, 2, None)
     assert seq.checks == ()
 
 
 def test_n1_sequence_with_betti():
-    prof = gamma_profile(p2("x^2+y^3"), trials=3, seed=0)
+    prof = gated_profile(p2("x^2+y^3"), trials=3, seed=0)
     seq = n1_exact_sequence(prof, BettiVector((0, 1)))
     assert seq.ranks == (0, 1, 2, 1)
     assert all(c.passed for c in seq.checks)
 
 
 def test_n1_sequence_detects_broken_relation():
-    prof = gamma_profile(p2("x*y"), trials=3, seed=0)
+    prof = gated_profile(p2("x*y"), trials=3, seed=0)
     seq = n1_exact_sequence(prof, BettiVector((0, 2)))
     names = {c.name: c.passed for c in seq.checks}
     assert not names["difference_is_one"]

@@ -22,7 +22,8 @@ import polarlink
 from polarlink import errors, report
 
 PACKAGE = Path(polarlink.__file__).parent
-BENCHMARK = PACKAGE.parent.parent / "perfbench"
+ROOT = PACKAGE.parent.parent
+BENCHMARK = ROOT / "perfbench"
 
 
 def test_no_module_level_mutable_containers():
@@ -139,6 +140,24 @@ def callers(name):
 def test_the_excluded_cases_are_decided_at_the_gate_alone():
     assert callers("ExcludedCaseError") == {"polar.check_excluded"}
     assert callers("check_excluded") == {"report.build_report", "cli._cmd_oracle_teissier"}
+
+
+def test_every_excluded_reason_is_documented():
+    # A report's error reason for an excluded input is the string literal
+    # the gate passes to ExcludedCaseError; each is listed verbatim in the
+    # README's exit codes and in the report schema.
+    reasons = [
+        node.args[0].value
+        for path, tree in sources()
+        if path.parent == PACKAGE
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ExcludedCaseError"
+    ]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    exit_codes = readme.split("### Exit codes", 1)[1].split("\n#", 1)[0]
+    schema = (ROOT / "docs" / "report_schema.md").read_text(encoding="utf-8")
+    assert len(reasons) == 4
+    assert [r for r in reasons if r not in exit_codes or r not in schema] == []
 
 
 def test_every_error_type_is_mapped_by_run_compute():

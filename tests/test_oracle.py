@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from helpers import (
     V2,
     fraction_echelon_pivots,
+    gated_profile,
     identity_frame,
     monomials_below,
     nonzero_polynomials,
@@ -36,7 +37,6 @@ from polarlink.oracle import (
 )
 from polarlink.polar import (
     CoordinateFrame,
-    gamma_profile,
     jacobian_ideal,
     milnor_number,
     polar_ideal,
@@ -252,11 +252,13 @@ def test_teissier_cusp_generic_frames():
 
 
 def test_teissier_rejects_nonisolated():
-    # mu is INFINITE, so no frame is usable: the profile names no Teissier
-    # frame and the report carries no Teissier verdict.
+    # mu is INFINITE, so no frame is usable: the witness frame of k = 1
+    # has its polar ideal, but the report carries no Teissier verdict.
     f = p3("y^2 - x^2*z")
     assert milnor_number(f) is INFINITE
-    assert gamma_profile(f, trials=5, seed=0).teissier_trial is None
+    prof = gated_profile(f, trials=5, seed=0)
+    assert (prof.mu, prof.s) == (INFINITE, 1)
+    assert prof.witness_polar_ideal(1) is not None
     doc, code = run_compute(RunConfig("y^2 - x^2*z", ("x", "y", "z")))
     assert code == 0
     assert "teissier_polar_against_slice" not in [v["name"] for v in doc["oracles"]["verdicts"]]
@@ -283,18 +285,30 @@ def test_teissier_rejects_degenerate_frame():
     # The identity frame slices xy along one of its own branches, so its
     # slice is not isolated and the frame is unusable.  At frame seed 4 and
     # bound 1 the first frame, ((-1, 0), (-1, 1)), maps x to -x, so f is 0
-    # on z_0 = 0 too: it reads None and the check runs in the next frame.
+    # on z_0 = 0 too: it reads None, and the check runs in the witness frame
+    # of k = 1, the next one.
     f = p2("x*y")
     assert slice_mu(f) is INFINITE
-    prof = gamma_profile(f, trials=5, seed=4, bound=1)
+    prof = gated_profile(f, trials=5, seed=4, bound=1)
     assert prof.per_trial[0] == (None,)
-    assert prof.teissier_trial == 1
+    assert prof.witness[0] == 1
     fM = prof.frames[1].transform(f)
     v = teissier_check(prof.polar_ideals[1][0], prof.mu, slice_mu(fM))
     assert (v.passed, v.expected) == (True, 2)
     doc, code = run_compute(RunConfig("x*y", ("x", "y"), seed=4, bound=1))
     (teissier,) = [v for v in doc["oracles"]["verdicts"] if v["name"] == "teissier_polar_against_slice"]
     assert (teissier["passed"], teissier["expected"]) == (True, 2)
+
+
+def test_teissier_reads_the_witness_frame_of_k1():
+    # At frame seed 4 and bound 2, frame 0 of the cusp slices it with
+    # Milnor number 2, above the generic 1; the check runs in the witness
+    # frame, where its slice is generic.
+    doc, code = run_compute(RunConfig("x^2+y^3", ("x", "y"), seed=4, bound=2))
+    assert code == 0
+    assert doc["stability"]["per_trial"][0] == [2]
+    (teissier,) = [v for v in doc["oracles"]["verdicts"] if v["name"] == "teissier_polar_against_slice"]
+    assert (teissier["passed"], teissier["expected"], teissier["context"]) == (True, 3, "mu=2, mu_slice=1")
 
 
 # Isolated surfaces whose Teissier check used to stall in Mora's loop at

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from helpers import (
     canonical,
     gamma_in_frame,
+    gated_profile,
     identity_frame,
     p2,
     p3,
@@ -20,7 +21,7 @@ from helpers import (
 )
 from polarlink import polar, poly, report
 from polarlink.parse import parse_polynomial
-from polarlink.errors import EXIT_INPUT_ERROR, ExcludedCaseError
+from polarlink.errors import EXIT_EXCLUDED, EXIT_INPUT_ERROR, EXIT_UNSTABLE, ExcludedCaseError
 from polarlink.ideals import dimension, mora_standard_basis
 from polarlink.polar import (
     CoordinateFrame,
@@ -43,7 +44,8 @@ def test_jacobian_gens():
 
 
 def critical_dimension(f):
-    """The local dimension s of the critical locus, as gamma_profile reads it."""
+    """The local dimension s of the critical locus, as the gate reads it
+    where the Milnor number is INFINITE."""
     return dimension(mora_standard_basis(jacobian_ideal(f)), f.nvars)
 
 
@@ -127,7 +129,7 @@ def test_each_frame_determinant_is_computed_once(monkeypatch):
     monkeypatch.setattr(polar, "det", counting)
     monkeypatch.setattr(poly, "det", counting)
     sample_frames(3, 5, 3)
-    gamma_profile(p3("x*y*z"), trials=5, seed=3)
+    gated_profile(p3("x*y*z"), trials=5, seed=3)
     assert len(calls) == 10
 
 
@@ -209,22 +211,25 @@ def test_a_profile_in_dense_coordinates_matches_the_adapted_one():
     # Jacobian ideal ran past 60 s.
     (frame,) = sample_frames(3, 1, 0, 5)
     with time_limit(10):
-        prof = gamma_profile(frame.transform(p3("x^2+y^4+z^5")))
+        prof = gated_profile(frame.transform(p3("x^2+y^4+z^5")))
     assert (prof.s, prof.mu, prof.gamma, prof.stable) == (0, 12, (0, 3, 1, 1), True)
 
 
 def test_the_uncut_jacobian_basis_is_built_only_for_a_critical_locus(monkeypatch):
-    # mu comes from the cut loop; s needs the uncut leads only where mu is
-    # INFINITE.
+    # The gate reads mu from the cut loop; s needs the uncut leads only
+    # where mu is INFINITE, and the profile builds none.
     built = record_calls(monkeypatch, polar, "mora_standard_basis")
-    gamma_profile(p3("x^3+y^3+z^3"), trials=1)
+    assert check_excluded(p3("x^3+y^3+z^3")) == (8, 0)
     assert built == []
-    gamma_profile(p3("y^2 - x^2*z"), trials=1)
-    assert [args for args, _ in built] == [(jacobian_ideal(p3("y^2 - x^2*z")),)]
+    f = p3("y^2 - x^2*z")
+    assert check_excluded(f) == (INFINITE, 1)
+    assert [args for args, _ in built] == [(jacobian_ideal(f),)]
+    gamma_profile(f, INFINITE, 1, trials=1)
+    assert len(built) == 1
 
 
 def test_gamma_profile_two_lines():
-    prof = gamma_profile(p2("x*y"), trials=5, seed=0)
+    prof = gated_profile(p2("x*y"), trials=5, seed=0)
     assert prof.gamma == (0, 1, 1)
     assert prof.mult == 2
     assert prof.s == 0
@@ -232,7 +237,7 @@ def test_gamma_profile_two_lines():
 
 
 def test_gamma_profile_fermat_cubic():
-    prof = gamma_profile(p3("x^3+y^3+z^3"), trials=5, seed=0)
+    prof = gated_profile(p3("x^3+y^3+z^3"), trials=5, seed=0)
     assert prof.gamma == (0, 4, 2, 1)
     assert prof.stable
     assert prof.agreement == (5, 5)
@@ -240,18 +245,18 @@ def test_gamma_profile_fermat_cubic():
 
 def test_gamma_profile_quadric_any_seed():
     for seed in (0, 1):
-        prof = gamma_profile(p3("x^2+y^2+z^2"), trials=3, seed=seed)
+        prof = gated_profile(p3("x^2+y^2+z^2"), trials=3, seed=seed)
         assert prof.gamma == (0, 1, 1, 1)
 
 
 def test_gamma_profile_single_trial():
-    prof = gamma_profile(p2("x^2+y^3"), trials=1, seed=2)
+    prof = gated_profile(p2("x^2+y^3"), trials=1, seed=2)
     assert prof.gamma == (0, 1, 1)
     assert len(prof.frames) == prof.threshold == 1
 
 
 def test_gamma_profile_whitney():
-    prof = gamma_profile(p3("y^2 - x^2*z"), trials=5, seed=0)
+    prof = gated_profile(p3("y^2 - x^2*z"), trials=5, seed=0)
     assert prof.gamma == (0, 1, 1, 1)
     assert prof.s == 1
 
@@ -266,7 +271,7 @@ def test_gamma_profile_excluded_cases():
 
 
 def test_gamma_profile_witness_frames_attain_minimum():
-    prof = gamma_profile(p3("x*y*z"), trials=5, seed=0)
+    prof = gated_profile(p3("x*y*z"), trials=5, seed=0)
     assert prof.gamma == (0, 1, 2, 1)
     for k in range(1, prof.n + 1):
         t = prof.witness[k - 1]
@@ -282,15 +287,55 @@ def test_gamma_profile_transforms_f_once_per_frame(monkeypatch):
         return transform(frame, p)
 
     monkeypatch.setattr(CoordinateFrame, "transform", counting)
-    prof = gamma_profile(p3("x^3+y^3+z^3"), trials=5, seed=0)
+    prof = gated_profile(p3("x^3+y^3+z^3"), trials=5, seed=0)
     assert calls == [fr.matrix for fr in prof.frames]
 
 
 def test_gamma_profile_carries_mu_and_threshold():
+    # mu and s come from the gate, which reads them once.
     f = p3("x^3+y^3+z^3")
-    prof = gamma_profile(f, trials=5, seed=0)
-    assert (prof.mu, prof.threshold) == (milnor_number(f), 3)
-    assert gamma_profile(p3("y^2 - x^2*z"), trials=4, seed=0).mu is INFINITE
+    mu, s = check_excluded(f)
+    assert (mu, s) == (milnor_number(f), 0)
+    prof = gamma_profile(f, mu, s, trials=5, seed=0)
+    assert (prof.mu, prof.s, prof.threshold) == (mu, s, 3)
+    assert gated_profile(p3("y^2 - x^2*z"), trials=4, seed=0).mu is INFINITE
+
+
+# Germs that are not reduced at the origin: each has s = n.
+NON_REDUCED = (
+    ("x^2", ("x", "y")),
+    ("x^2*y", ("x", "y")),
+    ("x^3+x^2*y", ("x", "y")),
+    ("x^2*(1+y)", ("x", "y")),
+    ("(x^2-y^3)^2", ("x", "y")),
+    ("x^2*y", ("x", "y", "z")),
+    ("(x+y)^2*z", ("x", "y", "z")),
+    ("x^2*(y^2-z^3)", ("x", "y", "z")),
+    ("(x^2+y^2+z^2)^2", ("x", "y", "z")),
+)
+
+
+@pytest.mark.parametrize("text, varnames", NON_REDUCED)
+def test_a_non_reduced_germ_is_refused_before_any_frame(monkeypatch, text, varnames):
+    transformed = record_calls(monkeypatch, CoordinateFrame, "transform")
+    doc, code = run_compute(RunConfig(text, varnames))
+    assert code == EXIT_EXCLUDED
+    assert doc["error"] == {"kind": "excluded", "reason": "f is not reduced at the origin"}
+    assert transformed == []
+
+
+def test_a_reduced_germ_with_a_square_in_it_is_admitted():
+    # (x^2-y^3)^2 is not reduced, but adding z^7 makes it so: s = 1 < n = 2.
+    assert check_excluded(p3("(x^2-y^3)^2+z^7")) == (INFINITE, 1)
+
+
+def test_a_frame_line_in_the_tangent_cone_is_a_sampling_failure():
+    # At frame seed 4 and bound 1 the only frame's line H_1 lies in the
+    # tangent cone x^2 = 0 of the cusp, so gamma^1 reads 2, not mult - 1 = 1.
+    doc, code = run_compute(RunConfig("x^2+y^3", ("x", "y"), trials=1, seed=4, bound=1))
+    assert code == EXIT_UNSTABLE
+    assert doc["error"]["kind"] == "engine"
+    assert "tangent cone" in doc["error"]["reason"]
 
 
 def test_profile_needs_two_variables():
