@@ -168,25 +168,30 @@ def teissier_check(pol, mu, mu_slice):
     sum of the Milnor numbers of f and its slice by z_0 = 0 in the frame.
 
     pol is the first polar ideal of f (k = 1) in the frame to check, as
-    polar.polar_ideal builds it, which carries f in that frame too.  mu =
-    milnor_number(f) and mu_slice, the Milnor number of that f with z_0 = 0,
-    come from the caller, which uses the check only where both are finite:
-    a frame where the slice is not isolated is unusable.  The polar ideal is
-    then not zero: it contains d_1 fM, ..., d_n fM, so were it zero, fM
-    would be a polynomial in z_0 alone, with Jacobian ideal (d_0 fM), and mu
-    INFINITE.
+    polar.polar_ideal builds it: held in the coordinates of f, with f and
+    the frame M.  mu = milnor_number(f) and mu_slice, the Milnor number of
+    f o M with z_0 = 0, come from the caller, which uses the check only
+    where both are finite: a frame where the slice is not isolated is
+    unusable.  The meet is taken in the coordinates of f: with
+    phi(p)(z) = p(Mz), the frame's polar ideal is phi(pol.ideal) and
+    f o M = phi(f), and phi is an automorphism of the local ring at 0, so
+    dim O/(phi(pol.ideal) + (f o M)) = dim O/(pol.ideal + (f)).
 
-    The polar curve then cuts V(f) in finite colength, so the meet is
-    counted by ideals.local_colength.  By curve selection, take an arc
-    gamma(t) through 0 in V(meet).  The meet contains d_1 f, ..., d_n f and
-    f, so on the arc d/dt f(gamma) = d_0 f(gamma) * gamma_0' = 0.  Either
-    d_0 f vanishes on the arc, which then lies in Crit(f), or gamma_0 is
-    constant 0 and the arc lies in Crit(f restricted to z_0 = 0).  Both are
-    the origin alone, as mu and mu_slice are finite, so the arc is constant
-    and V(meet) is the origin.
+    The polar ideal is not zero: it contains the derivatives d_1, ..., d_n
+    of f along the columns 1..n of M, so were it zero, f o M would be a
+    polynomial in z_0 alone, with Jacobian ideal (d(f o M)/dz_0), and mu
+    INFINITE.  The polar curve then cuts V(f) in finite colength, so the
+    meet is counted by ideals.local_colength.  In the frame, by curve
+    selection, take an arc gamma(t) through 0 in V(meet).  The meet
+    contains the partials of f o M along z_1, ..., z_n and f o M, so on the
+    arc d/dt (f o M)(gamma) = d(f o M)/dz_0 (gamma) * gamma_0' = 0.  Either
+    d(f o M)/dz_0 vanishes on the arc, which then lies in Crit(f o M), or
+    gamma_0 is constant 0 and the arc lies in the critical locus of the
+    slice z_0 = 0.  Both are the origin alone, as mu and mu_slice are
+    finite, so the arc is constant and V(meet) is the origin.
     """
-    fM = pol.fM
-    lhs = local_colength(Ideal(pol.ideal.gens + (fM,), fM.nvars))
+    f = pol.f
+    lhs = local_colength(Ideal(pol.ideal.gens + (f,), f.nvars))
     return verdict(
         "teissier_polar_against_slice",
         mu + mu_slice,

@@ -1,14 +1,18 @@
 """Polar ideals of a hypersurface singularity and their local multiplicities.
 
-For f vanishing at the origin of C^(n+1), the k-th polar ideal is the
-saturation of (df/dz_k, ..., df/dz_n) by the full Jacobian ideal, computed
-after a linear change of coordinates.  Its local colength against the plane
-H_k = {z_0 = ... = z_(k-1) = 0} is the polar multiplicity; the profile
-samples random integer frames and keeps, per k, the minimum over the frames
-where the cut is finite.  Above the critical dimension s, which the gate
-check_excluded reads, that is for k > s, the multiplicity in a frame is
-the Milnor number of f cut by H_k (see gamma_profile), so the profile
-builds a polar ideal there only at the witness frame of each k.
+For f vanishing at the origin of C^(n+1), the k-th polar ideal in a frame
+M is the saturation of (d(f o M)/dz_k, ..., d(f o M)/dz_n) by the full
+Jacobian ideal of f o M.  It is built in the coordinates of f, where a
+sparse f stays sparse: the frame enters only through the derivatives of f
+along the columns of M, which generate it (see polar_ideal), and through
+the plane H_k = {z_0 = ... = z_(k-1) = 0} of the frame that cuts it (see
+plane_cut).  The local colength of that cut is the polar multiplicity;
+the profile samples random integer frames and keeps, per k, the minimum
+over the frames where the cut is finite.  Above the critical dimension s,
+which the gate check_excluded reads, that is for k > s, the multiplicity
+in a frame is the Milnor number of f cut by H_k (see gamma_profile), so
+the profile builds a polar ideal there only at the witness frame of each
+k.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import ExcludedCaseError, NoValidFrame
 from .ideals import Ideal, dimension, local_colength, mora_standard_basis, saturate
-from .poly import INFINITE, det
+from .poly import INFINITE, Polynomial, det
 
 
 @dataclass(frozen=True)
@@ -33,6 +37,11 @@ class CoordinateFrame:
 
     def transform(self, p):
         return p.substitute_linear(self.matrix)
+
+    def restrict(self, p, k):
+        """transform(p) restricted to the plane z_0 = ... = z_(k-1) = 0, in
+        z_k..z_n: p substituted by the columns k..n of the matrix."""
+        return p.substitute_linear(tuple(row[k:] for row in self.matrix))
 
 
 def sample_frames(nvars, count, seed, bound=10):
@@ -72,27 +81,44 @@ def milnor_number(g):
 
 @dataclass(frozen=True)
 class PolarIdeal:
-    """The k-th polar ideal in a frame, with fM = frame.transform(f), the
-    polynomial it was built from."""
+    """The k-th polar ideal of f in frame, held in the coordinates of f:
+    its image under z -> frame.matrix * z is the polar ideal in the frame
+    (see polar_ideal).  plane_cut and teissier_check read f and frame."""
 
     ideal: Ideal
     saturation_exponent: int
     k: int
-    fM: object
+    f: object
+    frame: CoordinateFrame
 
 
-# frame is unused; perfbench/tracer.py reads it (ROADMAP item 5)
-def polar_ideal(fM, frame, k, jacobian):
-    """k-th polar ideal of f in the given frame, from fM = frame.transform(f)
-    and jacobian = jacobian_ideal(fM), both built once per frame.
+def polar_ideal(f, frame, k):
+    """k-th polar ideal of f in the given frame (1 <= k <= n), in the
+    coordinates of f: I' : A^infinity, with I' = (d_k, ..., d_n) and
+    A = (d_0, ..., d_(k-1)), where d_j = sum_i M[i][j] * df/dz_i is the
+    derivative of f along column j of M = frame.matrix.
 
-    Generated by the partials of fM with respect to z_k..z_n (1 <= k <= n),
-    saturated by the full Jacobian ideal to remove the critical locus.
+    Why this is the polar ideal of the frame.  Let phi(p)(z) = p(Mz), an
+    automorphism of the polynomial ring and of the local ring at 0, as M
+    is invertible and fixes the origin.  By the chain rule
+    d(f o M)/dz_j = phi(d_j), so the polar ideal of the frame, the partials
+    of f o M for j >= k saturated by all of them, is phi of (I' : J^infinity)
+    with J = I' + A.  Saturating by A instead of J changes nothing: J^m
+    lies in A^m + I' and A^m in J^m, so for every m, I' : J^m = I' : A^m.
+    The saturation exponent is thus the same, and phi carries ideal,
+    quotients and exponent over exactly.
     """
-    n = fM.nvars - 1
-    gens = [fM.partial_derivative(i) for i in range(k, n + 1)]
-    sat, exponent = saturate(Ideal(gens, fM.nvars), jacobian)
-    return PolarIdeal(sat, exponent, k, fM)
+    partials = [f.partial_derivative(i) for i in range(f.nvars)]
+    d = []
+    for column in zip(*frame.matrix):
+        terms = {}
+        for c, p in zip(column, partials):
+            if c:
+                for m, v in p.terms.items():
+                    terms[m] = terms.get(m, 0) + c * v
+        d.append(Polynomial(f.nvars, terms))
+    sat, exponent = saturate(Ideal(d[k:], f.nvars), Ideal(d[:k], f.nvars))
+    return PolarIdeal(sat, exponent, k, f, frame)
 
 
 def polar_multiplicity(pol):
@@ -118,10 +144,14 @@ def section_multiplicity(fM, k):
 
 
 def plane_cut(pol):
-    """The polar ideal cut by the plane z_0 = ... = z_(k-1) = 0, as an
-    ideal in the remaining variables z_k..z_n."""
+    """The polar ideal of the frame cut by its plane z_0 = ... = z_(k-1) =
+    0, as an ideal in the remaining variables z_k..z_n of the frame: each
+    generator g of pol.ideal, held in the coordinates of f, evaluated at
+    M[:, k..n] * (z_k, ..., z_n), M = pol.frame.matrix.  That is
+    phi(g) = g(Mz) with z_0, ..., z_(k-1) set to 0, so the cut ideal is the
+    frame's polar ideal plus (z_0, ..., z_(k-1)), read in z_k..z_n."""
     k = pol.k
-    return Ideal([g.substitute_zero(range(k)) for g in pol.ideal.gens], pol.ideal.nvars - k)
+    return Ideal([pol.frame.restrict(g, k) for g in pol.ideal.gens], pol.f.nvars - k)
 
 
 @dataclass(frozen=True)
@@ -214,16 +244,12 @@ def gamma_profile(f, mu, s, trials=5, seed=0, bound=10):
     n = f.nvars - 1
     mult = f.order_of_vanishing()
     frames = tuple(sample_frames(f.nvars, trials, seed, bound))
-    transformed = tuple(fr.transform(f) for fr in frames)
 
     per_trial = []
     polar_ideals = []
-    for fr, fM in zip(frames, transformed):
-        pols = [None] * n
-        if s:
-            jacobian = jacobian_ideal(fM)
-            for k in range(1, s + 1):
-                pols[k - 1] = polar_ideal(fM, fr, k, jacobian)
+    for fr in frames:
+        pols = [polar_ideal(f, fr, k) for k in range(1, s + 1)] + [None] * (n - s)
+        fM = fr.transform(f)  # for the sections above s only
         per_trial.append(
             tuple(
                 polar_multiplicity(pol) if k <= s else section_multiplicity(fM, k)
@@ -256,8 +282,7 @@ def gamma_profile(f, mu, s, trials=5, seed=0, bound=10):
     # Above s, the report reads a polar ideal only at the witness frame of k.
     for k in range(s + 1, n + 1):
         t = witness[k - 1]
-        fM = transformed[t]
-        polar_ideals[t][k - 1] = polar_ideal(fM, frames[t], k, jacobian_ideal(fM))
+        polar_ideals[t][k - 1] = polar_ideal(f, frames[t], k)
 
     threshold = (trials + 1) // 2
     stable = all(a >= threshold for a in agreement)

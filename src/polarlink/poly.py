@@ -148,20 +148,25 @@ class Polynomial:
         return Polynomial(self.nvars, out)
 
     def substitute_linear(self, matrix):
-        """Compose with the linear change of coordinates given by matrix.
+        """Compose with the linear map given by matrix.
 
         Variable i is replaced by the linear form with coefficients
-        matrix[i], i.e. the result is p(M z).  The matrix must be square of
-        size nvars.  Its one caller, a CoordinateFrame, has checked that it
-        is invertible, so that degree and order of vanishing are preserved;
-        it is not checked again here.  p is scaled to integers once and the
-        powers of each row's form are expanded once, so an integer matrix
-        keeps the whole expansion in integers; rational entries stay exact.
+        matrix[i] in as many new variables as the rows have entries, i.e.
+        the result is p(M z).  The matrix has one row per variable and rows
+        of equal length.  Square and invertible, as a CoordinateFrame's
+        matrix is, it is a change of coordinates, which preserves degree
+        and order of vanishing; it is not checked here.  Columns k..n of
+        such a matrix restrict p to the plane z_0 = ... = z_(k-1) = 0 of
+        the new coordinates: the same polynomial as the change of
+        coordinates followed by substitute_zero(range(k)).  p is scaled to
+        integers once and the powers of each row's form are expanded once,
+        so an integer matrix keeps the whole expansion in integers;
+        rational entries stay exact.
         """
-        n = self.nvars
-        if len(matrix) != n or any(len(row) != n for row in matrix):
-            raise ValueError("matrix size must match the variable count")
-        one = (0,) * n
+        width = len(matrix[0]) if matrix else 0
+        if len(matrix) != self.nvars or any(len(row) != width for row in matrix):
+            raise ValueError("matrix must have one row per variable, all of one length")
+        one = (0,) * width
         powers = []
         for i, row in enumerate(matrix):
             form = {one[:j] + (1,) + one[j + 1 :]: c for j, c in enumerate(row) if c}
@@ -178,7 +183,7 @@ class Polynomial:
             for m, c in term.items():
                 out[m] = out.get(m, 0) + c
         scale = lcm(*(c.denominator for c in self.terms.values()))
-        return Polynomial(n, {m: Fraction(c, scale) for m, c in out.items()})
+        return Polynomial(width, {m: Fraction(c, scale) for m, c in out.items()})
 
     def substitute_zero(self, indices):
         """Set the listed variables to 0 and drop them from the ring.

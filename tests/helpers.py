@@ -7,7 +7,7 @@ from functools import reduce
 
 from hypothesis import strategies as st
 
-from polarlink.ideals import Ideal, _reduce_global, _standard_basis_raw, _terms
+from polarlink.ideals import Ideal, _reduce_global, _standard_basis_raw, _terms, saturate
 from polarlink.oracle import _echelon_pivots, monomials_of_degree
 from polarlink.orders import GLOBAL, elimination, mono_div, mono_divides
 from polarlink.parse import parse_polynomial
@@ -89,8 +89,19 @@ def gated_profile(f, trials=5, seed=0, bound=10):
 
 def gamma_in_frame(f, frame, k):
     """The polar multiplicity gamma^k of f measured in one frame."""
+    return polar_multiplicity(polar_ideal(f, frame, k))
+
+
+def frame_polar_ideal(f, frame, k):
+    """The k-th polar ideal of f built in the frame's coordinates: the
+    partials of fM = frame.transform(f) along z_k..z_n saturated by the
+    Jacobian ideal of fM.  Returns (ideal, saturation exponent, fM).  The
+    profile computed it so before it saturated in the coordinates of f;
+    kept as a test oracle for polar.polar_ideal."""
     fM = frame.transform(f)
-    return polar_multiplicity(polar_ideal(fM, frame, k, jacobian_ideal(fM)))
+    gens = [fM.partial_derivative(i) for i in range(k, f.nvars)]
+    sat, exponent = saturate(Ideal(gens, f.nvars), jacobian_ideal(fM))
+    return sat, exponent, fM
 
 
 def saturating_per_trial(f, frames):
@@ -99,14 +110,9 @@ def saturating_per_trial(f, frames):
     is not finite.  The profile computed it so before it read gamma^k above
     the critical dimension from sections; kept as a test oracle for
     polar.section_multiplicity."""
-    rows = []
-    for fr in frames:
-        fM = fr.transform(f)
-        jacobian = jacobian_ideal(fM)
-        rows.append(
-            tuple(polar_multiplicity(polar_ideal(fM, fr, k, jacobian)) for k in range(1, f.nvars))
-        )
-    return tuple(rows)
+    return tuple(
+        tuple(polar_multiplicity(polar_ideal(f, fr, k)) for k in range(1, f.nvars)) for fr in frames
+    )
 
 
 def record_calls(monkeypatch, module, name):

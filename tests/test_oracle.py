@@ -37,7 +37,6 @@ from polarlink.oracle import (
 )
 from polarlink.polar import (
     CoordinateFrame,
-    jacobian_ideal,
     milnor_number,
     polar_ideal,
     sample_frames,
@@ -236,7 +235,7 @@ def slice_mu(fM):
 
 def test_teissier_cusp_identity_frame():
     f = p2("x^2+y^3")
-    pol = polar_ideal(f, identity_frame(2), 1, jacobian_ideal(f))
+    pol = polar_ideal(f, identity_frame(2), 1)
     v = teissier_check(pol, milnor_number(f), slice_mu(f))
     assert v.passed
     assert (v.expected, v.actual) == (4, 4)
@@ -246,7 +245,7 @@ def test_teissier_cusp_generic_frames():
     f = p2("x^2+y^3")
     for fr in sample_frames(2, 3, seed=7):
         fM = fr.transform(f)
-        v = teissier_check(polar_ideal(fM, fr, 1, jacobian_ideal(fM)), milnor_number(f), slice_mu(fM))
+        v = teissier_check(polar_ideal(f, fr, 1), milnor_number(f), slice_mu(fM))
         assert v.passed
         assert v.actual == 3  # mu 2 plus generic slice mu 1
 
@@ -265,8 +264,9 @@ def test_teissier_rejects_nonisolated():
 
 
 def test_teissier_check_reuses_the_transformed_polynomial(monkeypatch):
-    # gamma_profile transforms f once per frame; the Teissier check reads
-    # that polynomial from the polar ideal instead of transforming again.
+    # gamma_profile transforms f once per frame, for the sections; the
+    # Teissier check meets the polar ideal with f in the coordinates of f
+    # and transforms nothing.
     calls = []
     transform = CoordinateFrame.transform
 
@@ -349,7 +349,7 @@ def test_teissier_counts_the_meet_with_the_cut_loop(monkeypatch):
     f = p3("x^2+y^4+z^5")
     for fr in sample_frames(3, 2, seed=0):
         fM = fr.transform(f)
-        pol = polar_ideal(fM, fr, 1, jacobian_ideal(fM))
+        pol = polar_ideal(f, fr, 1)
         mu, mu_slice = milnor_number(f), slice_mu(fM)
         with monkeypatch.context() as patch:
             uncut = record_calls(patch, ideals, "mora_standard_basis")

@@ -3,11 +3,12 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     canonical,
+    frame_polar_ideal,
     gamma_in_frame,
     gated_profile,
     identity_frame,
@@ -22,18 +23,19 @@ from helpers import (
 from polarlink import polar, poly, report
 from polarlink.parse import parse_polynomial
 from polarlink.errors import EXIT_EXCLUDED, EXIT_INPUT_ERROR, EXIT_UNSTABLE, ExcludedCaseError
-from polarlink.ideals import dimension, mora_standard_basis
+from polarlink.ideals import Ideal, dimension, local_colength, mora_standard_basis
 from polarlink.polar import (
     CoordinateFrame,
     check_excluded,
     gamma_profile,
     jacobian_ideal,
     milnor_number,
+    plane_cut,
     polar_ideal,
     sample_frames,
     section_multiplicity,
 )
-from polarlink.poly import INFINITE, det
+from polarlink.poly import INFINITE, Polynomial, det
 from polarlink.report import RunConfig, bundled_corpus_path, run_compute
 
 
@@ -117,6 +119,29 @@ def test_frame_transform_matches_the_term_by_term_expansion(f, seed):
     assert frame.transform(f) == reference_substitution(f, frame.matrix)
 
 
+@given(
+    polynomials(nvars=3, max_terms=5, max_exp=3),
+    st.integers(0, 10**6),
+    st.integers(1, 3),
+    st.integers(0, 3),
+)
+def test_columns_of_a_frame_restrict_to_its_plane(f, seed, bound, k):
+    # Columns k..n of an invertible M substitute f into the plane
+    # z_0 = ... = z_(k-1) = 0 of the frame: the change of coordinates
+    # followed by setting those variables to 0.
+    (frame,) = sample_frames(3, 1, seed, bound)
+    cut = frame.transform(f).substitute_zero(range(k))
+    assert f.substitute_linear(tuple(row[k:] for row in frame.matrix)) == cut
+    assert frame.restrict(f, k) == cut
+
+
+def test_substitute_linear_needs_one_row_per_variable():
+    with pytest.raises(ValueError):
+        p3("x*y*z").substitute_linear(((1, 0), (0, 1)))
+    with pytest.raises(ValueError):
+        p2("x*y").substitute_linear(((1, 0), (0,)))
+
+
 def test_each_frame_determinant_is_computed_once(monkeypatch):
     # a frame checks its matrix when built; sampling and substitution
     # do not check it again
@@ -138,7 +163,7 @@ def test_each_frame_determinant_is_computed_once(monkeypatch):
 
 def test_polar_sphere_identity_frame():
     f = p3("x^2+y^2+z^2")
-    pol = polar_ideal(f, identity_frame(3), 1, jacobian_ideal(f))
+    pol = polar_ideal(f, identity_frame(3), 1)
     assert canonical(pol.ideal).gens == (p3("z"), p3("y"))
     assert pol.saturation_exponent == 0
 
@@ -147,8 +172,7 @@ def test_polar_two_lines_generic_frame():
     # the polar line must differ from the critical locus (the origin here,
     # so any line through 0 qualifies) and be principal
     fr = CoordinateFrame(((1, 2), (1, -1)))
-    fM = fr.transform(p2("x*y"))
-    pol = polar_ideal(fM, fr, 1, jacobian_ideal(fM))
+    pol = polar_ideal(p2("x*y"), fr, 1)
     basis = canonical(pol.ideal).gens
     assert len(basis) == 1
     assert basis[0].total_degree() == 1
@@ -156,11 +180,66 @@ def test_polar_two_lines_generic_frame():
 
 def test_polar_whitney_k2_is_principal_quadric():
     fr = CoordinateFrame(((1, 1, 2), (0, 1, 1), (1, 0, 2)))
-    fM = fr.transform(p3("y^2 - x^2*z"))
-    pol = polar_ideal(fM, fr, 2, jacobian_ideal(fM))
+    pol = polar_ideal(p3("y^2 - x^2*z"), fr, 2)
     basis = canonical(pol.ideal).gens
     assert len(basis) == 1
     assert basis[0].total_degree() == 2
+
+
+def assert_polar_ideal_matches_the_frame_route(f, frame, k):
+    """The polar ideal built in the coordinates of f, moved into the frame,
+    is the one built in the frame, with the same saturation exponent and
+    cut colength.  For k = 1, where the Teissier check would use the frame
+    (the Milnor numbers of f and of its slice finite), the meets with f
+    agree too."""
+    pol = polar_ideal(f, frame, k)
+    ref, exponent, fM = frame_polar_ideal(f, frame, k)
+    moved = Ideal([frame.transform(g) for g in pol.ideal.gens], f.nvars)
+    assert canonical(moved).gens == canonical(ref).gens
+    assert pol.saturation_exponent == exponent
+    ref_cut = Ideal([g.substitute_zero(range(k)) for g in ref.gens], f.nvars - k)
+    assert local_colength(plane_cut(pol)) == local_colength(ref_cut)
+    if k == 1 and INFINITE not in (milnor_number(f), milnor_number(fM.substitute_zero([0]))):
+        meet = local_colength(Ideal(pol.ideal.gens + (f,), f.nvars))
+        assert meet == local_colength(Ideal(ref.gens + (fM,), f.nvars))
+
+
+def germs(nvars):
+    """A few random terms, half the time on top of pure powers
+    z_0^a_0 + ... + z_n^a_n, which make isolated germs common."""
+    powers = st.tuples(*[st.integers(2, 4)] * nvars).map(
+        lambda a: Polynomial(nvars, {tuple(e * (j == i) for j in range(nvars)): 1 for i, e in enumerate(a)})
+    )
+    terms = polynomials(nvars, max_terms=3, max_exp=3)
+    return st.tuples(terms, st.none() | powers).map(lambda t: t[0] if t[1] is None else t[0] + t[1])
+
+
+@settings(max_examples=30)
+@given(
+    st.sampled_from((2, 3)).flatmap(lambda n: st.tuples(germs(n), st.integers(1, n - 1))),
+    st.integers(0, 10**6),
+    st.integers(1, 3),
+)
+def test_the_polar_ideal_is_the_frame_route_moved_by_the_frame(case, seed, bound):
+    f, k = case
+    (frame,) = sample_frames(f.nvars, 1, seed, bound)
+    with time_limit(30):
+        assert_polar_ideal_matches_the_frame_route(f, frame, k)
+
+
+@pytest.mark.parametrize(
+    "text, varnames",
+    [
+        ("y^2-x^2*z", ("x", "y", "z")),
+        ("x*y*z", ("x", "y", "z")),
+        ("x*y*z*w", ("x", "y", "z", "w")),
+    ],
+)
+def test_polar_ideals_at_frame_seed_0_match_the_frame_route(text, varnames):
+    f = parse_polynomial(text, varnames)
+    for frame in sample_frames(f.nvars, 5, seed=0):
+        for k in range(1, f.nvars):
+            assert_polar_ideal_matches_the_frame_route(f, frame, k)
 
 
 def test_gamma_k_sphere():

@@ -1,0 +1,90 @@
+"""Report bytes pinned across changes that must not alter a report.
+
+The benchmark's requests (perfbench/workloads.py, loaded by path as the
+tracer test loads the tracer) and a few slow inputs outside them keep the
+SHA-256 of their canonical JSON and their exit code.  A change of how the
+engine computes must leave every one of them as it is; a change that is
+meant to alter reports updates the digests on purpose.
+"""
+
+import hashlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from helpers import time_limit
+from polarlink.report import RunConfig, canonical_json, run_compute
+
+HERE = Path(__file__).resolve().parent
+WORKLOADS = HERE.parent / "perfbench" / "workloads.py"
+
+# Every distinct request of the three workloads at workload seed 1, keyed as
+# perfbench keys its digests: json.dumps(Request.key()).
+WORKLOAD_DIGESTS = HERE / "workload_digests.json"
+
+V4 = ("x", "y", "z", "w")
+
+# Four-variable inputs that took up to 1.8 s a report while polar ideals
+# were saturated in the frame's coordinates, at frame seed 0.
+FOUR_VARIABLE_SHA256 = {
+    "x^4+y^4+z^4+w^4": ("42266d6fc5fbbd96c15b0226df67ca29ca6c2a0605aff14252fcf43d684b6fcd", 0),
+    "x^2*y^2+z^2*w": ("d9ffc1f300b66765eca5d8e0499c458d4a596dd6803dc4bcf91b62389441d282", 0),
+    "x*y*z*(x+y+z+w)": ("0db6911831fd4205ba6bd6819392ff37e62aa0710f89bd3161ff5d660fe4ed0b", 0),
+    "x^2+y^3+z^5+w^2": ("03c2167516ecb7df41255bbc434f656a9060e72b1b88861b989df56495238927", 0),
+    "x^3+y^3+z^3+w^3": ("e61943af9fdfd38e126327913ce73c3fc5620e577e1b6102ca7cafbd5b7d1b6b", 0),
+}
+
+
+def load_workloads(monkeypatch):
+    """perfbench/workloads.py as a module; it is registered while the test
+    runs, as its dataclass needs."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def digest(cfg):
+    doc, code = run_compute(cfg)
+    return [hashlib.sha256(canonical_json(doc).encode()).hexdigest(), code]
+
+
+def test_every_workload_request_keeps_its_report_bytes(monkeypatch):
+    workloads = load_workloads(monkeypatch)
+    requests = {}
+    for name in workloads.WORKLOADS:
+        for req in workloads.build(name, 1):
+            requests.setdefault(json.dumps(req.key()), req)
+    expected = json.loads(WORKLOAD_DIGESTS.read_text(encoding="utf-8"))
+    assert sorted(requests) == sorted(expected)
+    for key, req in requests.items():
+        cfg = RunConfig(
+            poly_text=req.poly,
+            varnames=req.varnames,
+            trials=req.trials,
+            seed=req.seed,
+            bound=req.bound,
+            betti=req.betti,
+            components=req.components,
+        )
+        assert digest(cfg) == expected[key], key
+
+
+@pytest.mark.parametrize("text", FOUR_VARIABLE_SHA256)
+def test_four_variable_inputs_keep_their_report_bytes(text):
+    assert tuple(digest(RunConfig(text, V4, seed=0))) == FOUR_VARIABLE_SHA256[text]
+
+
+def test_five_coordinate_hyperplanes_finish_with_every_oracle_passing():
+    # Saturated in the frame's coordinates, where x*y*z*w*v is a dense
+    # quintic, this report ran for more than 1000 s.
+    with time_limit(30):
+        doc, code = run_compute(RunConfig("x*y*z*w*v", ("x", "y", "z", "w", "v"), seed=0))
+    assert code == 0
+    assert doc["gamma"] == [0, 1, 4, 6, 4, 1]
+    assert doc["oracles"]["all_passed"] is True
+    assert all(v["passed"] for v in doc["oracles"]["verdicts"])
