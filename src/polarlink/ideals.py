@@ -458,7 +458,14 @@ def local_colength(I):
     variables), so the colength is at most D^v (refined Bezout: Fulton,
     Intersection Theory, section 12.3).  So once more than D^v monomials
     of degree <= N lie outside the leads, as they do for some N where I*O
-    is not m-primary, the colength is INFINITE.  Else N is doubled, from 2."""
+    is not m-primary, the colength is INFINITE.  Else N is doubled, from 2.
+
+    Before any basis, fewer generators than variables, all vanishing at 0,
+    give INFINITE at once: by Krull's height theorem every minimal prime of
+    I*O then has height at most the number of generators, less than v, so
+    I*O is not m-primary."""
+    if len(I.gens) < I.nvars and not any(g.constant_term() for g in I.gens):
+        return INFINITE
     gens = [integer_terms(g) for g in I.gens]
     bound = max((g.total_degree() for g in I.gens), default=0) ** I.nvars
     top = 2

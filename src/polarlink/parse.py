@@ -124,7 +124,9 @@ class _Parser:
             if kind != "NUM" or "/" in value:
                 raise ParseError("exponent must be a non-negative integer literal", position)
             self.advance()
-            return base ** int(value)
+            e = int(value)
+            check_degree(base.total_degree() * e)  # before expanding the power
+            return base ** e
         return base
 
     def parse_base(self):
@@ -151,7 +153,9 @@ def parse_polynomial(text, varnames):
 
     Raises ParseError (with position) on any syntax problem, unknown
     variable, or non-integer exponent, and DegreeLimitError when the total
-    degree reaches orders.DEGREE_LIMIT, which no engine order can rank.
+    degree reaches orders.DEGREE_LIMIT, which no engine order can rank.  A
+    power is checked before it is expanded, so (x+y)^70000 is refused at
+    once; a power below the limit is expanded in full.
     """
     names = list(varnames)
     if len(set(names)) != len(names):

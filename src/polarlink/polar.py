@@ -12,7 +12,9 @@ over the frames where the cut is finite.  Above the critical dimension s,
 which the gate check_excluded reads, that is for k > s, the multiplicity
 in a frame is the Milnor number of f cut by H_k (see gamma_profile), so
 the profile builds a polar ideal there only at the witness frame of each
-k.
+k.  A polynomial enters a frame one way only, cut by H_k
+(CoordinateFrame.restrict): f for a section, each generator of a polar
+ideal for its cut.
 """
 
 from __future__ import annotations
@@ -35,12 +37,11 @@ class CoordinateFrame:
         if det(self.matrix) == 0:
             raise ValueError("frame matrix is singular")
 
-    def transform(self, p):
-        return p.substitute_linear(self.matrix)
-
     def restrict(self, p, k):
-        """transform(p) restricted to the plane z_0 = ... = z_(k-1) = 0, in
-        z_k..z_n: p substituted by the columns k..n of the matrix."""
+        """p(Mz) restricted to the plane z_0 = ... = z_(k-1) = 0 of the
+        frame, in z_k..z_n: p substituted by the columns k..n of M =
+        matrix, so the columns that the plane sets to 0 are never
+        expanded.  k = 0 gives p(Mz), the whole change of coordinates."""
         return p.substitute_linear(tuple(row[k:] for row in self.matrix))
 
 
@@ -135,11 +136,11 @@ def polar_multiplicity(pol):
     return None if c is INFINITE else c
 
 
-def section_multiplicity(fM, k):
-    """gamma^k in a frame for k > s, from fM = frame.transform(f): the
-    Milnor number of fM cut by the plane z_0 = ... = z_(k-1) = 0, or None
+def section_multiplicity(f, frame, k):
+    """gamma^k in a frame for k > s: the Milnor number of f cut by the
+    frame's plane z_0 = ... = z_(k-1) = 0, frame.restrict(f, k), or None
     when it is INFINITE (see gamma_profile)."""
-    mu = milnor_number(fM.substitute_zero(range(k)))
+    mu = milnor_number(frame.restrict(f, k))
     return None if mu is INFINITE else mu
 
 
@@ -162,12 +163,12 @@ class GammaProfile:
     the frame is invalid for k there: for k <= s the cut of the polar ideal
     is not finite, for k > s the Milnor number of the section is INFINITE.
     witness[k-1] is the first trial index attaining the reported minimum and
-    agreement[k-1] how many trials did.  polar_ideals[t][k-1] is the k-th
-    polar ideal of frame t where one was built, and None elsewhere.  It is
-    built in every frame for k <= s, where it gives gamma^k, and for k > s
-    only at the witness frame of k; later checks read these ideals instead
-    of building them again.  mu (INFINITE unless s = 0) and s come from the
-    gate, check_excluded; threshold is the agreement every k needs.
+    agreement[k-1] how many trials did.  polar_ideals[k-1] is the k-th
+    polar ideal at the witness frame of k, frames[witness[k-1]]: for k <= s
+    the one that gave gamma^k there, for k > s the only one built for k.
+    The report's checks read these ideals instead of building them again.
+    mu (INFINITE unless s = 0) and s come from the gate, check_excluded;
+    threshold is the agreement every k needs.
     """
 
     n: int
@@ -182,9 +183,6 @@ class GammaProfile:
     witness: tuple
     frames: tuple
     polar_ideals: tuple
-
-    def witness_polar_ideal(self, k):
-        return self.polar_ideals[self.witness[k - 1]][k - 1]
 
 
 def check_excluded(f):
@@ -246,17 +244,14 @@ def gamma_profile(f, mu, s, trials=5, seed=0, bound=10):
     frames = tuple(sample_frames(f.nvars, trials, seed, bound))
 
     per_trial = []
-    polar_ideals = []
+    by_frame = []
     for fr in frames:
-        pols = [polar_ideal(f, fr, k) for k in range(1, s + 1)] + [None] * (n - s)
-        fM = fr.transform(f)  # for the sections above s only
+        pols = [polar_ideal(f, fr, k) for k in range(1, s + 1)]
         per_trial.append(
-            tuple(
-                polar_multiplicity(pol) if k <= s else section_multiplicity(fM, k)
-                for k, pol in enumerate(pols, start=1)
-            )
+            tuple(map(polar_multiplicity, pols))
+            + tuple(section_multiplicity(f, fr, k) for k in range(s + 1, n + 1))
         )
-        polar_ideals.append(pols)
+        by_frame.append(pols)
     per_trial = tuple(per_trial)
 
     gamma = [0] * (n + 2)
@@ -280,9 +275,10 @@ def gamma_profile(f, mu, s, trials=5, seed=0, bound=10):
         )
 
     # Above s, the report reads a polar ideal only at the witness frame of k.
-    for k in range(s + 1, n + 1):
-        t = witness[k - 1]
-        polar_ideals[t][k - 1] = polar_ideal(f, frames[t], k)
+    polar_ideals = tuple(
+        by_frame[t][k - 1] if k <= s else polar_ideal(f, frames[t], k)
+        for k, t in enumerate(witness, start=1)
+    )
 
     threshold = (trials + 1) // 2
     stable = all(a >= threshold for a in agreement)
@@ -298,5 +294,5 @@ def gamma_profile(f, mu, s, trials=5, seed=0, bound=10):
         agreement=tuple(agreement),
         witness=tuple(witness),
         frames=frames,
-        polar_ideals=tuple(map(tuple, polar_ideals)),
+        polar_ideals=polar_ideals,
     )

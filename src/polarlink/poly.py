@@ -157,8 +157,8 @@ class Polynomial:
         matrix is, it is a change of coordinates, which preserves degree
         and order of vanishing; it is not checked here.  Columns k..n of
         such a matrix restrict p to the plane z_0 = ... = z_(k-1) = 0 of
-        the new coordinates: the same polynomial as the change of
-        coordinates followed by substitute_zero(range(k)).  p is scaled to
+        the new coordinates: the change of coordinates with z_0..z_(k-1)
+        set to 0 and dropped, without expanding them.  p is scaled to
         integers once and the powers of each row's form are expanded once,
         so an integer matrix keeps the whole expansion in integers;
         rational entries stay exact.
@@ -184,22 +184,6 @@ class Polynomial:
                 out[m] = out.get(m, 0) + c
         scale = lcm(*(c.denominator for c in self.terms.values()))
         return Polynomial(width, {m: Fraction(c, scale) for m, c in out.items()})
-
-    def substitute_zero(self, indices):
-        """Set the listed variables to 0 and drop them from the ring.
-
-        Realizes the quotient by the coordinate ideal (z_i : i in indices)
-        as a polynomial in the remaining variables.
-        """
-        drop = set(indices)
-        keep = [i for i in range(self.nvars) if i not in drop]
-        out = {}
-        for mono, coeff in self.terms.items():
-            if any(mono[i] for i in drop):
-                continue
-            m = tuple(mono[i] for i in keep)
-            out[m] = out.get(m, Fraction(0)) + coeff
-        return Polynomial(len(keep), out)
 
     # --- printing ------------------------------------------------------
 

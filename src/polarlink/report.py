@@ -94,7 +94,7 @@ def _oracle_diagnostics(f, profile):
     start = default_cap(f)
     exponents = []
     for k in range(1, profile.n + 1):
-        pol = profile.witness_polar_ideal(k)
+        pol = profile.polar_ideals[k - 1]
         exponents.append(pol.saturation_exponent)
         if profile.gamma[k] == 0:
             continue
@@ -118,7 +118,7 @@ def _oracle_diagnostics(f, profile):
             )
         )
         # gamma^1 is the Milnor number of the slice z_0 = 0 at its witness frame.
-        verdicts.append(teissier_check(profile.witness_polar_ideal(1), profile.mu, profile.gamma[1]))
+        verdicts.append(teissier_check(profile.polar_ideals[0], profile.mu, profile.gamma[1]))
     return verdicts, exponents
 
 

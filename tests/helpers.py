@@ -94,11 +94,12 @@ def gamma_in_frame(f, frame, k):
 
 def frame_polar_ideal(f, frame, k):
     """The k-th polar ideal of f built in the frame's coordinates: the
-    partials of fM = frame.transform(f) along z_k..z_n saturated by the
-    Jacobian ideal of fM.  Returns (ideal, saturation exponent, fM).  The
-    profile computed it so before it saturated in the coordinates of f;
-    kept as a test oracle for polar.polar_ideal."""
-    fM = frame.transform(f)
+    partials of fM = frame.restrict(f, 0), f in the whole frame, along
+    z_k..z_n saturated by the Jacobian ideal of fM.  Returns (ideal,
+    saturation exponent, fM).  The profile computed it so before it
+    saturated in the coordinates of f; kept as a test oracle for
+    polar.polar_ideal."""
+    fM = frame.restrict(f, 0)
     gens = [fM.partial_derivative(i) for i in range(k, f.nvars)]
     sat, exponent = saturate(Ideal(gens, f.nvars), jacobian_ideal(fM))
     return sat, exponent, fM
@@ -215,6 +216,19 @@ def reference_substitution(f, matrix):
             term = term * form**e
         out = out + term
     return out
+
+
+def substitute_zero(p, indices):
+    """p with the listed variables set to 0 and dropped from the ring: the
+    quotient by the coordinate ideal (z_i : i in indices), as a polynomial
+    in the remaining variables.  A test oracle for CoordinateFrame.restrict,
+    which never expands the variables it drops."""
+    drop = set(indices)
+    keep = [i for i in range(p.nvars) if i not in drop]
+    return Polynomial(
+        len(keep),
+        {tuple(m[i] for i in keep): c for m, c in p.terms.items() if not any(m[i] for i in drop)},
+    )
 
 
 def fraction_echelon_pivots(rows, key):

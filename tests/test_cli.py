@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from helpers import record_calls
+from helpers import record_calls, time_limit
 from polarlink import cli
 from polarlink.cli import main
 from polarlink.orders import DEGREE_LIMIT
@@ -333,21 +333,15 @@ def test_module_entry_point_runs():
     assert proc.returncode == 0
 
 
-def _count_frame_transforms(monkeypatch):
-    calls = []
-    transform = CoordinateFrame.transform
-
-    def counting(frame, p):
-        calls.append(frame)
-        return transform(frame, p)
-
-    monkeypatch.setattr(CoordinateFrame, "transform", counting)
-    return calls
+def _count_frames(monkeypatch):
+    """A spy on frame construction: the list it fills has one entry per
+    CoordinateFrame built, drawn or not."""
+    return record_calls(monkeypatch, CoordinateFrame, "__post_init__")
 
 
 def test_compute_refuses_degrees_past_the_order_limit(capsys, monkeypatch):
-    # Refused by the parser: no frame substitution expands the power.
-    calls = _count_frame_transforms(monkeypatch)
+    # Refused by the parser: no frame is drawn, so nothing expands the power.
+    calls = _count_frames(monkeypatch)
     code, doc, _ = compute_doc(capsys, "--poly", f"x^{DEGREE_LIMIT} + y^2", "--vars", "x,y")
     assert code == 1
     assert doc["error"]["kind"] == "input"
@@ -356,7 +350,7 @@ def test_compute_refuses_degrees_past_the_order_limit(capsys, monkeypatch):
 
 
 def test_oracle_teissier_refuses_degrees_past_the_order_limit(capsys, monkeypatch):
-    calls = _count_frame_transforms(monkeypatch)
+    calls = _count_frames(monkeypatch)
     code, _, err = run_cli(
         capsys, "oracle", "teissier", "--poly", f"x^{DEGREE_LIMIT} + y^2", "--vars", "x,y"
     )
@@ -365,11 +359,29 @@ def test_oracle_teissier_refuses_degrees_past_the_order_limit(capsys, monkeypatc
     assert calls == []
 
 
+# (x+y)^70000 expands to 70001 terms of degree 70000 before the degree of
+# the whole expression is known; the power is refused before it expands.
+POWER_PAST_THE_LIMIT = "(x+y)^70000"
+LIMIT_REASON = f"monomial degree 70000 reaches the limit {DEGREE_LIMIT}"
+
+
+def test_every_command_refuses_a_power_past_the_limit_before_expanding_it(capsys):
+    with time_limit(5):
+        code, doc, _ = compute_doc(capsys, "--poly", POWER_PAST_THE_LIMIT, "--vars", "x,y")
+        assert (code, doc["error"]) == (1, {"kind": "input", "reason": LIMIT_REASON})
+        for argv in (
+            ("oracle", "teissier", "--poly", POWER_PAST_THE_LIMIT, "--vars", "x,y"),
+            ("oracle", "truncated-colength", "--gens", POWER_PAST_THE_LIMIT, "--vars", "x,y"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out, err) == (1, "", f"error: {LIMIT_REASON}\n")
+
+
 @pytest.mark.parametrize("betti", ["1,2,3", "0,-1"])
 def test_compute_refuses_a_malformed_betti_before_any_frame(capsys, monkeypatch, betti):
     # x^2 in (x, y) is refused at the gate as not reduced; the Betti vector
     # is judged first.
-    calls = _count_frame_transforms(monkeypatch)
+    calls = _count_frames(monkeypatch)
     code, doc, _ = compute_doc(capsys, "--poly", "x^2", "--vars", "x,y", "--betti", betti)
     assert code == 1
     assert doc["error"]["kind"] == "input"

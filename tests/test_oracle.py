@@ -227,16 +227,16 @@ def test_verdict_passes_iff_equal():
     assert not verdict("t", 3, 4).passed
 
 
-def slice_mu(fM):
-    """The Milnor number of fM cut by z_0 = 0, which teissier_check takes
-    from its caller."""
-    return milnor_number(fM.substitute_zero([0]))
+def slice_mu(f, frame):
+    """The Milnor number of f cut by the frame's plane z_0 = 0, which
+    teissier_check takes from its caller."""
+    return milnor_number(frame.restrict(f, 1))
 
 
 def test_teissier_cusp_identity_frame():
     f = p2("x^2+y^3")
     pol = polar_ideal(f, identity_frame(2), 1)
-    v = teissier_check(pol, milnor_number(f), slice_mu(f))
+    v = teissier_check(pol, milnor_number(f), slice_mu(f, identity_frame(2)))
     assert v.passed
     assert (v.expected, v.actual) == (4, 4)
 
@@ -244,8 +244,7 @@ def test_teissier_cusp_identity_frame():
 def test_teissier_cusp_generic_frames():
     f = p2("x^2+y^3")
     for fr in sample_frames(2, 3, seed=7):
-        fM = fr.transform(f)
-        v = teissier_check(polar_ideal(f, fr, 1), milnor_number(f), slice_mu(fM))
+        v = teissier_check(polar_ideal(f, fr, 1), milnor_number(f), slice_mu(f, fr))
         assert v.passed
         assert v.actual == 3  # mu 2 plus generic slice mu 1
 
@@ -257,28 +256,22 @@ def test_teissier_rejects_nonisolated():
     assert milnor_number(f) is INFINITE
     prof = gated_profile(f, trials=5, seed=0)
     assert (prof.mu, prof.s) == (INFINITE, 1)
-    assert prof.witness_polar_ideal(1) is not None
+    assert prof.polar_ideals[0].frame is prof.frames[prof.witness[0]]
     doc, code = run_compute(RunConfig("y^2 - x^2*z", ("x", "y", "z")))
     assert code == 0
     assert "teissier_polar_against_slice" not in [v["name"] for v in doc["oracles"]["verdicts"]]
 
 
 def test_teissier_check_reuses_the_transformed_polynomial(monkeypatch):
-    # gamma_profile transforms f once per frame, for the sections; the
-    # Teissier check meets the polar ideal with f in the coordinates of f
-    # and transforms nothing.
-    calls = []
-    transform = CoordinateFrame.transform
-
-    def counting(frame, p):
-        calls.append(frame)
-        return transform(frame, p)
-
-    monkeypatch.setattr(CoordinateFrame, "transform", counting)
+    # gamma_profile restricts f to the plane of each frame once per k, for
+    # the sections; the Teissier check meets the polar ideal with f in the
+    # coordinates of f and restricts f to no frame.
+    restricted = record_calls(monkeypatch, CoordinateFrame, "restrict")
     cfg = RunConfig("x^2+y^2+z^3", ("x", "y", "z"))
     doc, code = run_compute(cfg)
     assert code == 0
-    assert len(calls) == cfg.trials == 5
+    sections = sorted(k for (_, p, k), _ in restricted if p == p3(cfg.poly_text))
+    assert sections == [1] * cfg.trials + [2] * cfg.trials
 
 
 def test_teissier_rejects_degenerate_frame():
@@ -288,12 +281,11 @@ def test_teissier_rejects_degenerate_frame():
     # on z_0 = 0 too: it reads None, and the check runs in the witness frame
     # of k = 1, the next one.
     f = p2("x*y")
-    assert slice_mu(f) is INFINITE
+    assert slice_mu(f, identity_frame(2)) is INFINITE
     prof = gated_profile(f, trials=5, seed=4, bound=1)
     assert prof.per_trial[0] == (None,)
     assert prof.witness[0] == 1
-    fM = prof.frames[1].transform(f)
-    v = teissier_check(prof.polar_ideals[1][0], prof.mu, slice_mu(fM))
+    v = teissier_check(prof.polar_ideals[0], prof.mu, slice_mu(f, prof.frames[1]))
     assert (v.passed, v.expected) == (True, 2)
     doc, code = run_compute(RunConfig("x*y", ("x", "y"), seed=4, bound=1))
     (teissier,) = [v for v in doc["oracles"]["verdicts"] if v["name"] == "teissier_polar_against_slice"]
@@ -338,8 +330,7 @@ def test_the_slice_that_stalled_the_milnor_number_is_three():
     # x^2+y^4+z^5 cut by z_0 = 0 in the first frame at seed 0: the Milnor
     # number took seconds in Mora's uncut loop.
     (frame,) = sample_frames(3, 1, seed=0)
-    fM = frame.transform(p3("x^2+y^4+z^5"))
-    assert milnor_number(fM.substitute_zero([0])) == 3
+    assert slice_mu(p3("x^2+y^4+z^5"), frame) == 3
 
 
 def test_teissier_counts_the_meet_with_the_cut_loop(monkeypatch):
@@ -348,9 +339,8 @@ def test_teissier_counts_the_meet_with_the_cut_loop(monkeypatch):
     # meets, never runs.
     f = p3("x^2+y^4+z^5")
     for fr in sample_frames(3, 2, seed=0):
-        fM = fr.transform(f)
         pol = polar_ideal(f, fr, 1)
-        mu, mu_slice = milnor_number(f), slice_mu(fM)
+        mu, mu_slice = milnor_number(f), slice_mu(f, fr)
         with monkeypatch.context() as patch:
             uncut = record_calls(patch, ideals, "mora_standard_basis")
             loops = record_calls(patch, ideals, "_standard_basis_raw")

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import V2, p2
-from polarlink.errors import ParseError
+from helpers import V2, p2, record_calls
+from polarlink.errors import DegreeLimitError, ParseError
 from polarlink.parse import parse_polynomial
+from polarlink.poly import Polynomial
 
 
 def test_plain_sum():
@@ -98,3 +99,12 @@ def test_exponent_zero():
 
 def test_whitespace_is_free():
     assert p2("  x ^ 2+ y ") == p2("x^2+y")
+
+
+def test_a_power_past_the_degree_limit_is_refused_before_it_is_expanded(monkeypatch):
+    powers = record_calls(monkeypatch, Polynomial, "__pow__")
+    for text in ("(x+y)^70000", "(x*y)^32768"):
+        with pytest.raises(DegreeLimitError):
+            parse_polynomial(text, V2)
+    assert powers == []
+    assert parse_polynomial("(x*y)^32767", V2).total_degree() == 65534

@@ -18,6 +18,7 @@ from helpers import (
     record_calls,
     reference_substitution,
     saturating_per_trial,
+    substitute_zero,
     time_limit,
 )
 from polarlink import polar, poly, report
@@ -85,7 +86,7 @@ def test_the_five_variable_slice_that_stalled_has_milnor_number_four():
     (frame,) = sample_frames(5, 1, 0)
     f = parse_polynomial("x^3+y^3+z^3+w^2+v^2", ("x", "y", "z", "w", "v"))
     with time_limit(10):
-        assert milnor_number(frame.transform(f).substitute_zero([0])) == 4
+        assert milnor_number(frame.restrict(f, 1)) == 4
 
 
 # --- frames ---------------------------------------------------------------
@@ -109,14 +110,15 @@ def test_sample_frames_bound_respected():
 
 
 def test_frame_transform_is_substitution():
+    # Restricted to no plane, k = 0, a frame substitutes f(Mz).
     fr = CoordinateFrame(((1, 2), (1, -1)))
-    assert fr.transform(p2("x*y")) == p2("x^2 + x*y - 2*y^2")
+    assert fr.restrict(p2("x*y"), 0) == p2("x^2 + x*y - 2*y^2")
 
 
 @given(polynomials(nvars=3, max_terms=5, max_exp=3), st.integers(0, 10**6))
 def test_frame_transform_matches_the_term_by_term_expansion(f, seed):
     (frame,) = sample_frames(3, 1, seed)
-    assert frame.transform(f) == reference_substitution(f, frame.matrix)
+    assert frame.restrict(f, 0) == reference_substitution(f, frame.matrix)
 
 
 @given(
@@ -127,10 +129,10 @@ def test_frame_transform_matches_the_term_by_term_expansion(f, seed):
 )
 def test_columns_of_a_frame_restrict_to_its_plane(f, seed, bound, k):
     # Columns k..n of an invertible M substitute f into the plane
-    # z_0 = ... = z_(k-1) = 0 of the frame: the change of coordinates
-    # followed by setting those variables to 0.
+    # z_0 = ... = z_(k-1) = 0 of the frame: the change of coordinates,
+    # expanded term by term, followed by setting those variables to 0.
     (frame,) = sample_frames(3, 1, seed, bound)
-    cut = frame.transform(f).substitute_zero(range(k))
+    cut = substitute_zero(reference_substitution(f, frame.matrix), range(k))
     assert f.substitute_linear(tuple(row[k:] for row in frame.matrix)) == cut
     assert frame.restrict(f, k) == cut
 
@@ -194,12 +196,12 @@ def assert_polar_ideal_matches_the_frame_route(f, frame, k):
     agree too."""
     pol = polar_ideal(f, frame, k)
     ref, exponent, fM = frame_polar_ideal(f, frame, k)
-    moved = Ideal([frame.transform(g) for g in pol.ideal.gens], f.nvars)
+    moved = Ideal([frame.restrict(g, 0) for g in pol.ideal.gens], f.nvars)
     assert canonical(moved).gens == canonical(ref).gens
     assert pol.saturation_exponent == exponent
-    ref_cut = Ideal([g.substitute_zero(range(k)) for g in ref.gens], f.nvars - k)
+    ref_cut = Ideal([substitute_zero(g, range(k)) for g in ref.gens], f.nvars - k)
     assert local_colength(plane_cut(pol)) == local_colength(ref_cut)
-    if k == 1 and INFINITE not in (milnor_number(f), milnor_number(fM.substitute_zero([0]))):
+    if k == 1 and INFINITE not in (milnor_number(f), milnor_number(substitute_zero(fM, [0]))):
         meet = local_colength(Ideal(pol.ideal.gens + (f,), f.nvars))
         assert meet == local_colength(Ideal(ref.gens + (fM,), f.nvars))
 
@@ -290,7 +292,7 @@ def test_a_profile_in_dense_coordinates_matches_the_adapted_one():
     # Jacobian ideal ran past 60 s.
     (frame,) = sample_frames(3, 1, 0, 5)
     with time_limit(10):
-        prof = gated_profile(frame.transform(p3("x^2+y^4+z^5")))
+        prof = gated_profile(frame.restrict(p3("x^2+y^4+z^5"), 0))
     assert (prof.s, prof.mu, prof.gamma, prof.stable) == (0, 12, (0, 3, 1, 1), True)
 
 
@@ -357,17 +359,24 @@ def test_gamma_profile_witness_frames_attain_minimum():
         assert prof.per_trial[t][k - 1] == prof.gamma[k]
 
 
-def test_gamma_profile_transforms_f_once_per_frame(monkeypatch):
-    calls = []
-    transform = CoordinateFrame.transform
+@pytest.mark.parametrize("text", ["x^3+y^3+z^3", "y^2 - x^2*z"])
+def test_gamma_profile_substitutes_no_whole_frame(monkeypatch, text):
+    # Sections (s = 0) and cuts of polar ideals (s = 1) enter a frame cut
+    # by its plane H_k, k >= 1: no substitution expands every column.
+    substituted = record_calls(monkeypatch, Polynomial, "substitute_linear")
+    f = p3(text)
+    gated_profile(f, trials=5, seed=0)
+    assert substituted
+    assert all(len(args[1][0]) < f.nvars for args, _ in substituted)
 
-    def counting(frame, p):
-        calls.append(frame.matrix)
-        return transform(frame, p)
 
-    monkeypatch.setattr(CoordinateFrame, "transform", counting)
-    prof = gated_profile(p3("x^3+y^3+z^3"), trials=5, seed=0)
-    assert calls == [fr.matrix for fr in prof.frames]
+@pytest.mark.parametrize("text", ["x^3+y^3+z^3", "y^2 - x^2*z", "x*y*z"])
+def test_gamma_profile_keeps_one_polar_ideal_per_k_at_its_witness_frame(text):
+    prof = gated_profile(p3(text), trials=5, seed=0)
+    assert len(prof.polar_ideals) == prof.n
+    for k, pol in enumerate(prof.polar_ideals, start=1):
+        assert pol.k == k
+        assert pol.frame is prof.frames[prof.witness[k - 1]]
 
 
 def test_gamma_profile_carries_mu_and_threshold():
@@ -396,11 +405,11 @@ NON_REDUCED = (
 
 @pytest.mark.parametrize("text, varnames", NON_REDUCED)
 def test_a_non_reduced_germ_is_refused_before_any_frame(monkeypatch, text, varnames):
-    transformed = record_calls(monkeypatch, CoordinateFrame, "transform")
+    built = record_calls(monkeypatch, CoordinateFrame, "__post_init__")
     doc, code = run_compute(RunConfig(text, varnames))
     assert code == EXIT_EXCLUDED
     assert doc["error"] == {"kind": "excluded", "reason": "f is not reduced at the origin"}
-    assert transformed == []
+    assert built == []
 
 
 def test_a_reduced_germ_with_a_square_in_it_is_admitted():
@@ -458,9 +467,8 @@ def test_sections_above_the_critical_dimension_read_the_saturated_cut(case, seed
     s = critical_dimension(f)
     frames = sample_frames(f.nvars, 2, seed, bound)
     for fr, row in zip(frames, saturating_per_trial(f, frames)):
-        fM = fr.transform(f)
         for k in range(s + 1, f.nvars):
-            section = section_multiplicity(fM, k)
+            section = section_multiplicity(f, fr, k)
             if s == 0 or section is not None:
                 assert section == row[k - 1], (case, fr.matrix, k)
 

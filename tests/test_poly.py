@@ -6,7 +6,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import V2, V3, fraction_det, nonzero_polynomials, p2, p3, polynomials
+from helpers import (
+    V2,
+    V3,
+    fraction_det,
+    identity_frame,
+    nonzero_polynomials,
+    p2,
+    p3,
+    polynomials,
+    substitute_zero,
+)
 from polarlink.orders import GLOBAL, LOCAL
 from polarlink.parse import parse_polynomial
 from polarlink.poly import INFINITE, Polynomial, det
@@ -104,16 +114,19 @@ def test_substitute_linear_roundtrip(f):
 
 
 def test_substitute_zero_drops_variables():
+    # The reference that frame restrictions are checked against, and the
+    # identity frame's restriction, which it must agree with.
     f = p3("x^2 + y^2*z + z^3")
-    g = f.substitute_zero([0])
+    g = substitute_zero(f, [0])
     assert g.nvars == 2
-    assert g == parse_polynomial("y^2*z + z^3", ["y", "z"])
-    assert f.substitute_zero([0, 1]) == parse_polynomial("z^3", ["z"])
+    assert g == parse_polynomial("y^2*z + z^3", ["y", "z"]) == identity_frame(3).restrict(f, 1)
+    assert substitute_zero(f, [0, 1]) == parse_polynomial("z^3", ["z"]) == identity_frame(3).restrict(f, 2)
 
 
 def test_substitute_zero_can_kill_everything():
     f = p2("x*y")
-    assert f.substitute_zero([0]).is_zero()
+    assert substitute_zero(f, [0]).is_zero()
+    assert identity_frame(2).restrict(f, 1).is_zero()
 
 
 @given(nonzero_polynomials(nvars=2, max_terms=6))

@@ -21,9 +21,10 @@ from polarlink.report import RunConfig, canonical_json, run_compute
 HERE = Path(__file__).resolve().parent
 WORKLOADS = HERE.parent / "perfbench" / "workloads.py"
 
-# Every distinct request of the three workloads at workload seed 1, keyed as
-# perfbench keys its digests: json.dumps(Request.key()).
+# Every distinct request of the three workloads at workload seeds 1 and 2,
+# keyed as perfbench keys its digests: json.dumps(Request.key()).
 WORKLOAD_DIGESTS = HERE / "workload_digests.json"
+WORKLOAD_SEEDS = (1, 2)
 
 V4 = ("x", "y", "z", "w")
 
@@ -35,6 +36,20 @@ FOUR_VARIABLE_SHA256 = {
     "x*y*z*(x+y+z+w)": ("0db6911831fd4205ba6bd6819392ff37e62aa0710f89bd3161ff5d660fe4ed0b", 0),
     "x^2+y^3+z^5+w^2": ("03c2167516ecb7df41255bbc434f656a9060e72b1b88861b989df56495238927", 0),
     "x^3+y^3+z^3+w^3": ("e61943af9fdfd38e126327913ce73c3fc5620e577e1b6102ca7cafbd5b7d1b6b", 0),
+}
+
+
+# The isolated surfaces that stalled the Teissier check (one of them is
+# drawn into each isolated run), at workloads.ISOLATED_FRAME_SEED = 0.
+HARD_SURFACE_SHA256 = {
+    "x^2*y+y^4+z^2": ("c5e0a49d55569eaecc431160083b63de81c94ab7c0f3054503f88c0f08f808c5", 0),
+    "x^2*y+y^5+z^2": ("158e483fc1f95d2c4c2fd561907050c8984c5b256ba17919ac7d78e3be7a7110", 0),
+    "x^3+y^4+z^2": ("f2a564798fae5350ba1e57ad10a1060c6cc692b49bf17922ff2b409afce4f78c", 0),
+    "x^3+x*y^3+z^2": ("67afd4b3bcabac9f34c579b67263f160145a621eda234a07cc08748d20949886", 0),
+    "x^3+y^5+z^2": ("77972b32a6cff0f66f74f7fb6934323505f6d6eba12ec4cf1767d3cd7889a557", 0),
+    "x^2+y^4+z^4": ("ba2e45c8511a1e193b0b1c4bd51ca95c9a387ee90ecb1c86425f3b722ca6c0e0", 0),
+    "x^2+y^4+z^5": ("931643b2f111b508a15faca094e29bd79c5148bd9f1d7483d789359d28fec701", 0),
+    "x^3+y^4+z^4": ("e14568f6a74463dc3bad2effb5eadb341d81c6ead1dd7575b1380c177f35a826", 0),
 }
 
 
@@ -57,8 +72,9 @@ def test_every_workload_request_keeps_its_report_bytes(monkeypatch):
     workloads = load_workloads(monkeypatch)
     requests = {}
     for name in workloads.WORKLOADS:
-        for req in workloads.build(name, 1):
-            requests.setdefault(json.dumps(req.key()), req)
+        for seed in WORKLOAD_SEEDS:
+            for req in workloads.build(name, seed):
+                requests.setdefault(json.dumps(req.key()), req)
     expected = json.loads(WORKLOAD_DIGESTS.read_text(encoding="utf-8"))
     assert sorted(requests) == sorted(expected)
     for key, req in requests.items():
@@ -72,6 +88,14 @@ def test_every_workload_request_keeps_its_report_bytes(monkeypatch):
             components=req.components,
         )
         assert digest(cfg) == expected[key], key
+
+
+def test_every_hard_surface_keeps_its_report_bytes(monkeypatch):
+    workloads = load_workloads(monkeypatch)
+    assert sorted(workloads.HARD_SURFACES) == sorted(HARD_SURFACE_SHA256)
+    for text in workloads.HARD_SURFACES:
+        cfg = RunConfig(text, workloads.V3, seed=workloads.ISOLATED_FRAME_SEED)
+        assert tuple(digest(cfg)) == HARD_SURFACE_SHA256[text], text
 
 
 @pytest.mark.parametrize("text", FOUR_VARIABLE_SHA256)
