@@ -21,17 +21,18 @@ saturation builds anyway, and forms no pair within it.
 
 Everything is exact, and every call computes its basis afresh: the module
 keeps no state between calls.  The engine works on integer coefficients
-only and has one representation of a basis element, the tuple
-(lm, -key(lm), lc, tail, spread) over a primitive integer term dict:
-coprime coefficients, lc > 0 under the order (see ``_element``).
-Fractions are met at two places only.  On the way in, each generator's
-Fraction coefficients are scaled to integers once (``integer_terms``, from
-``poly``, like the product ``mul_terms``); on the way out, results leave
-the engine as ``saturate``'s ideal, whose elements become Polynomials
-once, and as the leads of ``mora_standard_basis``.  A polynomial being
-reduced is a dict {monomial: int} plus a heap of (-key, monomial) over its
-terms (stale entries are skipped when popped), fraction-free: its
-remainder is the Fraction remainder times a positive factor.
+only and has one representation of a basis element, and of every reducer,
+Mora's snapshots included: the tuple (lm, -key(lm), lc, tail, spread) over
+a primitive integer term dict: coprime coefficients, lc > 0 under the
+order (see ``_element``).  Fractions are met at two places only.  On the
+way in, each generator's Fraction coefficients are scaled to integers once
+(``integer_terms``, from ``poly``, like the product ``mul_terms``); on the
+way out, results leave the engine as ``saturate``'s ideal, whose elements
+become Polynomials once, and as the leads of ``mora_standard_basis``.  A
+polynomial being reduced is one dict {monomial: int}, its irreducible
+terms included, and a heap of (-key, monomial) over its terms (stale ones
+are skipped when popped), fraction-free: its remainder is the Fraction
+remainder times a positive factor.
 """
 
 from __future__ import annotations
@@ -102,27 +103,26 @@ def _heap(h, order):
     return heap
 
 
-def _reduce_step(h, heap, hm, nk, reducer, rem, cut):
-    """Cancel the term hm (nk = -key(hm)) as h <- a*h - b*z^(hm-lm)*g with
-    a = lc/gcd(hc, lc) > 0, scaling the remainder rem by a too.  Their
-    common content is divided out afterwards, which keeps the integers from
-    swelling over many steps.  With a cut, under the local order, no term m
-    with -key(m) >= cut is created (see ``_standard_basis_raw``)."""
+def _reduce_step(h, heap, hm, nk, reducer, cut):
+    """Cancel the term hm (nk = -key(hm)) as h <- a*h - b*z^(hm-lm)*g, g an
+    element, with a = lc/gcd(hc, lc) > 0, then divide out the content of h,
+    which keeps the integers from swelling over many steps.  With a cut,
+    under the local order, no term m with -key(m) >= cut is created (see
+    ``_standard_basis_raw``): as -key is linear, the shifted tail stays
+    sorted, and stops at its first term past the cut."""
     lm, nlk, lc, tail, spread = reducer
     check_degree(mono_deg(hm) + spread)  # bounds every new term's degree
     hc = h.pop(hm)
-    d = gcd(hc, lc) if lc > 0 else -gcd(hc, lc)
+    d = gcd(hc, lc)
     a, b = lc // d, hc // d
     if a != 1:
-        for part in (h, rem):
-            for m in part:
-                part[m] *= a
+        for m in h:
+            h[m] *= a
     shift = mono_div(hm, lm)
     off = nk - nlk
-    if cut is not None:
-        # A snapshot's tail is not sorted by degree, so filter, not break.
-        tail = [t for t in tail if t[0] < cut - off]
     for ngk, gm, gc in tail:
+        if cut is not None and ngk >= cut - off:
+            break
         m = tuple(map(add, gm, shift))
         c = h.get(m)
         if c is None:
@@ -134,26 +134,23 @@ def _reduce_step(h, heap, hm, nk, reducer, rem, cut):
                 h[m] = c
             else:
                 del h[m]
-    c = gcd(*h.values(), *rem.values()) if a != 1 else 1
-    if c > 1:
-        for part in (h, rem):
-            for m in part:
-                part[m] //= c
+    if a != 1 and (c := gcd(*h.values())) > 1:
+        for m in h:
+            h[m] //= c
 
 
 def _normal_form(h, heap, reducers, order, cut=None):
-    """Division remainder of the integer term dict h (consumed, with its
-    heap), up to a positive factor: the full remainder under a global
-    order, Mora's weak normal form under a local one, with no term at or
-    past cut (see ``_reduce_step``).
+    """Division remainder of the integer term dict h, up to a positive
+    factor, computed in h, whose heap is consumed: the full remainder under
+    a global order, where an irreducible lead stays in h as no step creates
+    a term above the lead it cancels, and Mora's weak normal form under a
+    local one, with no term at or past cut (see ``_reduce_step``).
 
-    Under a local order the reducer of least ecart is used, and one whose
-    ecart exceeds the current ecart pushes a snapshot of the intermediate
-    result into the working set; that is what guarantees termination.
+    Under a local order the reducer of least ecart is used; one whose ecart
+    exceeds h's first adds h to the reducers, which ensures termination.
     """
     local = not order.is_global
     T = list(reducers)
-    rem = {}
     while heap:
         nk, hm = heappop(heap)
         if hm not in h:
@@ -166,16 +163,12 @@ def _normal_form(h, heap, reducers, order, cut=None):
                     break
         if best is None:
             if local:
-                return h
-            rem[hm] = h.pop(hm)
+                break
             continue
-        if local:
-            h_ecart = max(map(mono_deg, h)) - mono_deg(hm)
-            if best[4] > h_ecart:
-                tail = {m: k for k, m in heap if m in h and m != hm}
-                T.append((hm, nk, h[hm], [(k, m, h[m]) for m, k in tail.items()], h_ecart))
-        _reduce_step(h, heap, hm, nk, best, rem, cut)
-    return rem
+        if local and best[4] > max(map(mono_deg, h)) - mono_deg(hm):
+            T.append(_element(h, order))
+        _reduce_step(h, heap, hm, nk, best, cut)
+    return h
 
 
 def _spoly(gi, gj, big, order, cut):
@@ -183,9 +176,9 @@ def _spoly(gi, gj, big, order, cut):
     scalar: the monomial big reduced by each, subtracted."""
     nk, c = -order.key(big), lcm(gi[2], gj[2])
     h, heap = {big: c}, []
-    _reduce_step(h, heap, big, nk, gi, {}, cut)
+    _reduce_step(h, heap, big, nk, gi, cut)
     h[big] = -c
-    _reduce_step(h, heap, big, nk, gj, {}, cut)
+    _reduce_step(h, heap, big, nk, gj, cut)
     return h, heap
 
 

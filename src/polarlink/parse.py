@@ -23,6 +23,8 @@ from .poly import Polynomial
 
 _SYMBOLS = "+-*^()"
 
+COEFFICIENT_DIGITS = 4300  # Python's default limit for printing an int
+
 
 def _tokenize(text):
     """Yield (kind, value, position) triples; kind in NUM/NAME/SYM/END."""
@@ -126,12 +128,19 @@ class _Parser:
             self.advance()
             e = int(value)
             check_degree(base.total_degree() * e)  # before expanding the power
+            # The lex-largest term of base^e has coefficient c^e, past 10^((b-1)e/4) for a b-bit c.
+            c = base.terms[max(base.terms)] if base.terms else 0
+            b = max(c.numerator.bit_length(), c.denominator.bit_length())
+            if (b - 1) * e > 4 * COEFFICIENT_DIGITS:
+                raise ValueError(f"a coefficient needs more than {COEFFICIENT_DIGITS} decimal digits")
             return base ** e
         return base
 
     def parse_base(self):
         kind, value, position = self.advance()
         if kind == "NUM":
+            if any(len(digits) > COEFFICIENT_DIGITS for digits in value.split("/")):
+                raise ValueError(f"a coefficient needs more than {COEFFICIENT_DIGITS} decimal digits")
             try:
                 coeff = Fraction(value)
             except ZeroDivisionError:
@@ -152,10 +161,12 @@ def parse_polynomial(text, varnames):
     """Parse an expression into a canonical expanded Polynomial.
 
     Raises ParseError (with position) on any syntax problem, unknown
-    variable, or non-integer exponent, and DegreeLimitError when the total
-    degree reaches orders.DEGREE_LIMIT, which no engine order can rank.  A
-    power is checked before it is expanded, so (x+y)^70000 is refused at
-    once; a power below the limit is expanded in full.
+    variable, or non-integer exponent; DegreeLimitError when the total
+    degree reaches orders.DEGREE_LIMIT, which no engine order can rank; and
+    ValueError when a coefficient's numerator or denominator needs more
+    than COEFFICIENT_DIGITS digits.  A power is checked for both before it
+    expands, so (x+y)^70000 and 2^16000000 are refused at once; one below
+    the limits expands in full.
     """
     names = list(varnames)
     if len(set(names)) != len(names):
@@ -166,4 +177,7 @@ def parse_polynomial(text, varnames):
     if kind != "END":
         raise ParseError(f"unexpected token {value!r}", position)
     check_degree(result.total_degree())
+    limit = 10**COEFFICIENT_DIGITS
+    if any(abs(c.numerator) >= limit or c.denominator >= limit for c in result.terms.values()):
+        raise ValueError(f"a coefficient needs more than {COEFFICIENT_DIGITS} decimal digits")
     return result

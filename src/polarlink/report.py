@@ -227,24 +227,16 @@ def build_report(cfg):
         "checks": [_check_payload(c) for c in seq.checks],
     }
 
-    feasibility = None
+    checks = None
     if betti is not None:
-        checks = list(betti_feasibility(betti, profile, bounds))
-        if seq is not None:
-            checks.extend(seq.checks)
-        feasibility = {
-            "checks": [_check_payload(c) for c in checks],
-            "all_passed": all(c.passed for c in checks),
-            "note": "rank-level checks only; torsion is invisible to them",
-        }
+        checks = [*betti_feasibility(betti, profile, bounds), *(seq.checks if seq else ())]
     elif cfg.components is not None and cfg.components != 1:
-        c = components_force_s(cfg.components, profile)
-        feasibility = {
-            "checks": [_check_payload(c)],
-            "all_passed": c.passed,
-            "note": "rank-level checks only; torsion is invisible to them",
-        }
-    doc["feasibility"] = feasibility
+        checks = [components_force_s(cfg.components, profile)]
+    doc["feasibility"] = None if checks is None else {
+        "checks": [_check_payload(c) for c in checks],
+        "all_passed": all(c.passed for c in checks),
+        "note": "rank-level checks only; torsion is invisible to them",
+    }
 
     if not profile.stable or not doc["oracles"]["all_passed"]:
         code = EXIT_UNSTABLE

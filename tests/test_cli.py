@@ -8,6 +8,7 @@ from helpers import record_calls, time_limit
 from polarlink import cli
 from polarlink.cli import main
 from polarlink.orders import DEGREE_LIMIT
+from polarlink.parse import COEFFICIENT_DIGITS
 from polarlink.polar import CoordinateFrame
 
 
@@ -375,6 +376,24 @@ def test_every_command_refuses_a_power_past_the_limit_before_expanding_it(capsys
         ):
             code, out, err = run_cli(capsys, *argv)
             assert (code, out, err) == (1, "", f"error: {LIMIT_REASON}\n")
+
+
+COEFFICIENT_REASON = f"a coefficient needs more than {COEFFICIENT_DIGITS} decimal digits"
+
+
+# Each is refused before its power is taken; left to run, the first two
+# would fail only when the report prints the coefficient.
+@pytest.mark.parametrize("poly", ["2^400000*x^2+y^3", "(2*x)^20000+y^2", "2^16000000*x^2+y^2"])
+def test_every_command_refuses_a_coefficient_past_the_limit(capsys, poly):
+    with time_limit(5):
+        code, doc, _ = compute_doc(capsys, "--poly", poly, "--vars", "x,y")
+        assert (code, doc["error"]) == (1, {"kind": "input", "reason": COEFFICIENT_REASON})
+        for argv in (
+            ("oracle", "teissier", "--poly", poly, "--vars", "x,y"),
+            ("oracle", "truncated-colength", "--gens", poly, "--vars", "x,y"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out, err) == (1, "", f"error: {COEFFICIENT_REASON}\n")
 
 
 @pytest.mark.parametrize("betti", ["1,2,3", "0,-1"])

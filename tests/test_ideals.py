@@ -45,7 +45,7 @@ from polarlink.ideals import (
 )
 from polarlink.errors import DegreeLimitError
 from polarlink.oracle import stable_colength
-from polarlink.orders import DEGREE_LIMIT, GLOBAL, LOCAL, elimination, mono_divides
+from polarlink.orders import DEGREE_LIMIT, GLOBAL, LOCAL, elimination, mono_deg, mono_divides
 from polarlink.parse import parse_polynomial
 from polarlink.polar import CoordinateFrame, jacobian_ideal, polar_ideal, sample_frames
 from polarlink.poly import INFINITE, Polynomial, integer_terms
@@ -474,6 +474,22 @@ def test_saturations_of_four_planes_form_few_s_polynomials(monkeypatch):
     formed = record_calls(monkeypatch, ideals, "_spoly")
     run_compute(RunConfig("x*y*z*w", ("x", "y", "z", "w"), seed=0))
     assert sum(args[3].is_global for args, _ in formed) == 215
+
+
+@pytest.mark.parametrize("text", ["x^3+y^4+z^2", "x^3+x*y^3+z^2"])
+def test_every_reducer_is_an_element(monkeypatch, text):
+    # Mora's snapshots of a dividend reduce too; each enters the working set
+    # as an element, like a basis element: its tail a tuple sorted by -key
+    # after its lead, lc > 0, primitive, and spread its ecart.
+    steps = record_calls(monkeypatch, ideals, "_reduce_step")
+    run_compute(RunConfig(text, ("x", "y", "z"), seed=0))
+    assert steps
+    for args, _ in steps:
+        lm, nlk, lc, tail, spread = args[4]
+        assert type(tail) is tuple and list(tail) == sorted(tail)
+        assert all(nlk < k for k, _, _ in tail)
+        assert lc > 0 and gcd(lc, *(c for _, _, c in tail)) == 1
+        assert spread == max(mono_deg(m) for m in (lm, *(m for _, m, _ in tail))) - mono_deg(lm)
 
 
 @settings(max_examples=20)

@@ -6,7 +6,7 @@ import pytest
 
 from helpers import V2, p2, record_calls
 from polarlink.errors import DegreeLimitError, ParseError
-from polarlink.parse import parse_polynomial
+from polarlink.parse import COEFFICIENT_DIGITS, parse_polynomial
 from polarlink.poly import Polynomial
 
 
@@ -108,3 +108,22 @@ def test_a_power_past_the_degree_limit_is_refused_before_it_is_expanded(monkeypa
             parse_polynomial(text, V2)
     assert powers == []
     assert parse_polynomial("(x*y)^32767", V2).total_degree() == 65534
+
+
+def test_a_coefficient_past_the_digit_limit_is_refused(monkeypatch):
+    ok = 10**COEFFICIENT_DIGITS - 1
+    past = "1" + "0" * COEFFICIENT_DIGITS  # 10^COEFFICIENT_DIGITS
+    assert p2(f"{ok}*x + 1/{ok}*y").terms == {(1, 0): ok, (0, 1): Fraction(1, ok)}
+    assert len(str(p2("3^9000*x").terms[(1, 0)])) == 4295
+    # Past the limit only once the power is taken, in a numerator or a
+    # denominator ((1/2)^15000), or as a literal.
+    for text in ("3^9100*x", "x + 1/2^15000*y", f"{past}*x", f"1/{past}*y"):
+        with pytest.raises(ValueError, match="coefficient needs more than"):
+            parse_polynomial(text, V2)
+    # Refused before the power is taken: the lex-largest term's coefficient
+    # of a power is that of its base to the same power.
+    powers = record_calls(monkeypatch, Polynomial, "__pow__")
+    for text in ("2^16000000*x", "(1024*x+y)^2000"):
+        with pytest.raises(ValueError, match="coefficient needs more than"):
+            parse_polynomial(text, V2)
+    assert powers == []
