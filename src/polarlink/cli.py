@@ -109,7 +109,7 @@ def _build_parser():
 
 def _cmd_compute(args):
     try:
-        betti = _split_ints(args.betti, "--betti") if args.betti else None
+        betti = _split_ints(args.betti, "--betti") if args.betti is not None else None
         cfg = RunConfig(
             poly_text=args.poly,
             varnames=_split_vars(args.vars),

@@ -1,8 +1,8 @@
 """Groebner bases, Mora standard bases, and derived ideal operations.
 
-Global orders get reduced Groebner bases via Buchberger's algorithm with
-the product and chain criteria, taking pairs by sugar (Giovini, Mora,
-Niesi, Robbiano, Traverso, ISSAC 1991); local orders get standard bases
+Global orders get Groebner bases via Buchberger's algorithm with the
+product and chain criteria, taking pairs by sugar (Giovini, Mora, Niesi,
+Robbiano, Traverso, ISSAC 1991); local orders get standard bases
 via Mora's tangent-cone algorithm (weak normal form with ecart-based
 selection), taking pairs by degree.
 On top of those sit saturation (tag variables plus elimination), and the
@@ -16,7 +16,7 @@ all that ``mora_standard_basis`` returns.
 
 Saturation I : J^infinity is one Rabinowitsch elimination with one tag
 per generator of J outside I, which is exact, so it needs no certificate
-and no fallback.  The elimination starts from the reduced basis of I that
+and no fallback.  The elimination starts from the minimal basis of I that
 saturation builds anyway, and forms no pair within it.
 
 Everything is exact, and every call computes its basis afresh: the module
@@ -193,7 +193,7 @@ def _standard_basis_raw(gens, order, top=None, settled=0):
     pairs not yet taken.  The first settled of gens are distinct elements
     of a Groebner basis under the (global) order of the ideal they
     generate; no pair between two of them is formed, as every such
-    S-polynomial reduces to zero by them (``_eliminate_tags``).
+    S-polynomial reduces to zero by them (``saturate``).
 
     Under a global order pairs are taken by (sugar, deg lcm, i, j).  The
     sugar of an input element is its largest term degree, that of a pair
@@ -293,18 +293,6 @@ def _minimalize(G):
     return list(kept.values())
 
 
-def _reduce_global(G, order):
-    """Minimal basis of the elements G, tails fully reduced, sorted as by
-    ``_minimalize``."""
-    kept = _minimalize(G)
-    for i, g in enumerate(kept):
-        others = kept[:i] + kept[i + 1 :]
-        if others:
-            heap = [(g[1], g[0]), *(t[:2] for t in g[3])]  # sorted, so a heap
-            kept[i] = _element(_normal_form(_terms(g), heap, others, order), order)
-    return kept
-
-
 def mora_standard_basis(I):
     """The leads of a minimal Mora standard basis of I in the local ring at
     the origin, sorted by degree, then by the local order: they minimally
@@ -316,37 +304,13 @@ def mora_standard_basis(I):
 # --- saturation ---------------------------------------------------------
 
 
-def _eliminate_tags(basis, tag, r):
-    """The tag elimination of ``saturate``: basis, the reduced degrevlex
-    basis of an ideal I as elements, and the integer term dict tag (in r
-    tag variables followed by the others) generate an ideal, and its
-    elements free of the tags are generated by the tag-free elements of its
-    reduced elimination basis, returned as integer term dicts in the other
-    variables.  basis, lifted with zero tag exponents, is settled (see
-    ``_standard_basis_raw``): the S-polynomial of two of its elements is
-    tag-free, and the elimination order restricted to tag-free monomials is
-    degrevlex, under which basis reduces it to zero.  An element is
-    tag-free when its lm is: any term with a tag would be larger.  Only
-    those of the raw basis are reduced: only tag-free leads divide their
-    terms, so they come out as in the whole reduced basis."""
-    order = elimination(r)
-    pad = (0,) * r
-    lifted = [{pad + m: c for m, c in _terms(g).items()} for g in basis]
-    raw = _standard_basis_raw(lifted + [tag], order, settled=len(lifted))
-    free = [g for g in raw if not any(g[0][:r])]
-    return [{m[r:]: c for m, c in _terms(g).items()} for g in _reduce_global(free, order)]
-
-
 def saturate(I, J):
     """I : J^infinity and its saturation exponent.
 
     The exponent is the least m with I : J^m = I : J^infinity, that is the
     least m with J^m * (I : J^infinity) contained in I; it is 0 exactly
-    when I is already saturated.  The returned ideal is generated by its
-    reduced Groebner basis: the tag-free part of the elimination's reduced
-    basis, which already is that basis (the elimination order restricted
-    to tag-free monomials is degrevlex, with the same primitive scaling and
-    sort).
+    when I is already saturated.  The returned ideal is generated by a
+    minimal degrevlex Groebner basis of it, as sorted by ``_minimalize``.
 
     Method (Greuel-Pfister, section 1.8): let h_1..h_r be the generators of
     J outside I.  The others lie in I, so J^m + I = (h)^m + I for every m
@@ -364,12 +328,16 @@ def saturate(I, J):
     remainder lie in I exactly when those of the kept one do, and the
     least m is the same.  There is no certificate and no fallback.
 
-    The elimination starts from gb, the reduced basis of I built for those
-    remainders, with no pair formed between two of its elements (see
-    ``_eliminate_tags``), rather than from the generators of I.
+    gb is a minimal degrevlex basis of I: a full remainder modulo any
+    Groebner basis is unique up to a scalar.  Lifted with zero tag
+    exponents, gb is settled in the elimination (``_standard_basis_raw``):
+    the S-polynomial of two of its elements is tag-free, where the order is
+    degrevlex.  An element is tag-free when its lm is, and only tag-free
+    leads divide tag-free monomials, so the tag-free elements form a
+    Groebner basis of S.
     """
     n = I.nvars
-    gb = _reduce_global(_standard_basis_raw(map(integer_terms, I.gens), GLOBAL), GLOBAL)
+    gb = _minimalize(_standard_basis_raw(map(integer_terms, I.gens), GLOBAL))
 
     def remainders(polys):
         """The distinct nonzero remainders modulo I of the integer term
@@ -385,7 +353,10 @@ def saturate(I, J):
     for i, h in enumerate(hs):
         t_i = pad[:i] + (1,) + pad[i + 1 :]
         tag.update({t_i + m: -c for m, c in h.items()})
-    kept = _eliminate_tags(gb, tag, r)
+    lifted = [{pad + m: c for m, c in _terms(g).items()} for g in gb]
+    raw = _standard_basis_raw(lifted + [tag], elimination(r), settled=len(lifted))
+    free = _minimalize(g for g in raw if not any(g[0][:r]))
+    kept = [{m[r:]: c for m, c in _terms(g).items()} for g in free]
     pending, exponent = remainders(kept), 0
     while pending:
         pending = remainders([mul_terms(h, p) for h in hs for p in pending])

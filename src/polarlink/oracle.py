@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from math import gcd
+from math import comb, gcd
 from operator import add
 
 from .ideals import Ideal, local_colength
@@ -34,6 +34,9 @@ from .polar import milnor_number  # unused; perfbench/tracer.py rebinds it (ROAD
 from .polar import polar_ideal  # unused; perfbench/tracer.py rebinds it (ROADMAP item 5)
 
 HARD_DEGREE_CAP = 40
+# Rows or monomials of one elimination: 1.22 M monomials, (x) in five
+# variables below degree 41, take 0.85 GB, so this allows about 1.4 GB.
+ELIMINATION_SIZE = 2 * 10**6
 
 
 @dataclass(frozen=True)
@@ -107,8 +110,15 @@ def _counts(I, top):
     c: count(c) is the number of monomials of degree < c minus that of the
     pivots.  The multipliers are the monomials below top, taken by degree:
     for each degree the part of a generator that stays below top is cut
-    once."""
-    by_degree = [monomials_of_degree(I.nvars, d) for d in range(top)]
+    once, so a generator of least term degree d has C(top - 1 - d + n, n)
+    rows in n variables.  More than ELIMINATION_SIZE rows, or monomials
+    below top, are refused by a ValueError before any is built."""
+    n = I.nvars
+    lows = (min(map(mono_deg, g.terms)) for g in I.gens)
+    size = sum(comb(top - 1 - d + n, n) for d in lows if d < top)
+    if max(size, comb(top - 1 + n, n)) > ELIMINATION_SIZE:
+        raise ValueError(f"an oracle elimination below degree {top} passes {ELIMINATION_SIZE} rows or monomials")
+    by_degree = [monomials_of_degree(n, d) for d in range(top)]
     rows = []
     for g in map(integer_terms, I.gens):
         for du, us in enumerate(by_degree):

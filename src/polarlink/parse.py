@@ -10,18 +10,22 @@ Grammar (implicit multiplication is not supported):
 Rational literals are ``123`` or ``123/456`` with no spaces around the
 slash.  Variable names are ASCII identifiers and must appear in the
 caller's variable list.  A single leading sign before the first term of an
-expression is accepted as a convenience extension.
+expression is accepted as a convenience extension.  Any character outside
+ASCII, a Unicode digit or letter too, is refused with its position.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from string import ascii_letters, digits, whitespace
 
 from .errors import ParseError
 from .orders import check_degree
 from .poly import Polynomial
 
 _SYMBOLS = "+-*^()"
+_NAME_START = ascii_letters + "_"
+_NAME_CHARS = _NAME_START + digits
 
 COEFFICIENT_DIGITS = 4300  # Python's default limit for printing an int
 
@@ -33,31 +37,31 @@ def _tokenize(text):
     n = len(text)
     while i < n:
         ch = text[i]
-        if ch.isspace():
+        if ch in whitespace:
             i += 1
             continue
         if ch in _SYMBOLS:
             tokens.append(("SYM", ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch in digits:
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in digits:
                 i += 1
             if i < n and text[i] == "/":
                 j = i + 1
-                if j < n and text[j].isdigit():
+                if j < n and text[j] in digits:
                     i = j
-                    while i < n and text[i].isdigit():
+                    while i < n and text[i] in digits:
                         i += 1
                     tokens.append(("NUM", text[start:i], start))
                     continue
                 raise ParseError("malformed rational literal", i)
             tokens.append(("NUM", text[start:i], start))
             continue
-        if ch.isalpha() or ch == "_":
+        if ch in _NAME_START:
             start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
+            while i < n and text[i] in _NAME_CHARS:
                 i += 1
             tokens.append(("NAME", text[start:i], start))
             continue
@@ -160,8 +164,9 @@ class _Parser:
 def parse_polynomial(text, varnames):
     """Parse an expression into a canonical expanded Polynomial.
 
-    Raises ParseError (with position) on any syntax problem, unknown
-    variable, or non-integer exponent; DegreeLimitError when the total
+    Raises ParseError (with position) on any syntax problem, character
+    outside ASCII, unknown variable, variable name that is not an ASCII
+    identifier, or non-integer exponent; DegreeLimitError when the total
     degree reaches orders.DEGREE_LIMIT, which no engine order can rank; and
     ValueError when a coefficient's numerator or denominator needs more
     than COEFFICIENT_DIGITS digits.  A power is checked for both before it
@@ -171,6 +176,9 @@ def parse_polynomial(text, varnames):
     names = list(varnames)
     if len(set(names)) != len(names):
         raise ParseError("duplicate variable name", 0)
+    for name in names:
+        if not (name.isascii() and name.isidentifier()):
+            raise ParseError(f"variable name {name!r} is not an ASCII identifier", 0)
     parser = _Parser(_tokenize(text), names)
     result = parser.parse_expr()
     kind, value, position = parser.peek()

@@ -12,7 +12,7 @@ helpers, and Fractions are built only for the coefficients of the
 polynomials they return.  ``det`` eliminates on integers too.
 A polynomial stores a finite map from exponent tuples to nonzero
 coefficients; the zero polynomial stores nothing.  Values are immutable
-after construction and safe to share between workers.
+after construction.
 """
 
 from __future__ import annotations

@@ -48,6 +48,14 @@ SCHEMA_VERSION = 1
 ENGINE_VERSION = "0.1.0"
 
 
+def check_sampling(trials, bound):
+    """Refuse a trial count or a frame entry bound below 1."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if bound < 1:
+        raise ValueError("bound must be at least 1")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     poly_text: str
@@ -59,10 +67,7 @@ class RunConfig:
     components: object = None
 
     def validate(self):
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if self.bound < 1:
-            raise ValueError("bound must be at least 1")
+        check_sampling(self.trials, self.bound)
         if len(self.varnames) < 2:
             raise ValueError("need at least two variables")
         if self.components is not None and self.components < 1:
@@ -393,15 +398,20 @@ def _corpus_entry(raw):
 def run_corpus(path, trials=5, seed=0, bound=10):
     """Run every corpus entry, audit it, and build a summary table.
 
-    Returns (summary text, reports, exit code).  Exit 1 flags unreadable
-    input naming the offending line, exit 2 flags audit failures, exit 0
-    means every audit passed (vacuously for an empty corpus).
+    Returns (summary text, reports, exit code).  Exit 1 flags options out
+    of range (before the file is read), a file not readable as UTF-8, and
+    unreadable input naming the offending line; exit 2 flags audit
+    failures; exit 0 means every audit passed (vacuously for an empty
+    corpus).
     """
     try:
+        check_sampling(trials, bound)
         with open(path, "r", encoding="utf-8") as fh:
             raw_lines = fh.readlines()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         return f"error: cannot read corpus: {e}\n", [], EXIT_INPUT_ERROR
+    except ValueError as e:
+        return f"error: {e}\n", [], EXIT_INPUT_ERROR
 
     lines = []
     reports = []

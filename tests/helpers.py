@@ -7,7 +7,15 @@ from functools import reduce
 
 from hypothesis import strategies as st
 
-from polarlink.ideals import Ideal, _reduce_global, _standard_basis_raw, _terms, saturate
+from polarlink.ideals import (
+    Ideal,
+    _element,
+    _minimalize,
+    _normal_form,
+    _standard_basis_raw,
+    _terms,
+    saturate,
+)
 from polarlink.oracle import _echelon_pivots, monomials_of_degree
 from polarlink.orders import GLOBAL, elimination, mono_div, mono_divides
 from polarlink.parse import parse_polynomial
@@ -68,6 +76,19 @@ def reference_key(order, mono):
         return block(mono[: order.n_elim]) + block(mono[order.n_elim :])
     key = block(mono)
     return (-key[0],) + key[1:] if order.kind == "negdegrevlex" else key
+
+
+def _reduce_global(G, order):
+    """Minimal basis of the elements G, tails fully reduced, sorted as by
+    ``_minimalize``: the interreduction behind ``reduced_basis``.  The
+    package reduces no basis this way; saturation ends at a minimal one."""
+    kept = _minimalize(G)
+    for i, g in enumerate(kept):
+        others = kept[:i] + kept[i + 1 :]
+        if others:
+            heap = [(g[1], g[0]), *(t[:2] for t in g[3])]  # sorted, so a heap
+            kept[i] = _element(_normal_form(_terms(g), heap, others, order), order)
+    return kept
 
 
 def reduced_basis(I, order=GLOBAL):

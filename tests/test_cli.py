@@ -5,8 +5,9 @@ import json
 import pytest
 
 from helpers import record_calls, time_limit
-from polarlink import cli
+from polarlink import cli, report
 from polarlink.cli import main
+from polarlink.oracle import ELIMINATION_SIZE
 from polarlink.orders import DEGREE_LIMIT
 from polarlink.parse import COEFFICIENT_DIGITS
 from polarlink.polar import CoordinateFrame
@@ -128,6 +129,17 @@ def test_parse_error_exits_1(capsys):
     assert doc["error"]["kind"] == "input"
 
 
+def test_a_character_outside_ascii_exits_1_with_its_position(capsys):
+    code, doc, _ = compute_doc(capsys, "--poly", "x^\u00b2+y^3", "--vars", "x,y")
+    assert code == 1
+    assert doc["error"] == {"kind": "input", "reason": "unexpected character '\u00b2' (at position 2)"}
+
+
+def test_an_empty_betti_is_refused_not_dropped(capsys):
+    code, out, err = run_cli(capsys, "compute", "--poly", "x*y", "--vars", "x,y", "--betti", "")
+    assert (code, out, err) == (1, "", "error: --betti must be a comma-separated list of integers\n")
+
+
 def test_unknown_flag_exits_1(capsys):
     code, _, err = run_cli(capsys, "compute", "--poly", "x*y", "--nope")
     assert code == 1
@@ -194,6 +206,31 @@ def test_corpus_empty_file_passes_vacuously(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "corpus", str(path))
     assert code == 0
     assert "0 entries" in out
+
+
+@pytest.mark.parametrize(
+    "option, reason", [("--trials", "trials must be at least 1"), ("--bound", "bound must be at least 1")]
+)
+@pytest.mark.parametrize("corpus", ["bundled", "empty"])
+def test_corpus_judges_its_options_before_reading_the_file(capsys, monkeypatch, tmp_path, option, reason, corpus):
+    # The option is at fault, not a line of the corpus, and an empty corpus
+    # does not pass it vacuously.
+    path = tmp_path / "empty.jsonl"
+    path.write_text("", encoding="utf-8")
+    argv = () if corpus == "bundled" else (str(path),)
+    computed = record_calls(monkeypatch, report, "run_compute")
+    code, out, err = run_cli(capsys, "corpus", *argv, option, "0")
+    assert (code, out, err) == (1, f"error: {reason}\n", "")
+    assert computed == []
+
+
+def test_a_corpus_that_is_not_utf8_is_unreadable(capsys, tmp_path):
+    path = tmp_path / "latin1.jsonl"
+    path.write_bytes(b'{"name": "caf\xe9", "poly": "x*y", "vars": ["x", "y"]}\n')
+    code, out, err = run_cli(capsys, "corpus", str(path))
+    assert code == 1
+    assert out.startswith("error: cannot read corpus: 'utf-8' codec can't decode byte 0xe9")
+    assert err == ""
 
 
 def test_corpus_gamma_mismatch_fails_audit(capsys, tmp_path):
@@ -323,15 +360,44 @@ def test_degree_cap_default(capsys):
 
 
 def test_module_entry_point_runs():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import polarlink
+
+    # The child finds the package where this process did, installed or not.
+    source = str(Path(polarlink.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "polarlink", "--version"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
+
+
+def test_the_colength_oracle_refuses_an_elimination_past_its_size_bound(capsys):
+    # (x) in three variables never stabilizes; doubled toward the cap, the
+    # elimination below degree 257 would hold 2.8 M rows, refused before
+    # any is built.  The default cap stops at degree 41.
+    with time_limit(5):
+        code, out, err = run_cli(
+            capsys, "oracle", "truncated-colength", "--gens", "x", "--vars", "x,y,z", "--cap", "100000"
+        )
+    assert (code, out) == (1, "")
+    assert err == f"error: an oracle elimination below degree 257 passes {ELIMINATION_SIZE} rows or monomials\n"
+
+
+def test_the_colength_oracle_still_certifies_a_high_colength(capsys):
+    # x^500, y: the default cap 1004 is reached by doubling to 512, whose
+    # elimination (131 k rows) stays under the bound.
+    with time_limit(5):
+        code, out, _ = run_cli(capsys, "oracle", "truncated-colength", "--gens", "x^500; y", "--vars", "x,y")
+    assert code == 0
+    assert json.loads(out) == {"value": 500, "stable": True, "cap": 1004}
 
 
 def _count_frames(monkeypatch):

@@ -4,11 +4,12 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     V2,
+    _reduce_global,
     canonical,
     exact_divide,
     fraction_remainder,
@@ -34,7 +35,6 @@ from polarlink.ideals import (
     _heap,
     _minimalize,
     _normal_form,
-    _reduce_global,
     _staircase,
     _standard_basis_raw,
     _terms,
@@ -191,13 +191,13 @@ def test_the_reduced_basis_passes_buchberger_by_fraction_division(gens):
     st.data(),
 )
 def test_a_seeded_elimination_basis_passes_buchberger_by_fraction_division(gens, hs, data):
-    # The reduced degrevlex basis of I, lifted with zero tag exponents, is
-    # the settled prefix: no pair within it is formed.  The rest are a
-    # Rabinowitsch polynomial in r = len(hs) tags and a random polynomial
-    # in the tags and the variables.
+    # A minimal degrevlex basis of I, as saturate builds it, lifted with
+    # zero tag exponents, is the settled prefix: no pair within it is
+    # formed.  The rest are a Rabinowitsch polynomial in r = len(hs) tags
+    # and a random polynomial in the tags and the variables.
     r = len(hs)
     order = elimination(r)
-    gb = reduced_basis(Ideal(tuple(gens), 2))
+    gb = [Polynomial(2, _terms(g)) for g in _minimalize(engine_basis(Ideal(tuple(gens), 2), GLOBAL))]
     rabinowitsch = Polynomial.constant(r + 2, 1)
     for i, h in enumerate(hs):
         rabinowitsch = rabinowitsch - tagged(h, tuple(int(j == i) for j in range(r)))
@@ -343,7 +343,7 @@ def test_quotient_by_zero_ideal_rejected():
 
 def test_saturation_classic():
     sat, e = saturate(ideal2("x^2", "x*y"), ideal2("x", "y"))
-    assert sat.gens == (p2("x"),)
+    assert canonical(sat).gens == (p2("x"),)
     assert e == 1
 
 
@@ -351,20 +351,20 @@ def test_saturation_by_the_zero_ideal_is_the_unit_ideal():
     # I : (0)^infinity is the whole ring, reached at exponent 1 unless I is
     # already the unit ideal.
     sat, e = saturate(ideal2("x^2", "x*y"), Ideal((), 2))
-    assert (sat.gens, e) == ((p2("1"),), 1)
+    assert (canonical(sat).gens, e) == ((p2("1"),), 1)
     assert saturate(ideal2("1"), Ideal((), 2)) == (ideal2("1"), 0)
 
 
 def test_saturation_strips_a_factor():
     sat, e = saturate(ideal2("x*y"), ideal2("x"))
-    assert sat.gens == (p2("y"),)
+    assert canonical(sat).gens == (p2("y"),)
     assert e == 1
 
 
 def test_saturation_by_unit_is_noop():
     I = ideal2("x^2", "y")
     sat, e = saturate(I, ideal2("1"))
-    assert sat.gens == canonical(I).gens
+    assert canonical(sat).gens == canonical(I).gens
     assert e == 0
 
 
@@ -373,19 +373,19 @@ def test_saturation_of_two_lines_by_the_origin_is_a_noop():
     # x + 2y, a fixed combination of J's generators, divides I.
     I = ideal2("x^2 + 2*x*y")
     sat, e = saturate(I, ideal2("x", "y"))
-    assert sat.gens == canonical(I).gens
+    assert canonical(sat).gens == canonical(I).gens
     assert e == 0
 
 
 def test_saturation_by_an_ideal_inside_i_is_the_unit_ideal():
     sat, e = saturate(ideal2("x^2", "y"), ideal2("x^2", "x*y"))
-    assert sat.gens == (Polynomial.constant(2, 1),)
+    assert canonical(sat).gens == (Polynomial.constant(2, 1),)
     assert e == 1
 
 
 def test_saturation_of_the_unit_ideal_has_exponent_zero():
     sat, e = saturate(ideal2("1"), ideal2("x", "y"))
-    assert sat.gens == (Polynomial.constant(2, 1),)
+    assert canonical(sat).gens == (Polynomial.constant(2, 1),)
     assert e == 0
 
 
@@ -407,7 +407,7 @@ def test_polar_saturations_of_line_arrangements_match_the_quotient_loop(text):
             I = Ideal([fM.partial_derivative(i) for i in range(k, 3)], 3)
             sat, e = saturate(I, J)
             loop_sat, loop_e = saturate_by_quotients(I, J)
-            assert (sat.gens, e) == (loop_sat.gens, loop_e)
+            assert (canonical(sat).gens, e) == (loop_sat.gens, loop_e)
             outside.add(sum(not is_member(h, I) for h in J.gens))
     assert max(outside) >= 2
 
@@ -427,7 +427,7 @@ def test_saturation_matches_the_quotient_loop(gens, jgens):
     J = Ideal(tuple(jgens), 2)
     sat, e = saturate(I, J)
     loop_sat, loop_e = saturate_by_quotients(I, J)
-    assert sat.gens == loop_sat.gens
+    assert canonical(sat).gens == loop_sat.gens
     assert e == loop_e
     assert_primitive(sat.gens, GLOBAL)
 
@@ -443,7 +443,7 @@ def test_saturation_by_several_tags_in_three_variables_matches_the_quotient_loop
     assume(sum(not is_member(h, I) for h in J.gens) >= 2)
     sat, e = saturate(I, J)
     loop_sat, loop_e = saturate_by_quotients(I, J)
-    assert (sat.gens, e) == (loop_sat.gens, loop_e)
+    assert (canonical(sat).gens, e) == (loop_sat.gens, loop_e)
 
 
 @pytest.mark.parametrize(
@@ -460,7 +460,7 @@ def test_the_saturation_exponent_waits_for_every_distinct_remainder(gens, jgens,
     # round would be too small.
     I, J = ideal3(*gens), ideal3(*jgens)
     sat, e = saturate(I, J)
-    assert (sat.gens, e) == (saturate_by_quotients(I, J)[0].gens, exponent)
+    assert (canonical(sat).gens, e) == (saturate_by_quotients(I, J)[0].gens, exponent)
 
 
 def test_saturations_of_four_planes_form_few_s_polynomials(monkeypatch):
@@ -505,16 +505,40 @@ def test_quotient_and_saturation_grow(gens, jgens):
         assert is_member(h, S)
 
 
-@given(ideal_gens, saturator_gens)
-def test_saturation_meets_the_whole_elimination_basis(gens, jgens):
-    I, J = Ideal(tuple(gens), 2), Ideal(tuple(jgens), 2)
+def whole_elimination_saturation(I, J):
+    """The generators of I : J^infinity that the tag-free part of the whole
+    reduced elimination basis of I + (1 - sum t_i*h_i) gives, h_i the
+    generators of J outside I."""
     hs = [h for h in J.gens if not is_member(h, I)]
     r = len(hs)
     rabinowitsch = Polynomial.constant(r + 2, 1)
     for i, h in enumerate(hs):
         rabinowitsch = rabinowitsch - tagged(h, tuple(int(j == i) for j in range(r)))
     lifted = [tagged(f, (0,) * r) for f in I.gens] + [rabinowitsch]
-    assert saturate(I, J)[0].gens == tag_free_part(Ideal(lifted, r + 2), r)
+    return tag_free_part(Ideal(lifted, r + 2), r)
+
+
+@given(ideal_gens, saturator_gens)
+def test_saturation_meets_the_whole_elimination_basis(gens, jgens):
+    I, J = Ideal(tuple(gens), 2), Ideal(tuple(jgens), 2)
+    assert canonical(saturate(I, J)[0]).gens == whole_elimination_saturation(I, J)
+
+
+@settings(max_examples=30, deadline=None)
+@given(ideal_gens, saturator_gens)
+@example([p2("x+y"), p2("x^2+y")], [p2("x")])
+def test_saturation_returns_a_minimal_groebner_basis(gens, jgens):
+    # No basis is interreduced: the generators are a Groebner basis of the
+    # saturation whose leads divide no other lead, not its reduced basis.
+    # In the example that basis is (y+1, x+y), and the reduced one (y+1, x-1).
+    I, J = Ideal(tuple(gens), 2), Ideal(tuple(jgens), 2)
+    sat = saturate(I, J)[0]
+    expected = whole_elimination_saturation(I, J)
+    assert_groebner_by_fraction_division(sat.gens, expected, GLOBAL)
+    leads = [max(g.terms, key=GLOBAL.key) for g in sat.gens]
+    for i, lm in enumerate(leads):
+        assert not any(mono_divides(m, lm) for m in leads[:i] + leads[i + 1 :])
+    assert canonical(sat).gens == expected
 
 
 # --- dimension and colength ----------------------------------------------

@@ -113,6 +113,29 @@ def test_truncated_zero_ideal():
         assert (r.value, r.stable, r.cap) == stable_colength_by_doubling(zero, 2, cap)
 
 
+@settings(max_examples=30)
+@given(
+    st.lists(nonzero_polynomials(nvars=3, max_terms=3, max_exp=2), max_size=3),
+    st.integers(1, 6),
+)
+def test_the_elimination_size_bound_counts_what_it_would_build(gens, top):
+    # The bound meets the larger of the rows built and the monomials below
+    # top exactly; one less refuses the elimination before any monomial is
+    # listed.
+    I = Ideal(tuple(gens), 3)
+    with pytest.MonkeyPatch.context() as mp:
+        pivots = record_calls(mp, oracle, "_echelon_pivots")
+        oracle._counts(I, top)
+        size = max(len(pivots[0][0][0]), len(monomials_below(3, top)))
+        mp.setattr(oracle, "ELIMINATION_SIZE", size)
+        oracle._counts(I, top)
+        mp.setattr(oracle, "ELIMINATION_SIZE", size - 1)
+        listed = record_calls(mp, oracle, "monomials_of_degree")
+        with pytest.raises(ValueError, match=f"below degree {top} passes {size - 1} rows or monomials"):
+            oracle._counts(I, top)
+        assert listed == []
+
+
 def test_truncated_rational_generators():
     r = stable_colength(ideal2("1/2*x^2+3/4*y^3", "2/3*y^2"), 6)
     assert (r.value, r.stable, r.cap) == (4, True, 6)

@@ -88,6 +88,30 @@ def test_unexpected_character():
     assert "unexpected character" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text, position, reason",
+    [
+        ("x^\u00b2+y^3", 2, "unexpected character '\u00b2'"),  # superscript two
+        ("\u00b2*x+y^2", 0, "unexpected character '\u00b2'"),
+        ("x^\u0663+y^2", 2, "unexpected character '\u0663'"),  # Arabic-Indic three
+        ("x+\u00e9", 2, "unexpected character '\u00e9'"),  # a letter outside ASCII
+        ("x+y\u00e9", 3, "unexpected character '\u00e9'"),
+        ("x\u00a0+y", 1, "unexpected character '\\xa0'"),  # no-break space
+        ("3/\u0663*x", 1, "malformed rational literal"),
+    ],
+)
+def test_a_character_outside_ascii_is_refused_with_its_position(text, position, reason):
+    with pytest.raises(ParseError) as err:
+        parse_polynomial(text, V2)
+    assert (str(err.value), err.value.position) == (f"{reason} (at position {position})", position)
+
+
+@pytest.mark.parametrize("names", [["x", "\u00e9"], ["x", "1y"], ["x", "y z"], ["x", "y-1"]])
+def test_a_variable_name_that_is_not_an_ascii_identifier_is_refused(names):
+    with pytest.raises(ParseError, match="not an ASCII identifier"):
+        parse_polynomial("x", names)
+
+
 def test_implicit_multiplication_is_an_error():
     with pytest.raises(ParseError):
         parse_polynomial("2x", V2)
