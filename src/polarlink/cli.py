@@ -119,15 +119,19 @@ def _cmd_compute(args):
             betti=betti,
             components=args.components,
         )
+        target = open(args.json_path, "w", encoding="utf-8") if args.json_path else None
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except OSError as e:
+        print(f"error: cannot write report: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     doc, code = run_compute(cfg)
     if args.text:
         sys.stdout.write(render_text(doc))
-    elif args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(doc))
+    elif target:
+        with target:
+            target.write(canonical_json(doc))
     else:
         sys.stdout.write(canonical_json(doc))
     return code

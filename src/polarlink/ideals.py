@@ -1,18 +1,20 @@
-"""Groebner bases, Mora standard bases, and derived ideal operations.
+"""Groebner bases, local standard bases, and derived ideal operations.
 
-Global orders get Groebner bases via Buchberger's algorithm with the
-product and chain criteria, taking pairs by sugar (Giovini, Mora, Niesi,
-Robbiano, Traverso, ISSAC 1991); local orders get standard bases
-via Mora's tangent-cone algorithm (weak normal form with ecart-based
-selection), taking pairs by degree.
+One pair loop builds every basis: Buchberger's algorithm with the product
+and chain criteria, taking pairs by sugar (Giovini, Mora, Niesi, Robbiano,
+Traverso, ISSAC 1991) under global orders and by degree under the local
+one, where it is always cut at a degree.  Global orders give Groebner
+bases, and the elimination orders serve saturation's tags and the
+homogenizing variable of Lazard's method.
 On top of those sit saturation (tag variables plus elimination), and the
 Krull dimension and local colength at the origin, which realize the
 critical-locus dimension and the intersection numbers.  Both are read from
-the leads of a Mora standard basis alone (Greuel-Pfister, section 1.7):
-the colength from Mora's loop cut at a degree N, doubled until the leads'
-corner or a Bezout bound settles it (``local_colength``), and, where the
-colength is infinite, the dimension from the uncut loop, whose leads are
-all that ``mora_standard_basis`` returns.
+the leads of a standard basis in the local ring alone (Greuel-Pfister,
+section 1.7): the colength from the loop under the local order cut at a
+degree N, doubled until the leads' corner or a Bezout bound settles it
+(``local_colength``), and, where the colength is infinite, the dimension
+from the leads of a Groebner basis of the homogenized generators (Lazard,
+EUROCAL 1983), all that ``mora_standard_basis`` returns.
 
 Saturation I : J^infinity is one Rabinowitsch elimination with one tag
 per generator of J outside I, which is exact, so it needs no certificate
@@ -21,11 +23,11 @@ saturation builds anyway, and forms no pair within it.
 
 Everything is exact, and every call computes its basis afresh: the module
 keeps no state between calls.  The engine works on integer coefficients
-only and has one representation of a basis element, and of every reducer,
-Mora's snapshots included: the tuple (lm, -key(lm), lc, tail, spread) over
-a primitive integer term dict: coprime coefficients, lc > 0 under the
-order (see ``_element``).  Fractions are met at two places only.  On the
-way in, each generator's Fraction coefficients are scaled to integers once
+only and has one representation of a basis element, and so of every
+reducer: the tuple (lm, -key(lm), lc, tail, spread) over a primitive
+integer term dict: coprime coefficients, lc > 0 under the order (see
+``_element``).  Fractions are met at two places only.  On the way in, each
+generator's Fraction coefficients are scaled to integers once
 (``integer_terms``, from ``poly``, like the product ``mul_terms``); on the
 way out, results leave the engine as ``saturate``'s ideal, whose elements
 become Polynomials once, and as the leads of ``mora_standard_basis``.  A
@@ -84,7 +86,8 @@ def _element(h, order):
     that lc > 0, as the element (lm, -key(lm), lc, tail, spread): tail is
     the tuple of (-key, monomial, coeff) over the other terms, sorted, so
     that equal elements are equal tuples, and spread is the largest term
-    degree minus deg(lm), the ecart under a local order."""
+    degree minus deg(lm), which bounds the degree of the terms that a
+    reduction by the element creates."""
     (nk, lm), *rest = sorted((-order.key(m), m) for m in h)
     c = gcd(*h.values()) if h[lm] > 0 else -gcd(*h.values())
     tail = tuple((k, m, h[m] // c) for k, m in rest)
@@ -141,33 +144,25 @@ def _reduce_step(h, heap, hm, nk, reducer, cut):
 
 def _normal_form(h, heap, reducers, order, cut=None):
     """Division remainder of the integer term dict h, up to a positive
-    factor, computed in h, whose heap is consumed: the full remainder under
-    a global order, where an irreducible lead stays in h as no step creates
-    a term above the lead it cancels, and Mora's weak normal form under a
-    local one, with no term at or past cut (see ``_reduce_step``).
-
-    Under a local order the reducer of least ecart is used; one whose ecart
-    exceeds h's first adds h to the reducers, which ensures termination.
-    """
-    local = not order.is_global
-    T = list(reducers)
+    factor, computed in h, whose heap is consumed: each term is reduced by
+    the first reducer whose lead divides it.  Under a global order that is
+    the full remainder, as an irreducible lead stays in h and no step
+    creates a term above the lead it cancels.  Under the local order the
+    loop stops at the first irreducible lead, and no term at or past cut
+    is created (see ``_reduce_step``): every caller cuts it, so h has
+    finitely many possible terms and each step replaces one by smaller
+    ones (see ``_standard_basis_raw``)."""
     while heap:
         nk, hm = heappop(heap)
         if hm not in h:
             continue
-        best = None
-        for r in T:
-            if mono_divides(r[0], hm) and (best is None or r[4] < best[4]):
-                best = r
-                if not local:
-                    break
-        if best is None:
-            if local:
+        for r in reducers:
+            if mono_divides(r[0], hm):
+                _reduce_step(h, heap, hm, nk, r, cut)
                 break
-            continue
-        if local and best[4] > max(map(mono_deg, h)) - mono_deg(hm):
-            T.append(_element(h, order))
-        _reduce_step(h, heap, hm, nk, best, cut)
+        else:
+            if not order.is_global:
+                break
     return h
 
 
@@ -186,9 +181,9 @@ def _spoly(gi, gj, big, order, cut):
 
 
 def _standard_basis_raw(gens, order, top=None, settled=0):
-    """Buchberger / Mora pair loop over the nonzero integer term dicts gens;
+    """Buchberger's pair loop over the nonzero integer term dicts gens;
     returns an unreduced list of elements.  A basis holding an element whose
-    lm has degree 0 is the unit ideal: under a local order the lm is a
+    lm has degree 0 is the unit ideal: under the local order the lm is a
     least-degree term, so the element is a local unit.  pending holds the
     pairs not yet taken.  The first settled of gens are distinct elements
     of a Groebner basis under the (global) order of the ideal they
@@ -206,22 +201,28 @@ def _standard_basis_raw(gens, order, top=None, settled=0):
     order pairs are taken by (deg lcm, i, j): the cut below needs them by
     degree.
 
-    Under the local order a caller may cut the loop at a degree top
-    (``local_colength``): no reduction creates a term of degree above top,
-    and the loop ends at the first pair whose lcm has a larger degree
-    (pairs come by degree).  That is the loop for I*O + m^(top+1), I the
-    ideal of gens and O the local ring.  Once the leads generate an
-    m-primary ideal, top falls to their corner N, the least degree at
-    which they divide every monomial, if N is lower (Greuel-Pfister,
-    section 1.7): the elements lie in I*O + m^(top+1), so m^N lies in
-    I*O + m^(N+1), hence in I*O by Nakayama, and I*O + m^(N+1) =
-    I*O + m^(top+1).  Without top the loop is Mora's, uncut."""
+    Under the local order the caller cuts the loop at a degree top
+    (``local_colength``), and a ValueError refuses the loop without one:
+    no reduction creates a term of degree above top, and the loop ends at
+    the first pair whose lcm has a larger degree (pairs come by degree).
+    That is Buchberger's loop in Q[z]/m^(top+1) for I*O + m^(top+1), I the
+    ideal of gens and O the local ring.  It ends with no ecart: there are
+    finitely many monomials of degree <= top, each reduction step replaces
+    a term by smaller ones, and each new element's lead is irreducible, so
+    the leads' ideal grows at every element added.  Once the leads
+    generate an m-primary ideal, top falls to their corner N, the least
+    degree at which they divide every monomial, if N is lower
+    (Greuel-Pfister, section 1.7): the elements lie in I*O + m^(top+1), so
+    m^N lies in I*O + m^(N+1), hence in I*O by Nakayama, and
+    I*O + m^(N+1) = I*O + m^(top+1)."""
+    local = not order.is_global
+    if local and top is None:
+        raise ValueError("the loop under the local order needs a degree cut")
     G = list(dict.fromkeys(_element(g, order) for g in gens))
     if not G:
         return []
     nvars = len(G[0][0])
     origin = (0,) * nvars
-    local = not order.is_global
     one = [_element({origin: 1}, order)]
     if any(g[0] == origin for g in G):
         return one
@@ -294,11 +295,37 @@ def _minimalize(G):
 
 
 def mora_standard_basis(I):
-    """The leads of a minimal Mora standard basis of I in the local ring at
-    the origin, sorted by degree, then by the local order: they minimally
-    generate the leading ideal of I*O (see ``_standard_basis_raw``)."""
-    raw = _standard_basis_raw(map(integer_terms, I.gens), LOCAL)
-    return tuple(g[0] for g in _minimalize(raw))
+    """The leads of a minimal standard basis of I in the local ring O at the
+    origin, sorted by degree, then by the local order: they minimally
+    generate the leading ideal L(I*O).  The name is the object's, not the
+    algorithm's: the leads come from Lazard's homogenization (Lazard,
+    EUROCAL 1983; Greuel-Pfister, section 1.7).
+
+    Each generator g of degree d becomes sum c_a * s^(d-|a|) * z^a, with s
+    a new first variable, and Buchberger's loop runs on them under
+    ``elimination(1)``; the z-parts of its leads are returned.  Why that is
+    exact:
+
+    * every polynomial the loop builds from homogeneous input is
+      homogeneous (S-polynomials and reduction steps of homogeneous
+      polynomials are homogeneous);
+    * under ``elimination(1)`` the lead of a homogeneous polynomial is its
+      term with the highest power of s, which is its term of lowest
+      z-degree with the degrevlex tie-break: exactly the local lead of its
+      dehomogenization (s = 1);
+    * take f in I with f = sum a_i * g_i.  Then s^k * f^h lies in the
+      ideal of the g_i^h for some k, so a lead of the basis divides
+      s^j * z^alpha, z^alpha the local lead of f; and each dehomogenized
+      basis element lies in I;
+    * hence the z-parts of the leads generate L(I) = L(I*O), a unit of O
+      having lead 1.
+
+    Buchberger's loop ends under any global well-order, so this route
+    needs neither an ecart nor a cut."""
+    gens = [(integer_terms(g), g.total_degree()) for g in I.gens]
+    raw = _standard_basis_raw([{(d - mono_deg(m),) + m: c for m, c in h.items()} for h, d in gens], elimination(1))
+    # Each lead's z-part as a one-term element, which _minimalize sorts.
+    return tuple(g[0] for g in _minimalize(_element({g[0][1:]: 1}, LOCAL) for g in raw))
 
 
 # --- saturation ---------------------------------------------------------
@@ -370,7 +397,7 @@ def saturate(I, J):
 def dimension(lms, nvars):
     """Krull dimension of the ideal that the monomials lms generate in
     nvars variables, via maximal independent variable sets; -1 for the
-    unit ideal.  For the leads of a Mora standard basis this is the local
+    unit ideal.  For the leads of a local standard basis this is the local
     dimension at the origin (components of a monomial variety are
     coordinate subspaces through 0)."""
     if any(mono_deg(m) == 0 for m in lms):
@@ -413,9 +440,9 @@ def local_colength(I):
     """Vector-space dimension of the local ring O at the origin modulo I;
     INFINITE when the quotient has positive local dimension.
 
-    Mora's loop cut at a degree N (see ``_standard_basis_raw``) gives the
-    leads of I*O in degrees <= N, as under the local order a lead is a
-    least-degree term.  So dim O/(I*O + m^(N+1)) monomials of degree <= N
+    The loop under the local order cut at a degree N (see
+    ``_standard_basis_raw``) gives the leads of I*O in degrees <= N, as
+    under the local order a lead is a least-degree term.  So dim O/(I*O + m^(N+1)) monomials of degree <= N
     lie outside them, and once their corner is at most N, that is the
     colength.  If I*O is m-primary, v general combinations of generators
     of degree <= D meet in an isolated point at 0 (v the number of

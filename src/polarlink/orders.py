@@ -8,8 +8,11 @@ Two public orders are provided:
 * ``LOCAL`` (negdegrevlex): ranks lower total degree larger, so leading
   terms pick out the tangent cone at the origin; same tie-break.
 
-Elimination orders exist only as internal plumbing for the tag
-elimination of saturation; the first ``n_elim`` variables dominate.
+Elimination orders are internal plumbing, with the first ``n_elim``
+variables dominating: they eliminate saturation's tags, and with one
+variable they serve the homogenizing variable s of Lazard's local
+standard basis, where the lead of a homogeneous polynomial is its term
+with the most s, so of lowest degree in the rest.
 
 An order's key is one integer, its comparison tuple packed in radix
 ``DEGREE_LIMIT`` = 2^16: a linear form, so key(a*b) = key(a) + key(b),
@@ -59,7 +62,7 @@ class MonomialOrder:
     kind is one of 'degrevlex', 'negdegrevlex', 'elim'.  For 'elim' the
     first n_elim exponents are compared (degrevlex among themselves) before
     the remaining block, which makes it an elimination order for the tag
-    variables.
+    variables, or for the homogenizing one.
     """
 
     kind: str

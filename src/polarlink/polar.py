@@ -188,7 +188,9 @@ class GammaProfile:
 def check_excluded(f):
     """Judge the standing assumptions on f and return (mu, s): its Milnor
     number and the dimension of its critical locus at the origin, s read
-    from the uncut Mora basis of the Jacobian ideal only where mu is INFINITE.
+    from the leads of a local standard basis of the Jacobian ideal
+    (``mora_standard_basis``, by Lazard's homogenization) only where mu is
+    INFINITE.
 
     For f(0) = 0 in n + 1 variables, f is reduced at 0 exactly when
     s <= n - 1.  If g^2 divides f with g(0) = 0, df vanishes on V(g), so

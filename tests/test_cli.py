@@ -9,8 +9,8 @@ from polarlink import cli, report
 from polarlink.cli import main
 from polarlink.oracle import ELIMINATION_SIZE
 from polarlink.orders import DEGREE_LIMIT
-from polarlink.parse import COEFFICIENT_DIGITS
-from polarlink.polar import CoordinateFrame
+from polarlink.parse import COEFFICIENT_DIGITS, parse_polynomial
+from polarlink.polar import CoordinateFrame, sample_frames
 
 
 def run_cli(capsys, *argv):
@@ -63,6 +63,16 @@ def test_compute_json_file_matches_stdout(capsys, tmp_path):
     assert code == code_f == 0
     assert out_f == ""
     assert target.read_text(encoding="utf-8") == out
+
+
+def test_compute_refuses_a_json_path_it_cannot_write_before_the_engine_runs(capsys, monkeypatch, tmp_path):
+    runs = record_calls(monkeypatch, cli, "run_compute")
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, "compute", "--poly", "x*y", "--vars", "x,y", "--json", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot write report: ") and str(target) in err
+    assert runs == []
 
 
 def test_text_rendering_carries_the_same_numbers(capsys):
@@ -483,6 +493,21 @@ def test_oracle_teissier_draws_no_frame_when_mu_is_infinite(capsys, monkeypatch)
     assert json.loads(out) == {"checks": [], "requested": 1}
     assert err == "error: only 0 usable frames in 20 draws\n"
     assert draws == []
+
+
+def test_oracle_teissier_on_a_dense_nonisolated_input_exits_at_once(capsys):
+    # x^2*y^2+z^2*w typed in a random frame: the gate's s ran past 25 s in
+    # Mora's uncut loop.  mu is INFINITE, so no frame is usable.
+    (frame,) = sample_frames(4, 1, 0)
+    V4 = ("x", "y", "z", "w")
+    poly = frame.restrict(parse_polynomial("x^2*y^2+z^2*w", V4), 0).to_str(V4)
+    with time_limit(10):
+        code, out, err = run_cli(
+            capsys, "oracle", "teissier", "--poly", poly, "--vars", ",".join(V4), "--frames", "1"
+        )
+    assert code == 2
+    assert json.loads(out) == {"checks": [], "requested": 1}
+    assert err == "error: only 0 usable frames in 20 draws\n"
 
 
 def test_oracle_teissier_builds_no_polar_ideal_in_an_unusable_frame(capsys, monkeypatch):

@@ -1,4 +1,5 @@
-"""Groebner/Mora engine: frozen small cases plus structural properties."""
+"""Groebner and local standard-basis engine: frozen small cases plus
+structural properties."""
 
 from fractions import Fraction
 from math import gcd
@@ -70,11 +71,13 @@ def elements(polys, order):
     return [_element(integer_terms(g), order) for g in polys]
 
 
-def remainder(p, G, order=GLOBAL):
+def remainder(p, G, order=GLOBAL, top=None):
     """The engine's remainder of p by the elements G, an integer term dict
-    up to a positive factor."""
+    up to a positive factor; under the local order, cut at the degree top,
+    as the engine cuts it (see ``_standard_basis_raw``)."""
     h = integer_terms(p)
-    return _normal_form(h, _heap(h, order), G, order)
+    cut = None if top is None else (top + 1) * DEGREE_LIMIT**p.nvars
+    return _normal_form(h, _heap(h, order), G, order, cut)
 
 
 def global_leads(I):
@@ -156,7 +159,7 @@ def test_buchberger_criterion(gens):
     I = Ideal(tuple(gens), 2)
     basis = reduced_basis(I)
     assert_primitive(basis, GLOBAL)
-    assert_primitive([Polynomial(2, _terms(g)) for g in engine_basis(I, LOCAL)], LOCAL)
+    assert_primitive([Polynomial(2, _terms(g)) for g in engine_basis(I, LOCAL, 8)], LOCAL)
     G = elements(basis, GLOBAL)
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
@@ -233,8 +236,15 @@ def test_normal_form_constant_remainder():
 
 
 def test_mora_normal_form_local_member():
-    G = engine_basis(ideal2("y^2", "x^2+y^3"), LOCAL)
-    assert not remainder(p2("y^3"), G, LOCAL)
+    G = engine_basis(ideal2("y^2", "x^2+y^3"), LOCAL, 8)
+    assert not remainder(p2("y^3"), G, LOCAL, 8)
+
+
+def test_the_local_loop_is_refused_without_a_cut():
+    # With no ecart to steer it, the loop under the local order need not
+    # end unless it is cut at a degree.
+    with pytest.raises(ValueError):
+        engine_basis(ideal2("y^2", "x^2+y^3"), LOCAL)
 
 
 @settings(max_examples=40)
@@ -262,12 +272,10 @@ def test_normal_form_is_the_exact_fraction_remainder(gens, p, scales):
 
 
 def test_mora_reduction_refuses_terms_past_the_degree_limit():
-    # x + y^(L-2) has ecart L-3: reducing x by it makes a term of degree
-    # L-2; the S-polynomial of it and x^3 reduces x^3 by it, which would
-    # make one of degree L, beyond what the packed keys can order.
+    # Homogenized, x + y^(L-2) is s^(L-3)*x + y^(L-2), led by s^(L-3)*x;
+    # its S-polynomial with x^3 has the lcm s^(L-3)*x^3, of degree L,
+    # beyond what the packed keys can order.
     y_power = p2("y") ** (DEGREE_LIMIT - 2)
-    G = engine_basis(Ideal((p2("x") + y_power,), 2), LOCAL)
-    assert remainder(p2("x"), G, LOCAL) == {(0, DEGREE_LIMIT - 2): -1}
     with pytest.raises(DegreeLimitError):
         mora_standard_basis(Ideal((p2("x") + y_power, p2("x^3")), 2))
 
@@ -276,7 +284,7 @@ def test_normal_form_against_empty_basis():
     assert remainder(p2("x+y"), []) == {(1, 0): 1, (0, 1): 1}
 
 
-# --- Mora standard bases ------------------------------------------------
+# --- local standard bases -----------------------------------------------
 
 
 def test_mora_unit_multiple_of_variable():
@@ -468,19 +476,20 @@ def test_saturations_of_four_planes_form_few_s_polynomials(monkeypatch):
     # elimination starts from the basis of I and takes pairs by sugar.
     # Pairs by degree from the generators of I formed 462.  Saturated in
     # the frame's coordinates, where x*y*z*w is a dense quartic, they
-    # formed 225; in the coordinates of f they form 215.
+    # formed 225; in the coordinates of f they form 215.  The gate's basis
+    # of the homogenized Jacobian ideal, under elimination(1), forms 3 more.
     # Only those under global orders are counted: the local ones belong to
     # the colength loop.
     formed = record_calls(monkeypatch, ideals, "_spoly")
     run_compute(RunConfig("x*y*z*w", ("x", "y", "z", "w"), seed=0))
-    assert sum(args[3].is_global for args, _ in formed) == 215
+    assert sum(args[3].is_global for args, _ in formed) == 218
 
 
 @pytest.mark.parametrize("text", ["x^3+y^4+z^2", "x^3+x*y^3+z^2"])
 def test_every_reducer_is_an_element(monkeypatch, text):
-    # Mora's snapshots of a dividend reduce too; each enters the working set
-    # as an element, like a basis element: its tail a tuple sorted by -key
-    # after its lead, lc > 0, primitive, and spread its ecart.
+    # Every reducer is a basis element: its tail a tuple sorted by -key
+    # after its lead, lc > 0, primitive, and spread the largest term degree
+    # less that of its lead.
     steps = record_calls(monkeypatch, ideals, "_reduce_step")
     run_compute(RunConfig(text, ("x", "y", "z"), seed=0))
     assert steps
@@ -672,7 +681,8 @@ def test_staircase_of_leads_that_miss_a_pure_power_is_infinite():
 
 
 def cut_leads(I, top):
-    """The leads of Mora's loop for I cut at the degree top."""
+    """The leads of the loop under the local order for I cut at the degree
+    top."""
     return [g[0] for g in engine_basis(I, LOCAL, top)]
 
 
@@ -704,8 +714,7 @@ def _m_primary(n, powers, tails, extra):
 @given(m_primary_ideals())
 def test_local_colength_meets_one_cut_and_the_truncation_oracle(I):
     # The oracle certifies m^c in I*O for some c <= 16, so one loop cut at
-    # 16 is past the corner and gives the leads of I*O.  The uncut loop is
-    # no reference here: on dense m-primary ideals it can run for minutes.
+    # 16 is past the corner and gives the leads of I*O.
     r = stable_colength(I, 4, hard_cap=16)
     assert r.stable
     assert local_colength(I) == _staircase(cut_leads(I, 16), I.nvars)[0] == r.value
@@ -717,6 +726,19 @@ def test_a_basis_cut_at_the_corner_is_a_standard_basis(I):
     # The basis cut at the corner is still a standard basis of I in the
     # local ring: every generator has weak normal form zero.  The pure
     # powers z_i^a_i, a_i <= 3, put the corner at 7 or below.
+    # Each generator is reduced with the corner's cut: without an ecart an
+    # uncut local normal form need not end.
     corner = _staircase(cut_leads(I, 7), I.nvars)[1] + 1
     G = _minimalize(engine_basis(I, LOCAL, corner))
-    assert all(not remainder(g, G, LOCAL) for g in I.gens)
+    assert all(not remainder(g, G, LOCAL, corner) for g in I.gens)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m_primary_ideals())
+def test_lazards_leads_are_those_of_the_loop_cut_past_the_corner(I):
+    # Lazard's route and the cut local loop share no code path: one is a
+    # global Groebner basis of the homogenized generators, the other the
+    # loop under the local order.  The pure powers z_i^a_i, a_i <= 3, put
+    # the corner at 7 or below, so the cut at 16 gives every lead.
+    cut = tuple(g[0] for g in _minimalize(engine_basis(I, LOCAL, 16)))
+    assert mora_standard_basis(I) == cut

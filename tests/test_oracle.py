@@ -358,16 +358,16 @@ def test_the_slice_that_stalled_the_milnor_number_is_three():
 
 def test_teissier_counts_the_meet_with_the_cut_loop(monkeypatch):
     # The meet is finite once mu and mu' are, and the check counts it with
-    # Mora's loop cut at a degree: the uncut loop, which stalled on these
-    # meets, never runs.
+    # the loop under the local order cut at a degree; the leads of
+    # ``mora_standard_basis`` are never built.
     f = p3("x^2+y^4+z^5")
     for fr in sample_frames(3, 2, seed=0):
         pol = polar_ideal(f, fr, 1)
         mu, mu_slice = milnor_number(f), slice_mu(f, fr)
         with monkeypatch.context() as patch:
-            uncut = record_calls(patch, ideals, "mora_standard_basis")
+            leads = record_calls(patch, ideals, "mora_standard_basis")
             loops = record_calls(patch, ideals, "_standard_basis_raw")
             v = teissier_check(pol, mu, mu_slice)
         assert v.passed
-        assert uncut == []
+        assert leads == []
         assert loops and all(args[2] is not None for args, _ in loops)

@@ -287,6 +287,25 @@ def test_a_finite_cut_builds_no_basis_of_the_polar_ideal(monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize("text, s", [("x*y+z^2*w", 1), ("x^2*y^2+z^2*w", 2)])
+def test_the_gate_reads_s_of_a_dense_nonisolated_input(text, s):
+    # Typed in a random frame, each ran past 20 s at the gate in Mora's
+    # uncut loop; Lazard's homogenized basis reads s, and the cut loop
+    # proves mu INFINITE.
+    (frame,) = sample_frames(4, 1, 0)
+    f = frame.restrict(parse_polynomial(text, ("x", "y", "z", "w")), 0)
+    with time_limit(10):
+        assert check_excluded(f) == (INFINITE, s)
+
+
+def test_the_critical_dimension_of_a_dense_curve_singularity_is_one():
+    # (x^2-y^3)^2+z^7 typed in a random frame: s ran past 20 s in Mora's
+    # uncut loop.  Only s is read, as proving mu INFINITE takes seconds.
+    (frame,) = sample_frames(3, 1, 99)
+    with time_limit(5):
+        assert critical_dimension(frame.restrict(p3("(x^2-y^3)^2+z^7"), 0)) == 1
+
+
 def test_a_profile_in_dense_coordinates_matches_the_adapted_one():
     # x^2+y^4+z^5 written in a bound-5 frame: the uncut basis of its
     # Jacobian ideal ran past 60 s.
@@ -297,8 +316,9 @@ def test_a_profile_in_dense_coordinates_matches_the_adapted_one():
 
 
 def test_the_uncut_jacobian_basis_is_built_only_for_a_critical_locus(monkeypatch):
-    # The gate reads mu from the cut loop; s needs the uncut leads only
-    # where mu is INFINITE, and the profile builds none.
+    # The gate reads mu from the cut loop; s needs the leads of Lazard's
+    # homogenized basis only where mu is INFINITE, and the profile builds
+    # none.
     built = record_calls(monkeypatch, polar, "mora_standard_basis")
     assert check_excluded(p3("x^3+y^3+z^3")) == (8, 0)
     assert built == []
