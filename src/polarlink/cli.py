@@ -22,7 +22,7 @@ from .errors import (
 from .ideals import Ideal
 from .oracle import HARD_DEGREE_CAP, default_cap, stable_colength, teissier_check
 from .parse import parse_polynomial
-from .polar import check_excluded, polar_ideal, sample_frames, section_multiplicity
+from .polar import check_excluded, polar_ideal, sample_frames, section_multiplicities
 from .poly import INFINITE
 from .report import (
     ENGINE_VERSION,
@@ -190,7 +190,7 @@ def _cmd_oracle_teissier(args):
     for fr in pool:
         if len(results) == wanted:
             break
-        mu_slice = section_multiplicity(f, fr, 1)
+        mu_slice = next(section_multiplicities(f, fr, 0))
         if mu_slice is None:
             continue  # an unusable frame: no polar ideal is built for it
         v = teissier_check(polar_ideal(f, fr, 1), mu, mu_slice)

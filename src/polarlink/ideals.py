@@ -12,9 +12,9 @@ critical-locus dimension and the intersection numbers.  Both are read from
 the leads of a standard basis in the local ring alone (Greuel-Pfister,
 section 1.7): the colength from the loop under the local order cut at a
 degree N, doubled until the leads' corner or a Bezout bound settles it
-(``local_colength``), and, where the colength is infinite, the dimension
-from the leads of a Groebner basis of the homogenized generators (Lazard,
-EUROCAL 1983), all that ``mora_standard_basis`` returns.
+(``local_colength``), and the dimension, with the colength where it is
+0, from the leads of a Groebner basis of the homogenized generators
+(Lazard, EUROCAL 1983), all that ``mora_standard_basis`` returns.
 
 Saturation I : J^infinity is one Rabinowitsch elimination with one tag
 per generator of J outside I, which is exact, so it needs no certificate

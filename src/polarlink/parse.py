@@ -28,6 +28,7 @@ _NAME_START = ascii_letters + "_"
 _NAME_CHARS = _NAME_START + digits
 
 COEFFICIENT_DIGITS = 4300  # Python's default limit for printing an int
+COEFFICIENT_LIMIT = 10**COEFFICIENT_DIGITS  # the least int with one digit more
 
 
 def _tokenize(text):
@@ -185,7 +186,9 @@ def parse_polynomial(text, varnames):
     if kind != "END":
         raise ParseError(f"unexpected token {value!r}", position)
     check_degree(result.total_degree())
-    limit = 10**COEFFICIENT_DIGITS
-    if any(abs(c.numerator) >= limit or c.denominator >= limit for c in result.terms.values()):
+    if any(
+        abs(c.numerator) >= COEFFICIENT_LIMIT or c.denominator >= COEFFICIENT_LIMIT
+        for c in result.terms.values()
+    ):
         raise ValueError(f"a coefficient needs more than {COEFFICIENT_DIGITS} decimal digits")
     return result

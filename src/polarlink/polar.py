@@ -12,9 +12,10 @@ over the frames where the cut is finite.  Above the critical dimension s,
 which the gate check_excluded reads, that is for k > s, the multiplicity
 in a frame is the Milnor number of f cut by H_k (see gamma_profile), so
 the profile builds a polar ideal there only at the witness frame of each
-k.  A polynomial enters a frame one way only, cut by H_k
-(CoordinateFrame.restrict): f for a section, each generator of a polar
-ideal for its cut.
+k, and reads every such section of a frame from one restriction of f, to
+H_(s+1) (see section_multiplicities).  A polynomial enters a frame one way
+only, cut by H_k (CoordinateFrame.restrict): f once a frame for its
+sections, each generator of a polar ideal for its cut.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import ExcludedCaseError, NoValidFrame
-from .ideals import Ideal, dimension, local_colength, mora_standard_basis, saturate
+from .ideals import Ideal, _staircase, dimension, local_colength, mora_standard_basis, saturate
 from .poly import INFINITE, Polynomial, det
 
 
@@ -136,12 +137,23 @@ def polar_multiplicity(pol):
     return None if c is INFINITE else c
 
 
-def section_multiplicity(f, frame, k):
-    """gamma^k in a frame for k > s: the Milnor number of f cut by the
-    frame's plane z_0 = ... = z_(k-1) = 0, frame.restrict(f, k), or None
-    when it is INFINITE (see gamma_profile)."""
-    mu = milnor_number(frame.restrict(f, k))
-    return None if mu is INFINITE else mu
+def section_multiplicities(f, frame, s):
+    """gamma^k in the frame for k = s + 1, ..., n in turn, each None when
+    invalid (see gamma_profile), all read from one restriction of f,
+    g = frame.restrict(f, s + 1), in z_(s+1)..z_n.  f cut by H_k is g with
+    z_(s+1), ..., z_(k-1) set to 0, the terms of g free of them, and for
+    k < n gamma^k is its Milnor number.  On the line H_n it is a
+    polynomial in z_n alone, of Milnor number its order minus 1, so
+    gamma^n is read from the pure powers of z_n in g, with no colength:
+    None when g has none, the line lying in V(f).  A generator, so that a
+    caller that needs only gamma^(s+1) computes no other section."""
+    g = frame.restrict(f, s + 1)
+    for drop in range(g.nvars - 1):  # k = s + 1 + drop < n
+        section = {m[drop:]: c for m, c in g.terms.items() if not any(m[:drop])}
+        mu = milnor_number(Polynomial(g.nvars - drop, section))
+        yield None if mu is INFINITE else mu
+    line = [m[-1] for m in g.terms if not any(m[:-1])]
+    yield min(line) - 1 if line else None
 
 
 def plane_cut(pol):
@@ -187,10 +199,12 @@ class GammaProfile:
 
 def check_excluded(f):
     """Judge the standing assumptions on f and return (mu, s): its Milnor
-    number and the dimension of its critical locus at the origin, s read
-    from the leads of a local standard basis of the Jacobian ideal
-    (``mora_standard_basis``, by Lazard's homogenization) only where mu is
-    INFINITE.
+    number and the dimension of its critical locus at the origin, both
+    read from the leads of one local standard basis of the Jacobian ideal
+    J (``mora_standard_basis``, by Lazard's homogenization).  s is the
+    dimension of the monomial ideal they generate; for s = 0 the leads
+    leave finitely many monomials outside, and mu, the colength of J*O, is
+    their count; for s >= 1, mu is INFINITE.
 
     For f(0) = 0 in n + 1 variables, f is reduced at 0 exactly when
     s <= n - 1.  If g^2 divides f with g(0) = 0, df vanishes on V(g), so
@@ -204,10 +218,11 @@ def check_excluded(f):
         raise ExcludedCaseError("f(0) != 0")
     if f.order_of_vanishing() == 1:
         raise ExcludedCaseError("origin is a smooth point of V(f)")
-    mu = milnor_number(f)
-    s = 0 if mu is not INFINITE else dimension(mora_standard_basis(jacobian_ideal(f)), f.nvars)
+    lms = mora_standard_basis(jacobian_ideal(f))
+    s = dimension(lms, f.nvars)
     if s == f.nvars - 1:
         raise ExcludedCaseError("f is not reduced at the origin")
+    mu = _staircase(lms, f.nvars)[0] if s == 0 else INFINITE
     return mu, s
 
 
@@ -240,6 +255,8 @@ def gamma_profile(f, mu, s, trials=5, seed=0, bound=10):
     As f is reduced, s < n, and gamma^n in a frame is the order of f on the
     line H_n minus 1: at least mult(f) - 1, with equality exactly when the
     line misses the tangent cone.  A minimum above it is a sampling failure.
+    A frame's gamma^k for k > s all come from one restriction of f, to
+    H_(s+1) (section_multiplicities).
     """
     n = f.nvars - 1
     mult = f.order_of_vanishing()
@@ -251,7 +268,7 @@ def gamma_profile(f, mu, s, trials=5, seed=0, bound=10):
         pols = [polar_ideal(f, fr, k) for k in range(1, s + 1)]
         per_trial.append(
             tuple(map(polar_multiplicity, pols))
-            + tuple(section_multiplicity(f, fr, k) for k in range(s + 1, n + 1))
+            + tuple(section_multiplicities(f, fr, s))
         )
         by_frame.append(pols)
     per_trial = tuple(per_trial)

@@ -24,10 +24,11 @@ from polarlink.polar import (
     check_excluded,
     gamma_profile,
     jacobian_ideal,
+    milnor_number,
     polar_ideal,
     polar_multiplicity,
 )
-from polarlink.poly import Polynomial, integer_terms
+from polarlink.poly import INFINITE, Polynomial, integer_terms
 
 V2 = ["x", "y"]
 V3 = ["x", "y", "z"]
@@ -135,6 +136,16 @@ def saturating_per_trial(f, frames):
     return tuple(
         tuple(polar_multiplicity(polar_ideal(f, fr, k)) for k in range(1, f.nvars)) for fr in frames
     )
+
+
+def sections_by_restriction(f, frame, s):
+    """gamma^k of f in the frame for k = s + 1, ..., n, each the Milnor
+    number of f restricted to the plane H_k by a substitution of its own,
+    frame.restrict(f, k), None where it is INFINITE.  The profile read each
+    section so before it read all of a frame's from one restriction; kept
+    as a test oracle for polar.section_multiplicities."""
+    sections = (milnor_number(frame.restrict(f, k)) for k in range(s + 1, f.nvars))
+    return tuple(None if mu is INFINITE else mu for mu in sections)
 
 
 def record_calls(monkeypatch, module, name):

@@ -286,15 +286,16 @@ def test_teissier_rejects_nonisolated():
 
 
 def test_teissier_check_reuses_the_transformed_polynomial(monkeypatch):
-    # gamma_profile restricts f to the plane of each frame once per k, for
-    # the sections; the Teissier check meets the polar ideal with f in the
-    # coordinates of f and restricts f to no frame.
+    # gamma_profile restricts f to the plane H_(s+1) of each frame once,
+    # and reads every section of the frame from it; the Teissier check
+    # meets the polar ideal with f in the coordinates of f and restricts f
+    # to no frame.
     restricted = record_calls(monkeypatch, CoordinateFrame, "restrict")
     cfg = RunConfig("x^2+y^2+z^3", ("x", "y", "z"))
     doc, code = run_compute(cfg)
-    assert code == 0
-    sections = sorted(k for (_, p, k), _ in restricted if p == p3(cfg.poly_text))
-    assert sections == [1] * cfg.trials + [2] * cfg.trials
+    assert (code, doc["s"]) == (0, 0)
+    sections = [(frame.matrix, k) for (frame, p, k), _ in restricted if p == p3(cfg.poly_text)]
+    assert sections == [(tuple(map(tuple, m)), 1) for m in doc["stability"]["frames"]]
 
 
 def test_teissier_rejects_degenerate_frame():

@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -18,10 +18,11 @@ from helpers import (
     record_calls,
     reference_substitution,
     saturating_per_trial,
+    sections_by_restriction,
     substitute_zero,
     time_limit,
 )
-from polarlink import polar, poly, report
+from polarlink import oracle, polar, poly, report
 from polarlink.parse import parse_polynomial
 from polarlink.errors import EXIT_EXCLUDED, EXIT_INPUT_ERROR, EXIT_UNSTABLE, ExcludedCaseError
 from polarlink.ideals import Ideal, dimension, local_colength, mora_standard_basis
@@ -34,10 +35,11 @@ from polarlink.polar import (
     plane_cut,
     polar_ideal,
     sample_frames,
-    section_multiplicity,
+    section_multiplicities,
 )
 from polarlink.poly import INFINITE, Polynomial, det
 from polarlink.report import RunConfig, bundled_corpus_path, run_compute
+from test_report_bytes import FOUR_VARIABLE_SHA256, load_workloads
 
 
 def test_jacobian_gens():
@@ -47,8 +49,7 @@ def test_jacobian_gens():
 
 
 def critical_dimension(f):
-    """The local dimension s of the critical locus, as the gate reads it
-    where the Milnor number is INFINITE."""
+    """The local dimension s of the critical locus, as the gate reads it."""
     return dimension(mora_standard_basis(jacobian_ideal(f)), f.nvars)
 
 
@@ -290,8 +291,7 @@ def test_a_finite_cut_builds_no_basis_of_the_polar_ideal(monkeypatch):
 @pytest.mark.parametrize("text, s", [("x*y+z^2*w", 1), ("x^2*y^2+z^2*w", 2)])
 def test_the_gate_reads_s_of_a_dense_nonisolated_input(text, s):
     # Typed in a random frame, each ran past 20 s at the gate in Mora's
-    # uncut loop; Lazard's homogenized basis reads s, and the cut loop
-    # proves mu INFINITE.
+    # uncut loop; Lazard's homogenized basis reads s, and mu with it.
     (frame,) = sample_frames(4, 1, 0)
     f = frame.restrict(parse_polynomial(text, ("x", "y", "z", "w")), 0)
     with time_limit(10):
@@ -300,7 +300,7 @@ def test_the_gate_reads_s_of_a_dense_nonisolated_input(text, s):
 
 def test_the_critical_dimension_of_a_dense_curve_singularity_is_one():
     # (x^2-y^3)^2+z^7 typed in a random frame: s ran past 20 s in Mora's
-    # uncut loop.  Only s is read, as proving mu INFINITE takes seconds.
+    # uncut loop.
     (frame,) = sample_frames(3, 1, 99)
     with time_limit(5):
         assert critical_dimension(frame.restrict(p3("(x^2-y^3)^2+z^7"), 0)) == 1
@@ -315,18 +315,88 @@ def test_a_profile_in_dense_coordinates_matches_the_adapted_one():
     assert (prof.s, prof.mu, prof.gamma, prof.stable) == (0, 12, (0, 3, 1, 1), True)
 
 
-def test_the_uncut_jacobian_basis_is_built_only_for_a_critical_locus(monkeypatch):
-    # The gate reads mu from the cut loop; s needs the leads of Lazard's
-    # homogenized basis only where mu is INFINITE, and the profile builds
-    # none.
+def test_the_gate_builds_one_lazard_basis_and_the_profile_none(monkeypatch):
+    # The gate reads mu and s from the leads of one Lazard basis of the
+    # Jacobian ideal, isolated or not; the profile builds no such basis.
     built = record_calls(monkeypatch, polar, "mora_standard_basis")
-    assert check_excluded(p3("x^3+y^3+z^3")) == (8, 0)
-    assert built == []
-    f = p3("y^2 - x^2*z")
-    assert check_excluded(f) == (INFINITE, 1)
-    assert [args for args, _ in built] == [(jacobian_ideal(f),)]
-    gamma_profile(f, INFINITE, 1, trials=1)
-    assert len(built) == 1
+    for text, gate in (("x^3+y^3+z^3", (8, 0)), ("y^2 - x^2*z", (INFINITE, 1))):
+        f = p3(text)
+        assert check_excluded(f) == gate
+        gamma_profile(f, *gate, trials=1)
+        assert [args for args, _ in built] == [(jacobian_ideal(f),)]
+        built.clear()
+
+
+def gate_inputs(monkeypatch):
+    """{(poly, vars, trials, bound): frame seeds} over the requests of the
+    three workloads at workload seed 1, the eight hard surfaces at the
+    isolated frame seed and the four-variable inputs whose report bytes are
+    pinned, at frame seed 0."""
+    workloads = load_workloads(monkeypatch)
+    inputs = {}
+    for name in workloads.WORKLOADS:
+        for req in workloads.build(name, 1):
+            inputs.setdefault((req.poly, req.varnames, req.trials, req.bound), set()).add(req.seed)
+    for text in workloads.HARD_SURFACES:
+        inputs.setdefault((text, workloads.V3, 5, 10), set()).add(workloads.ISOLATED_FRAME_SEED)
+    for text in FOUR_VARIABLE_SHA256:
+        inputs.setdefault((text, ("x", "y", "z", "w"), 5, 10), set()).add(0)
+    return inputs
+
+
+def test_the_sections_of_a_frame_are_the_milnor_numbers_of_its_planes(monkeypatch):
+    # Each input at its own frame seeds and at frame seeds 0-2: every
+    # gamma^k above s read from one restriction of f is the Milnor number
+    # of f restricted to H_k on its own, None where that is INFINITE.
+    inputs = gate_inputs(monkeypatch)
+    assert len(inputs) == 54
+    for (text, varnames, trials, bound), seeds in inputs.items():
+        f = parse_polynomial(text, varnames)
+        _, s = check_excluded(f)
+        for seed in seeds | {0, 1, 2}:
+            for fr in sample_frames(f.nvars, trials, seed, bound):
+                assert tuple(section_multiplicities(f, fr, s)) == sections_by_restriction(f, fr, s), (text, fr.matrix)
+
+
+def test_the_gate_reads_mu_as_the_colength_of_the_jacobian_ideal(monkeypatch):
+    # mu is the count below the Lazard leads where s = 0 and INFINITE
+    # elsewhere, as typed and in a dense frame.
+    for text, varnames, _, _ in gate_inputs(monkeypatch):
+        f = parse_polynomial(text, varnames)
+        for g in (f, sample_frames(f.nvars, 1, 99)[0].restrict(f, 0)):
+            mu, s = check_excluded(g)
+            assert mu == local_colength(jacobian_ideal(g)), text
+            assert (mu is INFINITE) == (s > 0), text
+
+
+@pytest.mark.parametrize("text, varnames", [("(x^2-y^3)^2+z^7", ("x", "y", "z")), ("x*y+z^2*w", ("x", "y", "z", "w"))])
+def test_a_dense_critical_curve_is_gated_at_once(text, varnames):
+    # Typed in a dense frame, each took seconds at the gate while the cut
+    # loop proved mu INFINITE; the Lazard leads give s = 1, and mu with it.
+    f = sample_frames(len(varnames), 1, 99)[0].restrict(parse_polynomial(text, varnames), 0)
+    with time_limit(0.5):
+        assert check_excluded(f) == (INFINITE, 1)
+
+
+def test_a_curve_request_counts_only_its_teissier_meet(monkeypatch):
+    # gamma^1 of a plane curve is read from the order of f on the line H_1
+    # and mu from the gate's Lazard basis, so the one local colength of the
+    # request is the Teissier meet.
+    modules = {"polar": polar, "oracle": oracle, "report": report}
+    counted = {name: record_calls(monkeypatch, module, "local_colength") for name, module in modules.items()}
+    doc, code = run_compute(RunConfig("x^4+y^5", ("x", "y"), seed=0))
+    assert code == 0
+    assert {name: len(calls) for name, calls in counted.items()} == {"polar": 0, "oracle": 1, "report": 0}
+
+
+@pytest.mark.parametrize("text", ["x^3+y^3+z^3", "y^2 - x^2*z"])
+def test_a_surface_request_restricts_f_once_a_frame(monkeypatch, text):
+    restricted = record_calls(monkeypatch, CoordinateFrame, "restrict")
+    doc, code = run_compute(RunConfig(text, ("x", "y", "z"), seed=0))
+    assert code == 0
+    f = p3(text)
+    sections = [(frame.matrix, k) for (frame, p, k), _ in restricted if p == f]
+    assert sections == [(tuple(map(tuple, m)), doc["s"] + 1) for m in doc["stability"]["frames"]]
 
 
 def test_gamma_profile_two_lines():
@@ -487,10 +557,20 @@ def test_sections_above_the_critical_dimension_read_the_saturated_cut(case, seed
     s = critical_dimension(f)
     frames = sample_frames(f.nvars, 2, seed, bound)
     for fr, row in zip(frames, saturating_per_trial(f, frames)):
-        for k in range(s + 1, f.nvars):
-            section = section_multiplicity(f, fr, k)
+        for k, section in enumerate(section_multiplicities(f, fr, s), start=s + 1):
             if s == 0 or section is not None:
                 assert section == row[k - 1], (case, fr.matrix, k)
+
+
+@given(st.sampled_from(SECTION_INPUTS), st.lists(st.integers(-3, 3), min_size=16, max_size=16))
+def test_the_sections_of_a_random_frame_are_the_milnor_numbers_of_its_planes(case, entries):
+    f = parse_polynomial(*case)
+    width = f.nvars
+    matrix = tuple(tuple(entries[i * width : (i + 1) * width]) for i in range(width))
+    assume(det(matrix) != 0)
+    fr = CoordinateFrame(matrix)
+    s = critical_dimension(f)
+    assert tuple(section_multiplicities(f, fr, s)) == sections_by_restriction(f, fr, s)
 
 
 def test_the_fermat_cubic_saturates_only_at_its_witness_frames(monkeypatch):
