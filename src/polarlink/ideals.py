@@ -2,19 +2,16 @@
 
 One pair loop builds every basis: Buchberger's algorithm with the product
 and chain criteria, taking pairs by sugar (Giovini, Mora, Niesi, Robbiano,
-Traverso, ISSAC 1991) under global orders and by degree under the local
-one, where it is always cut at a degree.  Global orders give Groebner
-bases, and the elimination orders serve saturation's tags and the
-homogenizing variable of Lazard's method.
+Traverso, ISSAC 1991), under global orders only.  It gives Groebner bases,
+and the elimination orders serve saturation's tags and the homogenizing
+variable of Lazard's method.
 On top of those sit saturation (tag variables plus elimination), and the
 Krull dimension and local colength at the origin, which realize the
 critical-locus dimension and the intersection numbers.  Both are read from
 the leads of a standard basis in the local ring alone (Greuel-Pfister,
-section 1.7): the colength from the loop under the local order cut at a
-degree N, doubled until the leads' corner or a Bezout bound settles it
-(``local_colength``), and the dimension, with the colength where it is
-0, from the leads of a Groebner basis of the homogenized generators
-(Lazard, EUROCAL 1983), all that ``mora_standard_basis`` returns.
+section 1.7), and those leads come by one route: a Groebner basis of the
+homogenized generators (Lazard, EUROCAL 1983), whose leads are all that
+``mora_standard_basis`` returns.
 
 Saturation I : J^infinity is one Rabinowitsch elimination with one tag
 per generator of J outside I, which is exact, so it needs no certificate
@@ -46,7 +43,6 @@ from math import gcd, lcm
 from operator import add
 
 from .orders import (
-    DEGREE_LIMIT,
     GLOBAL,
     LOCAL,
     check_degree,
@@ -106,13 +102,11 @@ def _heap(h, order):
     return heap
 
 
-def _reduce_step(h, heap, hm, nk, reducer, cut):
+def _reduce_step(h, heap, hm, nk, reducer):
     """Cancel the term hm (nk = -key(hm)) as h <- a*h - b*z^(hm-lm)*g, g an
     element, with a = lc/gcd(hc, lc) > 0, then divide out the content of h,
-    which keeps the integers from swelling over many steps.  With a cut,
-    under the local order, no term m with -key(m) >= cut is created (see
-    ``_standard_basis_raw``): as -key is linear, the shifted tail stays
-    sorted, and stops at its first term past the cut."""
+    which keeps the integers from swelling over many steps.  As -key is
+    linear, each shifted tail term's -key is its own plus nk - (-key(lm))."""
     lm, nlk, lc, tail, spread = reducer
     check_degree(mono_deg(hm) + spread)  # bounds every new term's degree
     hc = h.pop(hm)
@@ -124,8 +118,6 @@ def _reduce_step(h, heap, hm, nk, reducer, cut):
     shift = mono_div(hm, lm)
     off = nk - nlk
     for ngk, gm, gc in tail:
-        if cut is not None and ngk >= cut - off:
-            break
         m = tuple(map(add, gm, shift))
         c = h.get(m)
         if c is None:
@@ -142,87 +134,59 @@ def _reduce_step(h, heap, hm, nk, reducer, cut):
             h[m] //= c
 
 
-def _normal_form(h, heap, reducers, order, cut=None):
-    """Division remainder of the integer term dict h, up to a positive
-    factor, computed in h, whose heap is consumed: each term is reduced by
-    the first reducer whose lead divides it.  Under a global order that is
-    the full remainder, as an irreducible lead stays in h and no step
-    creates a term above the lead it cancels.  Under the local order the
-    loop stops at the first irreducible lead, and no term at or past cut
-    is created (see ``_reduce_step``): every caller cuts it, so h has
-    finitely many possible terms and each step replaces one by smaller
-    ones (see ``_standard_basis_raw``)."""
+def _normal_form(h, heap, reducers):
+    """Full division remainder of the integer term dict h under a global
+    order, up to a positive factor, computed in h, whose heap is consumed:
+    each term is reduced by the first reducer whose lead divides it.  An
+    irreducible term stays in h, and no step creates a term above the one
+    it cancels, so the loop ends as the order is a well-order."""
     while heap:
         nk, hm = heappop(heap)
         if hm not in h:
             continue
         for r in reducers:
             if mono_divides(r[0], hm):
-                _reduce_step(h, heap, hm, nk, r, cut)
-                break
-        else:
-            if not order.is_global:
+                _reduce_step(h, heap, hm, nk, r)
                 break
     return h
 
 
-def _spoly(gi, gj, big, order, cut):
+def _spoly(gi, gj, big, order):
     """The S-polynomial of two elements with lcm big, as (h, heap) up to a
     scalar: the monomial big reduced by each, subtracted."""
     nk, c = -order.key(big), lcm(gi[2], gj[2])
     h, heap = {big: c}, []
-    _reduce_step(h, heap, big, nk, gi, cut)
+    _reduce_step(h, heap, big, nk, gi)
     h[big] = -c
-    _reduce_step(h, heap, big, nk, gj, cut)
+    _reduce_step(h, heap, big, nk, gj)
     return h, heap
 
 
 # --- basis computation ------------------------------------------------
 
 
-def _standard_basis_raw(gens, order, top=None, settled=0):
-    """Buchberger's pair loop over the nonzero integer term dicts gens;
-    returns an unreduced list of elements.  A basis holding an element whose
-    lm has degree 0 is the unit ideal: under the local order the lm is a
-    least-degree term, so the element is a local unit.  pending holds the
-    pairs not yet taken.  The first settled of gens are distinct elements
-    of a Groebner basis under the (global) order of the ideal they
-    generate; no pair between two of them is formed, as every such
-    S-polynomial reduces to zero by them (``saturate``).
+def _standard_basis_raw(gens, order, settled=0):
+    """Buchberger's pair loop over the nonzero integer term dicts gens under
+    a global order; returns an unreduced list of elements, a Groebner basis
+    of the ideal they generate.  A basis holding an element whose lm has
+    degree 0 is the unit ideal.  pending holds the pairs not yet taken.
+    The first settled of gens are distinct elements of a Groebner basis
+    under the order of the ideal they generate; no pair between two of
+    them is formed, as every such S-polynomial reduces to zero by them
+    (``saturate``).
 
-    Under a global order pairs are taken by (sugar, deg lcm, i, j).  The
-    sugar of an input element is its largest term degree, that of a pair
-    the larger of sugar_i + deg lcm - deg lm_i over its two elements, and
-    that of a new element the larger of its pair's sugar and its own
-    largest term degree: the degree each would have, were the input
-    homogenized.  Under an order that is not degree-compatible, such as
-    the elimination orders, deg lcm says little about the degrees a pair
-    produces, and sugar keeps low-degree work first.  Under the local
-    order pairs are taken by (deg lcm, i, j): the cut below needs them by
-    degree.
-
-    Under the local order the caller cuts the loop at a degree top
-    (``local_colength``), and a ValueError refuses the loop without one:
-    no reduction creates a term of degree above top, and the loop ends at
-    the first pair whose lcm has a larger degree (pairs come by degree).
-    That is Buchberger's loop in Q[z]/m^(top+1) for I*O + m^(top+1), I the
-    ideal of gens and O the local ring.  It ends with no ecart: there are
-    finitely many monomials of degree <= top, each reduction step replaces
-    a term by smaller ones, and each new element's lead is irreducible, so
-    the leads' ideal grows at every element added.  Once the leads
-    generate an m-primary ideal, top falls to their corner N, the least
-    degree at which they divide every monomial, if N is lower
-    (Greuel-Pfister, section 1.7): the elements lie in I*O + m^(top+1), so
-    m^N lies in I*O + m^(N+1), hence in I*O by Nakayama, and
-    I*O + m^(N+1) = I*O + m^(top+1)."""
-    local = not order.is_global
-    if local and top is None:
-        raise ValueError("the loop under the local order needs a degree cut")
+    Pairs are taken by (sugar, deg lcm, i, j).  The sugar of an input
+    element is its largest term degree, that of a pair the larger of
+    sugar_i + deg lcm - deg lm_i over its two elements, and that of a new
+    element the larger of its pair's sugar and its own largest term degree:
+    the degree each would have, were the input homogenized.  Under an order
+    that is not degree-compatible, such as the elimination orders, deg lcm
+    says little about the degrees a pair produces, and sugar keeps
+    low-degree work first."""
     G = list(dict.fromkeys(_element(g, order) for g in gens))
     if not G:
         return []
-    nvars = len(G[0][0])
-    origin = (0,) * nvars
+    origin = (0,) * len(G[0][0])
     one = [_element({origin: 1}, order)]
     if any(g[0] == origin for g in G):
         return one
@@ -233,33 +197,18 @@ def _standard_basis_raw(gens, order, top=None, settled=0):
     def add_pairs(t):
         for k in range(t):
             d = mono_deg(mono_lcm(G[k][0], G[t][0]))
-            s = d if local else d + max(sugar[k] - mono_deg(G[k][0]), sugar[t] - mono_deg(G[t][0]))
+            s = d + max(sugar[k] - mono_deg(G[k][0]), sugar[t] - mono_deg(G[t][0]))
             heappush(pairs, (s, d, k, t))
             pending.add((k, t))
 
-    def lower_top():
-        """top lowered to the corner of the leads, and the cut it gives:
-        under the local order -key(m) >= (top + 1) * L^n exactly when
-        deg m > top, the degree being the key's leading digit."""
-        nonlocal top
-        if top is None:
-            return None
-        stairs = _staircase([g[0] for g in G], nvars)
-        if stairs is not None:
-            top = min(top, stairs[1] + 1)
-        return (top + 1) * DEGREE_LIMIT**nvars
-
     for t in range(settled, len(G)):
         add_pairs(t)
-    cut = lower_top()
     while pairs:
-        s, d, i, j = heappop(pairs)
-        if top is not None and d > top:
-            break
+        s, _, i, j = heappop(pairs)
         pending.discard((i, j))
         lmi, lmj = G[i][0], G[j][0]
         big = mono_lcm(lmi, lmj)
-        if not local and big == mono_mul(lmi, lmj):
+        if big == mono_mul(lmi, lmj):
             continue  # product criterion: coprime leading monomials
         if any(
             k not in (i, j)
@@ -269,7 +218,7 @@ def _standard_basis_raw(gens, order, top=None, settled=0):
             for k in range(len(G))
         ):
             continue  # chain criterion
-        h = _normal_form(*_spoly(G[i], G[j], big, order, cut), G, order, cut)
+        h = _normal_form(*_spoly(G[i], G[j], big, order), G)
         if not h:
             continue
         g = _element(h, order)
@@ -278,7 +227,6 @@ def _standard_basis_raw(gens, order, top=None, settled=0):
         G.append(g)
         sugar.append(max(s, mono_deg(g[0]) + g[4]))
         add_pairs(len(G) - 1)
-        cut = lower_top()
     return G
 
 
@@ -321,7 +269,7 @@ def mora_standard_basis(I):
       having lead 1.
 
     Buchberger's loop ends under any global well-order, so this route
-    needs neither an ecart nor a cut."""
+    needs no ecart."""
     gens = [(integer_terms(g), g.total_degree()) for g in I.gens]
     raw = _standard_basis_raw([{(d - mono_deg(m),) + m: c for m, c in h.items()} for h, d in gens], elimination(1))
     # Each lead's z-part as a one-term element, which _minimalize sorts.
@@ -370,7 +318,7 @@ def saturate(I, J):
         """The distinct nonzero remainders modulo I of the integer term
         dicts polys, up to a scalar: one primitive term dict per class of
         proportional ones."""
-        rems = (_normal_form(dict(p), _heap(p, GLOBAL), gb, GLOBAL) for p in polys)
+        rems = (_normal_form(dict(p), _heap(p, GLOBAL), gb) for p in polys)
         return [_terms(g) for g in dict.fromkeys(_element(rem, GLOBAL) for rem in rems if rem)]
 
     hs = [h for h in map(integer_terms, J.gens) if remainders([h])]
@@ -412,74 +360,39 @@ def dimension(lms, nvars):
 
 
 def _staircase(lms, nvars):
-    """(count, top) of the monomials in nvars variables that no monomial of
-    lms divides: how many there are and their largest degree (-1 if none),
-    so that top + 1 is the corner; None if there are infinitely many.  Cut
-    at each exponent of the last variable that a lead has: between two
-    such exponents the monomials left in the other variables do not
-    change."""
+    """The number of monomials in nvars variables that no monomial of lms
+    divides; None if there are infinitely many.  Cut at each exponent of
+    the last variable that a lead has: between two such exponents the
+    monomials left in the other variables do not change."""
     if nvars == 0:
-        return (0, -1) if lms else (1, 0)
+        return 0 if lms else 1
     powers = [m[-1] for m in lms if not any(m[:-1])]
     if not powers:
         return None
     end = min(powers)
     steps = sorted({0, *(m[-1] for m in lms if m[-1] < end)})
-    count, top = 0, -1
+    count = 0
     for lo, hi in zip(steps, steps[1:] + [end]):
         inner = _staircase([m[:-1] for m in lms if m[-1] <= lo], nvars - 1)
         if inner is None:
             return None
-        count += inner[0] * (hi - lo)
-        if inner[0]:
-            top = max(top, inner[1] + hi - 1)
-    return count, top
+        count += inner * (hi - lo)
+    return count
 
 
 def local_colength(I):
     """Vector-space dimension of the local ring O at the origin modulo I;
     INFINITE when the quotient has positive local dimension.
 
-    The loop under the local order cut at a degree N (see
-    ``_standard_basis_raw``) gives the leads of I*O in degrees <= N, as
-    under the local order a lead is a least-degree term.  So dim O/(I*O + m^(N+1)) monomials of degree <= N
-    lie outside them, and once their corner is at most N, that is the
-    colength.  If I*O is m-primary, v general combinations of generators
-    of degree <= D meet in an isolated point at 0 (v the number of
-    variables), so the colength is at most D^v (refined Bezout: Fulton,
-    Intersection Theory, section 12.3).  So once more than D^v monomials
-    of degree <= N lie outside the leads, as they do for some N where I*O
-    is not m-primary, the colength is INFINITE.  Else N is doubled, from 2.
+    The monomials outside the leads of I*O (``mora_standard_basis``) form a
+    basis of O/I*O (Greuel-Pfister, section 1.7), so the colength is their
+    count, INFINITE exactly when there are infinitely many (``_staircase``).
 
     Before any basis, fewer generators than variables, all vanishing at 0,
     give INFINITE at once: by Krull's height theorem every minimal prime of
-    I*O then has height at most the number of generators, less than v, so
-    I*O is not m-primary."""
+    I*O then has height at most the number of generators, less than v, the
+    number of variables, so I*O is not m-primary."""
     if len(I.gens) < I.nvars and not any(g.constant_term() for g in I.gens):
         return INFINITE
-    gens = [integer_terms(g) for g in I.gens]
-    bound = max((g.total_degree() for g in I.gens), default=0) ** I.nvars
-    top = 2
-    while True:
-        check_degree(top)
-        lms = [g[0] for g in _standard_basis_raw(gens, LOCAL, top)]
-        stairs = _staircase(lms, I.nvars)
-        if stairs is not None and stairs[1] < top:
-            return stairs[0]
-        if stairs is None and _outside_exceeds(lms, I.nvars, top, bound):
-            return INFINITE
-        top *= 2
-
-
-def _outside_exceeds(lms, nvars, top, bound):
-    """Whether more than bound monomials of degree <= top lie outside the
-    monomials lms, counted degree by degree: those outside form an order
-    ideal, so each of degree d + 1 is a variable times one of degree d."""
-    layer, count = {(0,) * nvars}, 0
-    for _ in range(top + 1):
-        layer = {m for m in layer if not any(mono_divides(lm, m) for lm in lms)}
-        count += len(layer)
-        if count > bound:
-            return True
-        layer = {m[:i] + (m[i] + 1,) + m[i + 1 :] for m in layer for i in range(nvars)}
-    return False
+    count = _staircase(mora_standard_basis(I), I.nvars)
+    return INFINITE if count is None else count

@@ -68,10 +68,6 @@ class MonomialOrder:
     kind: str
     n_elim: int = 0
 
-    @property
-    def is_global(self):
-        return self.kind != "negdegrevlex"
-
     def key(self, mono):
         """Sort key; larger key means larger monomial.  Packs (degree, -last
         exponent, ..., -first exponent), the degree negated for

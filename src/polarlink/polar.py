@@ -222,7 +222,7 @@ def check_excluded(f):
     s = dimension(lms, f.nvars)
     if s == f.nvars - 1:
         raise ExcludedCaseError("f is not reduced at the origin")
-    mu = _staircase(lms, f.nvars)[0] if s == 0 else INFINITE
+    mu = _staircase(lms, f.nvars) if s == 0 else INFINITE
     return mu, s
 
 

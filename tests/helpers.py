@@ -17,7 +17,7 @@ from polarlink.ideals import (
     saturate,
 )
 from polarlink.oracle import _echelon_pivots, monomials_of_degree
-from polarlink.orders import GLOBAL, elimination, mono_div, mono_divides
+from polarlink.orders import GLOBAL, LOCAL, elimination, mono_div, mono_divides, mono_mul
 from polarlink.parse import parse_polynomial
 from polarlink.polar import (
     CoordinateFrame,
@@ -88,7 +88,7 @@ def _reduce_global(G, order):
         others = kept[:i] + kept[i + 1 :]
         if others:
             heap = [(g[1], g[0]), *(t[:2] for t in g[3])]  # sorted, so a heap
-            kept[i] = _element(_normal_form(_terms(g), heap, others, order), order)
+            kept[i] = _element(_normal_form(_terms(g), heap, others), order)
     return kept
 
 
@@ -146,6 +146,28 @@ def sections_by_restriction(f, frame, s):
     as a test oracle for polar.section_multiplicities."""
     sections = (milnor_number(frame.restrict(f, k)) for k in range(s + 1, f.nvars))
     return tuple(None if mu is INFINITE else mu for mu in sections)
+
+
+def macaulay_leads(I, top):
+    """The minimal local leads of the multiples of I's generators truncated
+    below the degree top: the pivots of one echelon form of the rows
+    z^u*g cut below top, each led by its lowest-degree term (``LOCAL``),
+    without those another pivot divides, sorted by degree, then by the
+    local order.  They generate L(I*O + m^top), so L(I*O) where m^top lies
+    in I*O.  A test oracle for ``ideals.mora_standard_basis`` that shares
+    no code with the engine."""
+    below = [u for d in range(top) for u in monomials_of_degree(I.nvars, d)]
+    rows = (
+        {mono_mul(m, u): c for m, c in g.items() if sum(m) + sum(u) < top}
+        for g in map(integer_terms, I.gens)
+        for u in below
+    )
+    pivots = _echelon_pivots(filter(None, rows), {u: LOCAL.key(u) for u in below})
+    kept = []
+    for m in sorted(pivots, key=lambda m: (sum(m), LOCAL.key(m))):
+        if not any(mono_divides(lm, m) for lm in kept):
+            kept.append(m)
+    return tuple(kept)
 
 
 def record_calls(monkeypatch, module, name):

@@ -497,7 +497,8 @@ def test_oracle_teissier_draws_no_frame_when_mu_is_infinite(capsys, monkeypatch)
 
 def test_oracle_teissier_on_a_dense_nonisolated_input_exits_at_once(capsys):
     # x^2*y^2+z^2*w typed in a random frame: the gate's s ran past 25 s in
-    # Mora's uncut loop.  mu is INFINITE, so no frame is usable.
+    # Mora's uncut loop, and Lazard's basis reads it at once.  mu is
+    # INFINITE, so no frame is usable.
     (frame,) = sample_frames(4, 1, 0)
     V4 = ("x", "y", "z", "w")
     poly = frame.restrict(parse_polynomial("x^2*y^2+z^2*w", V4), 0).to_str(V4)

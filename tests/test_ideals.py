@@ -17,6 +17,7 @@ from helpers import (
     ideal_quotient,
     intersect,
     is_member,
+    macaulay_leads,
     monomials_below,
     nonzero_polynomials,
     p2,
@@ -46,7 +47,7 @@ from polarlink.ideals import (
 )
 from polarlink.errors import DegreeLimitError
 from polarlink.oracle import stable_colength
-from polarlink.orders import DEGREE_LIMIT, GLOBAL, LOCAL, elimination, mono_deg, mono_divides
+from polarlink.orders import DEGREE_LIMIT, GLOBAL, elimination, mono_deg, mono_divides
 from polarlink.parse import parse_polynomial
 from polarlink.polar import CoordinateFrame, jacobian_ideal, polar_ideal, sample_frames
 from polarlink.poly import INFINITE, Polynomial, integer_terms
@@ -61,23 +62,21 @@ def ideal3(*texts):
     return Ideal(tuple(p3(t) for t in texts), 3)
 
 
-def engine_basis(I, order, top=None):
-    """The engine's unreduced basis of I, as its elements; under the local
-    order, cut at the degree top if one is given."""
-    return _standard_basis_raw(map(integer_terms, I.gens), order, top)
+def engine_basis(I, order):
+    """The engine's unreduced basis of I under a global order, as its
+    elements."""
+    return _standard_basis_raw(map(integer_terms, I.gens), order)
 
 
 def elements(polys, order):
     return [_element(integer_terms(g), order) for g in polys]
 
 
-def remainder(p, G, order=GLOBAL, top=None):
-    """The engine's remainder of p by the elements G, an integer term dict
-    up to a positive factor; under the local order, cut at the degree top,
-    as the engine cuts it (see ``_standard_basis_raw``)."""
+def remainder(p, G, order=GLOBAL):
+    """The engine's remainder of p by the elements G under a global order,
+    an integer term dict up to a positive factor."""
     h = integer_terms(p)
-    cut = None if top is None else (top + 1) * DEGREE_LIMIT**p.nvars
-    return _normal_form(h, _heap(h, order), G, order, cut)
+    return _normal_form(h, _heap(h, order), G)
 
 
 def global_leads(I):
@@ -159,7 +158,6 @@ def test_buchberger_criterion(gens):
     I = Ideal(tuple(gens), 2)
     basis = reduced_basis(I)
     assert_primitive(basis, GLOBAL)
-    assert_primitive([Polynomial(2, _terms(g)) for g in engine_basis(I, LOCAL, 8)], LOCAL)
     G = elements(basis, GLOBAL)
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
@@ -233,18 +231,6 @@ def test_normal_form_member_is_zero():
 
 def test_normal_form_constant_remainder():
     assert remainder(p2("x+1"), engine_basis(ideal2("x"), GLOBAL)) == {(0, 0): 1}
-
-
-def test_mora_normal_form_local_member():
-    G = engine_basis(ideal2("y^2", "x^2+y^3"), LOCAL, 8)
-    assert not remainder(p2("y^3"), G, LOCAL, 8)
-
-
-def test_the_local_loop_is_refused_without_a_cut():
-    # With no ecart to steer it, the loop under the local order need not
-    # end unless it is cut at a degree.
-    with pytest.raises(ValueError):
-        engine_basis(ideal2("y^2", "x^2+y^3"), LOCAL)
 
 
 @settings(max_examples=40)
@@ -477,12 +463,12 @@ def test_saturations_of_four_planes_form_few_s_polynomials(monkeypatch):
     # Pairs by degree from the generators of I formed 462.  Saturated in
     # the frame's coordinates, where x*y*z*w is a dense quartic, they
     # formed 225; in the coordinates of f they form 215.  The gate's basis
-    # of the homogenized Jacobian ideal, under elimination(1), forms 3 more.
-    # Only those under global orders are counted: the local ones belong to
-    # the colength loop.
+    # of the homogenized Jacobian ideal, under elimination(1), forms 3 more,
+    # and Lazard's bases behind the local colengths of the sections and
+    # cuts 27: every basis is built under a global order.
     formed = record_calls(monkeypatch, ideals, "_spoly")
     run_compute(RunConfig("x*y*z*w", ("x", "y", "z", "w"), seed=0))
-    assert sum(args[3].is_global for args, _ in formed) == 218
+    assert len(formed) == 245
 
 
 @pytest.mark.parametrize("text", ["x^3+y^4+z^2", "x^3+x*y^3+z^2"])
@@ -613,8 +599,9 @@ def test_colength_sees_local_units():
 
 @pytest.mark.parametrize("text", ["x^2*y^2+z^2*w", "x*y*z*w"])
 def test_a_jacobian_ideal_that_is_not_m_primary_is_infinite_in_dense_coordinates(text):
-    # In a random frame the uncut loop ran past 60 s on the first; the cut
-    # loop stops once more than 3^4 monomials lie outside its leads.
+    # In a random frame Mora's uncut loop ran past 60 s on the first;
+    # Lazard's leads miss a pure power of some variable, so their staircase
+    # is infinite.
     (frame,) = sample_frames(4, 1, 0)
     J = jacobian_ideal(frame.restrict(parse_polynomial(text, ("x", "y", "z", "w")), 0))
     with time_limit(10):
@@ -623,9 +610,9 @@ def test_a_jacobian_ideal_that_is_not_m_primary_is_infinite_in_dense_coordinates
 
 def test_a_teissier_meet_with_fewer_generators_than_variables_is_infinite_at_once(monkeypatch):
     # The meet of this f's second polar ideal in the frame with f has two
-    # generators in three variables: Mora's loop ran past 90 s at the cut
-    # N = 32 before the Bezout bound 7^3 was passed.  Krull's height
-    # theorem settles it before any basis is built.
+    # generators in three variables: a loop under the local order cut at
+    # a degree ran past 90 s at the cut 32.  Krull's height theorem settles
+    # it before any basis is built.
     f = p3("12/5*x^2*y^3*z^2 + 1/7*x^2*y*z^3 + 3/7*y^3*z")
     pol = polar_ideal(f, CoordinateFrame(((0, 1, -2), (2, 2, 2), (1, -1, 1))), 2)
     meet = Ideal(pol.ideal.gens + (f,), 3)
@@ -671,19 +658,13 @@ def test_fewer_generators_than_variables_all_vanishing_at_0_are_never_m_primary(
 )
 def test_staircase_counts_the_monomials_outside_the_leads(lms, nvars):
     outside = [m for m in monomials_below(nvars, 12) if not any(mono_divides(lm, m) for lm in lms)]
-    assert _staircase(lms, nvars) == (len(outside), max(map(sum, outside), default=-1))
+    assert _staircase(lms, nvars) == len(outside)
 
 
 def test_staircase_of_leads_that_miss_a_pure_power_is_infinite():
     assert _staircase([(2, 0), (1, 1)], 2) is None
     assert _staircase([(0, 0, 1), (1, 1, 0)], 3) is None
     assert _staircase([], 2) is None
-
-
-def cut_leads(I, top):
-    """The leads of the loop under the local order for I cut at the degree
-    top."""
-    return [g[0] for g in engine_basis(I, LOCAL, top)]
 
 
 def m_primary_ideals():
@@ -713,32 +694,33 @@ def _m_primary(n, powers, tails, extra):
 @settings(max_examples=40, deadline=None)
 @given(m_primary_ideals())
 def test_local_colength_meets_one_cut_and_the_truncation_oracle(I):
-    # The oracle certifies m^c in I*O for some c <= 16, so one loop cut at
-    # 16 is past the corner and gives the leads of I*O.
+    # The oracle certifies m^c in I*O for some c <= 16 from the multiples
+    # of the generators cut below one degree, and counts what they leave.
     r = stable_colength(I, 4, hard_cap=16)
     assert r.stable
-    assert local_colength(I) == _staircase(cut_leads(I, 16), I.nvars)[0] == r.value
+    assert local_colength(I) == r.value
 
 
 @settings(max_examples=40, deadline=None)
 @given(m_primary_ideals())
-def test_a_basis_cut_at_the_corner_is_a_standard_basis(I):
-    # The basis cut at the corner is still a standard basis of I in the
-    # local ring: every generator has weak normal form zero.  The pure
-    # powers z_i^a_i, a_i <= 3, put the corner at 7 or below.
-    # Each generator is reduced with the corner's cut: without an ecart an
-    # uncut local normal form need not end.
-    corner = _staircase(cut_leads(I, 7), I.nvars)[1] + 1
-    G = _minimalize(engine_basis(I, LOCAL, corner))
-    assert all(not remainder(g, G, LOCAL, corner) for g in I.gens)
+def test_lazards_leads_are_the_macaulay_pivots_below_degree_17(I):
+    # Lazard's route and the Macaulay matrix share no code path: one is a
+    # Groebner basis of the homogenized generators, the other an echelon
+    # form of the truncated multiples of the generators.  The pure powers
+    # z_i^a_i, a_i <= 3, put the corner at 7 or below, so every minimal
+    # lead of I*O lies below degree 17.
+    assert mora_standard_basis(I) == macaulay_leads(I, 17)
 
 
-@settings(max_examples=40, deadline=None)
-@given(m_primary_ideals())
-def test_lazards_leads_are_those_of_the_loop_cut_past_the_corner(I):
-    # Lazard's route and the cut local loop share no code path: one is a
-    # global Groebner basis of the homogenized generators, the other the
-    # loop under the local order.  The pure powers z_i^a_i, a_i <= 3, put
-    # the corner at 7 or below, so the cut at 16 gives every lead.
-    cut = tuple(g[0] for g in _minimalize(engine_basis(I, LOCAL, 16)))
-    assert mora_standard_basis(I) == cut
+def test_a_local_colength_builds_one_basis(monkeypatch):
+    # x^2+y^4+z^5 and its slice by z_0 = 0 in the first frame at seed 0:
+    # each colength reads the leads of one Groebner basis of the
+    # homogenized generators, and never restarts from the generators at a
+    # larger degree.
+    f = p3("x^2+y^4+z^5")
+    (frame,) = sample_frames(3, 1, seed=0)
+    for g, mu in ((f, 12), (frame.restrict(f, 1), 3)):
+        with monkeypatch.context() as patch:
+            loops = record_calls(patch, ideals, "_standard_basis_raw")
+            assert local_colength(jacobian_ideal(g)) == mu
+        assert len(loops) == 1

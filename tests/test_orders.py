@@ -33,12 +33,6 @@ def test_local_order_prefers_low_degree():
     assert LOCAL.key((1, 1, 0)) > LOCAL.key((1, 0, 1))
 
 
-def test_global_flag():
-    assert GLOBAL.is_global
-    assert not LOCAL.is_global
-    assert elimination(1).is_global
-
-
 def test_elimination_blocks_tag_first():
     order = elimination(1)
     # any power of the tag beats anything tag-free
