@@ -21,9 +21,6 @@ from .ideals import (
 )
 from .link import (
     BettiVector,
-    ChainComplexSpec,
-    MorseBound,
-    N1Sequence,
     allowed_degrees,
     betti_feasibility,
     chain_complex,
@@ -33,7 +30,6 @@ from .link import (
     telescope_table,
 )
 from .oracle import (
-    OracleVerdict,
     TruncatedColength,
     bezout_gamma,
     gamma_identity_audit,

@@ -6,6 +6,11 @@ link in degree n+k-1.  Alternating partial sums of the lambda ranks
 telescope back to single gamma values, and comparing them against a
 hypothesized vector of reduced Betti numbers gives two families of
 Morse-type upper bounds, one per end of the complex.
+
+The builders return the report's JSON values themselves: chain_complex,
+telescope_table, morse_bounds and n1_exact_sequence the blocks of the same
+names in docs/report_schema.md, betti_feasibility and components_force_s
+the {name, passed, detail} objects of the feasibility block.
 """
 
 from __future__ import annotations
@@ -19,26 +24,10 @@ def lambda_from_gamma(profile):
     return tuple(g[k] + g[k + 1] for k in range(profile.n + 1))
 
 
-@dataclass(frozen=True)
-class ChainComplexSpec:
-    """Term ranks and the cohomology degree each term computes."""
-
-    ranks: tuple
-    degrees: tuple
-
-
 def chain_complex(lam):
+    """Term ranks and the cohomology degree each term computes."""
     n = len(lam) - 1
-    return ChainComplexSpec(lam, tuple(n + k - 1 for k in range(n + 1)))
-
-
-@dataclass(frozen=True)
-class TelescopeRow:
-    p: int
-    from_bottom: int
-    from_bottom_expected: int
-    from_top: int
-    from_top_expected: int
+    return {"ranks": list(lam), "cohomology_degrees": [n + k - 1 for k in range(n + 1)]}
 
 
 def telescope_table(profile, lam):
@@ -47,16 +36,16 @@ def telescope_table(profile, lam):
     lambda is built from gamma; nothing is checked here."""
     g = profile.gamma
     n = profile.n
-    return tuple(
-        TelescopeRow(
-            p,
-            sum((-1) ** k * lam[k] for k in range(p + 1)),
-            (-1) ** p * g[p + 1],
-            sum((-1) ** k * lam[n - k] for k in range(p + 1)),
-            1 + (-1) ** p * g[n - p],
-        )
+    return [
+        {
+            "p": p,
+            "from_bottom": sum((-1) ** k * lam[k] for k in range(p + 1)),
+            "from_bottom_expected": (-1) ** p * g[p + 1],
+            "from_top": sum((-1) ** k * lam[n - k] for k in range(p + 1)),
+            "from_top_expected": 1 + (-1) ** p * g[n - p],
+        }
         for p in range(n + 1)
-    )
+    ]
 
 
 @dataclass(frozen=True)
@@ -72,45 +61,28 @@ class BettiVector:
             raise ValueError("Betti numbers must be non-negative")
 
 
-@dataclass(frozen=True)
-class MorseBound:
-    """One inequality.  family 1 runs from the bottom of the complex with
-    right side gamma^(p+1); family 2 from the top with right side
-    (-1)^p + gamma^(n-p).  terms lists (sign, degree) pairs of the left
-    side; lhs and satisfied are filled only when Betti input is present."""
-
-    family: int
-    p: int
-    terms: tuple
-    rhs: int
-    lhs: object = None
-    satisfied: object = None
-
-
 def morse_bounds(profile, betti=None):
     """Both families of link inequalities for p = 0..n.
 
-    The right-hand sides are read from gamma, which the alternating sums
-    of lambda telescope to (telescope_table).
+    Family 1 runs from the bottom of the complex with right side
+    gamma^(p+1), read from gamma, which the alternating sums of lambda
+    telescope to (telescope_table); family 2 from the top with right side
+    (-1)^p + gamma^(n-p).  terms lists [sign, degree] pairs of the left
+    side; lhs and satisfied are None unless betti is given.
     """
     n = profile.n
     g = profile.gamma
     out = []
     for p in range(n + 1):
-        terms1 = tuple(((-1) ** (p + k), n + k - 1) for k in range(p + 1))
-        out.append(_fill(MorseBound(1, p, terms1, g[p + 1]), betti))
-        terms2 = tuple(((-1) ** (p + k), 2 * n - k - 1) for k in range(p + 1))
-        out.append(_fill(MorseBound(2, p, terms2, (-1) ** p + g[n - p]), betti))
-    return tuple(out)
-
-
-def _fill(bound, betti):
-    if betti is None:
-        return bound
-    lhs = sum(sign * betti.values[deg] for sign, deg in bound.terms)
-    return MorseBound(
-        bound.family, bound.p, bound.terms, bound.rhs, lhs, lhs <= bound.rhs
-    )
+        for family, degrees, rhs in (
+            (1, [n + k - 1 for k in range(p + 1)], g[p + 1]),
+            (2, [2 * n - k - 1 for k in range(p + 1)], (-1) ** p + g[n - p]),
+        ):
+            terms = [[(-1) ** (p + k), d] for k, d in enumerate(degrees)]
+            lhs = None if betti is None else sum(sign * betti.values[d] for sign, d in terms)
+            satisfied = None if lhs is None else lhs <= rhs
+            out.append({"family": family, "p": p, "terms": terms, "rhs": rhs, "lhs": lhs, "satisfied": satisfied})
+    return out
 
 
 def allowed_degrees(n, s):
@@ -123,13 +95,6 @@ def allowed_degrees(n, s):
     return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
-class FeasibilityCheck:
-    name: str
-    passed: bool
-    detail: str
-
-
 def betti_feasibility(betti, profile, bounds):
     """Audit a Betti hypothesis against everything the profile forces.
 
@@ -140,94 +105,73 @@ def betti_feasibility(betti, profile, bounds):
     realized by the actual link.
     """
     n = profile.n
-    checks = []
-
     window = allowed_degrees(n, profile.s)
-    bad = [
-        k for k, v in enumerate(betti.values) if v != 0 and k not in window
-    ]
-    checks.append(
-        FeasibilityCheck(
-            "vanishing_window",
-            not bad,
-            f"allowed degrees {list(window)}"
-            + (f", nonzero outside at {bad}" if bad else ""),
-        )
-    )
-
+    bad = [k for k, v in enumerate(betti.values) if v != 0 and k not in window]
+    detail = f"allowed degrees {list(window)}" + (f", nonzero outside at {bad}" if bad else "")
+    checks = [{"name": "vanishing_window", "passed": not bad, "detail": detail}]
     for b in bounds:
         checks.append(
-            FeasibilityCheck(
-                f"morse_family{b.family}_p{b.p}",
-                bool(b.satisfied),
-                f"lhs {b.lhs} <= rhs {b.rhs}",
-            )
+            {
+                "name": f"morse_family{b['family']}_p{b['p']}",
+                "passed": bool(b["satisfied"]),
+                "detail": f"lhs {b['lhs']} <= rhs {b['rhs']}",
+            }
         )
 
     euler = sum((-1) ** k * v for k, v in enumerate(betti.values))
     checks.append(
-        FeasibilityCheck(
-            "reduced_euler_characteristic",
-            euler == -1,
-            f"alternating sum {euler}, required -1",
-        )
+        {
+            "name": "reduced_euler_characteristic",
+            "passed": euler == -1,
+            "detail": f"alternating sum {euler}, required -1",
+        }
     )
 
     if betti.components is not None:
         c = betti.components
         top = betti.values[2 * n - 1]
         checks.append(
-            FeasibilityCheck(
-                "components_equal_top_betti",
-                top == c,
-                f"b~^{2 * n - 1} = {top}, components = {c}",
-            )
+            {
+                "name": "components_equal_top_betti",
+                "passed": top == c,
+                "detail": f"b~^{2 * n - 1} = {top}, components = {c}",
+            }
         )
         if c != 1:
             checks.append(components_force_s(c, profile))
-    return tuple(checks)
+    return checks
 
 
 def components_force_s(components, profile):
     """A germ with more than one component has s = n - 1."""
     n = profile.n
-    return FeasibilityCheck(
-        "multiple_components_force_s",
-        profile.s == n - 1,
-        f"components {components} != 1 requires s = n-1 = {n - 1}, s = {profile.s}",
-    )
-
-
-@dataclass(frozen=True)
-class N1Sequence:
-    """The n=1 four-term sequence pinning the link of a plane curve.
-
-    ranks is (b~^0, mult-1, mult, b~^1) with None placeholders when no
-    Betti input was supplied; exactness forces b~^1 - b~^0 = 1 and the
-    injection forces b~^0 <= mult-1."""
-
-    ranks: tuple
-    checks: tuple
+    return {
+        "name": "multiple_components_force_s",
+        "passed": profile.s == n - 1,
+        "detail": f"components {components} != 1 requires s = n-1 = {n - 1}, s = {profile.s}",
+    }
 
 
 def n1_exact_sequence(profile, betti=None):
+    """The n=1 four-term sequence pinning the link of a plane curve.
+
+    ranks is [b~^0, mult-1, mult, b~^1] with None placeholders when no
+    Betti input was supplied; exactness forces b~^1 - b~^0 = 1 and the
+    injection forces b~^0 <= mult-1, the two checks made when it was."""
     mult = profile.mult
-    b0 = betti.values[0] if betti is not None else None
-    b1 = betti.values[1] if betti is not None else None
-    checks = []
-    if betti is not None:
-        checks.append(
-            FeasibilityCheck(
-                "difference_is_one",
-                b1 - b0 == 1,
-                f"b~^1 - b~^0 = {b1 - b0}, exactness requires 1",
-            )
-        )
-        checks.append(
-            FeasibilityCheck(
-                "injection_bound",
-                b0 <= mult - 1,
-                f"b~^0 = {b0} must not exceed mult-1 = {mult - 1}",
-            )
-        )
-    return N1Sequence((b0, mult - 1, mult, b1), tuple(checks))
+    if betti is None:
+        return {"ranks": [None, mult - 1, mult, None], "checks": []}
+    b0, b1 = betti.values
+    checks = [
+        {
+            "name": "difference_is_one",
+            "passed": b1 - b0 == 1,
+            "detail": f"b~^1 - b~^0 = {b1 - b0}, exactness requires 1",
+        },
+        {
+            "name": "injection_bound",
+            "passed": b0 <= mult - 1,
+            "detail": f"b~^0 = {b0} must not exceed mult-1 = {mult - 1}",
+        },
+    ]
+    return {"ranks": [b0, mult - 1, mult, b1], "checks": checks}

@@ -17,7 +17,9 @@ the point.
 
 Also here: the closed-form polar multiplicities of Fermat polynomials, the
 Teissier sum check mu + mu' for the first polar curve, and the audit of the
-boundary identities a gamma profile must satisfy.
+boundary identities a gamma profile must satisfy.  These two return their
+verdicts as the {name, expected, actual, passed, context} objects that the
+report's oracles block lists.
 """
 
 from __future__ import annotations
@@ -39,19 +41,10 @@ HARD_DEGREE_CAP = 40
 ELIMINATION_SIZE = 2 * 10**6
 
 
-@dataclass(frozen=True)
-class OracleVerdict:
-    """One named comparison; passed is True exactly when the sides agree."""
-
-    name: str
-    expected: object
-    actual: object
-    passed: bool
-    context: str = ""
-
-
 def verdict(name, expected, actual, context=""):
-    return OracleVerdict(name, expected, actual, expected == actual, context)
+    """One named comparison, as the report's oracles block lists it;
+    passed is True exactly when the sides agree."""
+    return {"name": name, "expected": expected, "actual": actual, "passed": expected == actual, "context": context}
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 A report is a plain dict of JSON-safe values; canonical_json renders it
 with sorted keys so identical (input, config) pairs are byte-identical.
-The text rendering carries the same numbers for human reading.
+The link and oracle blocks are placed in it as link and oracle return
+them.  The text rendering carries the same numbers for human reading.
 """
 
 from __future__ import annotations
@@ -74,20 +75,6 @@ class RunConfig:
             raise ValueError("component count must be positive")
 
 
-def _verdict_payload(v):
-    return {
-        "name": v.name,
-        "expected": v.expected,
-        "actual": v.actual,
-        "passed": v.passed,
-        "context": v.context,
-    }
-
-
-def _check_payload(c):
-    return {"name": c.name, "passed": c.passed, "detail": c.detail}
-
-
 def _oracle_diagnostics(f, profile):
     """Cross-checks recorded with every report: the boundary identities,
     the truncated-colength oracle against each accepted gamma value and
@@ -95,7 +82,7 @@ def _oracle_diagnostics(f, profile):
     Also collects the saturation exponents seen at the witness frames.
     gamma^k = 0 exactly when the witness polar ideal misses the origin,
     which leaves nothing for the colength oracle to count."""
-    verdicts = list(gamma_identity_audit(profile))
+    verdicts = gamma_identity_audit(profile)
     start = default_cap(f)
     exponents = []
     for k in range(1, profile.n + 1):
@@ -180,10 +167,7 @@ def build_report(cfg):
         "s": profile.s,
         "gamma": list(profile.gamma),
         "lambda": list(lam),
-        "chain_complex": {
-            "ranks": list(complex_spec.ranks),
-            "cohomology_degrees": list(complex_spec.degrees),
-        },
+        "chain_complex": complex_spec,
         "stability": {
             "stable": profile.stable,
             "threshold": profile.threshold,
@@ -195,51 +179,29 @@ def build_report(cfg):
             ],
             "saturation_exponents": exponents,
         },
-        "telescope": [
-            {
-                "p": row.p,
-                "from_bottom": row.from_bottom,
-                "from_bottom_expected": row.from_bottom_expected,
-                "from_top": row.from_top,
-                "from_top_expected": row.from_top_expected,
-            }
-            for row in telescope
-        ],
-        "morse_bounds": [
-            {
-                "family": b.family,
-                "p": b.p,
-                "terms": [[sign, deg] for sign, deg in b.terms],
-                "rhs": b.rhs,
-                "lhs": b.lhs,
-                "satisfied": b.satisfied,
-            }
-            for b in bounds
-        ],
+        "telescope": telescope,
+        "morse_bounds": bounds,
         "vanishing_window": {
             "allowed_degrees": list(allowed_degrees(n, profile.s)),
             "s": profile.s,
         },
         "oracles": {
-            "verdicts": [_verdict_payload(v) for v in oracles],
-            "all_passed": all(v.passed for v in oracles),
+            "verdicts": oracles,
+            "all_passed": all(v["passed"] for v in oracles),
         },
     }
 
     seq = n1_exact_sequence(profile, betti) if n == 1 else None
-    doc["n1_exact_sequence"] = None if seq is None else {
-        "ranks": list(seq.ranks),
-        "checks": [_check_payload(c) for c in seq.checks],
-    }
+    doc["n1_exact_sequence"] = seq
 
     checks = None
     if betti is not None:
-        checks = [*betti_feasibility(betti, profile, bounds), *(seq.checks if seq else ())]
+        checks = betti_feasibility(betti, profile, bounds) + (seq["checks"] if seq else [])
     elif cfg.components is not None and cfg.components != 1:
         checks = [components_force_s(cfg.components, profile)]
     doc["feasibility"] = None if checks is None else {
-        "checks": [_check_payload(c) for c in checks],
-        "all_passed": all(c.passed for c in checks),
+        "checks": checks,
+        "all_passed": all(c["passed"] for c in checks),
         "note": "rank-level checks only; torsion is invisible to them",
     }
 

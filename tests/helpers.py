@@ -4,6 +4,7 @@ import signal
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import reduce
+from itertools import combinations
 
 from hypothesis import strategies as st
 
@@ -445,3 +446,26 @@ def saturate_by_quotients(I, J):
             return current, exponent
         current = nxt
         exponent += 1
+
+
+def arrangement_link_betti(forms, varnames):
+    """Reduced Betti numbers b~^0..b~^(2n-1) of the link K of the central
+    arrangement of the hyperplanes forms = 0, each form a linear form typed
+    in the n + 1 variables varnames.  By Orlik and Solomon the complement
+    M of the arrangement has Poincare polynomial
+    pi(A, t) = sum over subsets S of the forms of (-1)^(|S| - rk S) t^(rk S),
+    with rk S the rank of the forms in S, here found by exact Fraction
+    elimination.  M retracts onto the complement of K in S^(2n+1), so by
+    Alexander duality b~^i(K) = b~_(2n-i)(M).  A test oracle for the
+    feasibility audit, which shares no code with it."""
+    n = len(varnames) - 1
+    rows = [parse_polynomial(text, varnames).terms for text in forms]
+    assert all(sum(m) == 1 for row in rows for m in row), forms
+    key = {m: m for row in rows for m in row}
+    poincare = [0] * (2 * n + 1)
+    for size in range(len(rows) + 1):
+        for subset in combinations(rows, size):
+            rank = len(fraction_echelon_pivots(subset, key))
+            poincare[rank] += (-1) ** (size - rank)
+    poincare[0] -= 1
+    return tuple(poincare[2 * n - i] for i in range(2 * n))

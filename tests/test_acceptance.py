@@ -146,7 +146,7 @@ def test_criterion_5_teissier_on_isolated_members(corpus_entries):
             mu_slice = milnor_number(frame.restrict(f, 1))
             assert mu_slice is not INFINITE, (entry["name"], frame.matrix)
             v = teissier_check(polar_ideal(f, frame, 1), profile.mu, mu_slice)
-            assert v.passed, (entry["name"], frame.matrix, v)
+            assert v["passed"], (entry["name"], frame.matrix, v)
             passed_frames.append(frame.matrix)
             if len(passed_frames) == 3:
                 break

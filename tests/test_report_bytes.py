@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from helpers import time_limit
+from polarlink.cli import main
 from polarlink.parse import parse_polynomial
 from polarlink.polar import check_excluded, gamma_profile, sample_frames
 from polarlink.report import RunConfig, canonical_json, run_compute
@@ -54,6 +55,30 @@ HARD_SURFACE_SHA256 = {
     "x^2+y^4+z^4": ("ba2e45c8511a1e193b0b1c4bd51ca95c9a387ee90ecb1c86425f3b722ca6c0e0", 0),
     "x^2+y^4+z^5": ("931643b2f111b508a15faca094e29bd79c5148bd9f1d7483d789359d28fec701", 0),
     "x^3+y^4+z^4": ("e14568f6a74463dc3bad2effb5eadb341d81c6ead1dd7575b1380c177f35a826", 0),
+}
+
+
+# CLI output that no workload digest covers: the text rendering of the
+# n = 1 sequence and of the feasibility checks (among them the check that
+# the component count forces s), and the stdout of the Teissier oracle,
+# whose json.dumps keeps the key order it is given.
+CLI_SHA256 = {
+    ("compute", "--poly", "x^2+y^3", "--vars", "x,y", "--betti", "0,1", "--components", "1", "--text"): (
+        "4f2814150100aa2b5f0408415cbdf026cf7d14f641467219295061b5420f1041",
+        0,
+    ),
+    ("compute", "--poly", "x*y*z", "--vars", "x,y,z", "--seed", "3", "--betti", "0,1,3,3", "--text"): (
+        "cfd4626f7aa7bd1ca93a4e45fffd50565c5ff6aa7e2df3b6a858d1c2cd760c8a",
+        2,
+    ),
+    ("compute", "--poly", "x*y*(x+y)", "--vars", "x,y", "--components", "3", "--text"): (
+        "8aa54135bf417749cb8d93a346a261c1d38943197191c8dd7848e9156cdc0379",
+        0,
+    ),
+    ("oracle", "teissier", "--poly", "x^2*y+y^4+z^2", "--vars", "x,y,z", "--frames", "2"): (
+        "a442e48ccf98346d6d0208a537aea2dabdf9ad504c4081a9cf9c98b8eaa3f9d3",
+        0,
+    ),
 }
 
 
@@ -116,6 +141,13 @@ def test_five_coordinate_hyperplanes_finish_with_every_oracle_passing():
     assert doc["gamma"] == [0, 1, 4, 6, 4, 1]
     assert doc["oracles"]["all_passed"] is True
     assert all(v["passed"] for v in doc["oracles"]["verdicts"])
+
+
+@pytest.mark.parametrize("argv", CLI_SHA256, ids=" ".join)
+def test_cli_output_keeps_its_bytes(capsys, argv):
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode()).hexdigest(), code) == CLI_SHA256[argv]
 
 
 # Its profile is stable in both forms, but as typed a frame whose planes are
