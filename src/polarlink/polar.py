@@ -6,16 +6,16 @@ Jacobian ideal of f o M.  It is built in the coordinates of f, where a
 sparse f stays sparse: the frame enters only through the derivatives of f
 along the columns of M, which generate it (see polar_ideal), and through
 the plane H_k = {z_0 = ... = z_(k-1) = 0} of the frame that cuts it (see
-plane_cut).  The local colength of that cut is the polar multiplicity;
-the profile samples random integer frames and keeps, per k, the minimum
-over the frames where the cut is finite.  Above the critical dimension s,
-which the gate check_excluded reads, that is for k > s, the multiplicity
-in a frame is the Milnor number of f cut by H_k (see gamma_profile), so
-the profile builds a polar ideal there only at the witness frame of each
-k, and reads every such section of a frame from one restriction of f, to
-H_(s+1) (see section_multiplicities).  A polynomial enters a frame one way
-only, cut by H_k (CoordinateFrame.restrict): f once a frame for its
-sections, each generator of a polar ideal for its cut.
+plane_cut).  The local colength of that cut is the polar multiplicity.
+Above the critical dimension s, which the gate check_excluded reads, that
+is for k > s, the multiplicity in a frame is the Milnor number of f cut
+by H_k (see gamma_profile), read for every such k of a frame from one
+restriction of f, to H_(s+1) (see section_multiplicities).  The profile
+samples random integer frames, reads each (read_frame), keeps per k the
+minimum over the frames valid for k (decide), and builds a polar ideal
+above s only at the witness frame of each k.  A polynomial enters a frame
+one way only, cut by H_k (CoordinateFrame.restrict): f once a frame for
+its sections, each generator of a polar ideal for its cut.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ def polar_multiplicity(pol):
 
 def section_multiplicities(f, frame, s):
     """gamma^k in the frame for k = s + 1, ..., n in turn, each None when
-    invalid (see gamma_profile), all read from one restriction of f,
+    invalid (see read_frame), all read from one restriction of f,
     g = frame.restrict(f, s + 1), in z_(s+1)..z_n.  f cut by H_k is g with
     z_(s+1), ..., z_(k-1) set to 0, the terms of g free of them, and for
     k < n gamma^k is its Milnor number.  On the line H_n it is a
@@ -171,14 +171,13 @@ def plane_cut(pol):
 class GammaProfile:
     """Polar multiplicities gamma^0..gamma^(n+1) with sampling diagnostics.
 
-    per_trial[t][k-1] is the value gamma^k measured in frame t, or None if
-    the frame is invalid for k there: for k <= s the cut of the polar ideal
-    is not finite, for k > s the Milnor number of the section is INFINITE.
-    witness[k-1] is the first trial index attaining the reported minimum and
-    agreement[k-1] how many trials did.  polar_ideals[k-1] is the k-th
-    polar ideal at the witness frame of k, frames[witness[k-1]]: for k <= s
-    the one that gave gamma^k there, for k > s the only one built for k.
-    The report's checks read these ideals instead of building them again.
+    per_trial[t][k-1] is the value gamma^k read in frame t, or None if the
+    frame is invalid for k there (see read_frame).  witness[k-1] is the
+    first trial index attaining the reported minimum and agreement[k-1] how
+    many trials did.  polar_ideals[k-1] is the k-th polar ideal at the
+    witness frame of k, frames[witness[k-1]]: for k <= s the one that gave
+    gamma^k there, for k > s the only one built for k.  The report's checks
+    read these ideals instead of building them again.
     mu (INFINITE unless s = 0) and s come from the gate, check_excluded;
     threshold is the agreement every k needs.
     """
@@ -226,13 +225,61 @@ def check_excluded(f):
     return mu, s
 
 
-def gamma_profile(f, mu, s, trials=5, seed=0, bound=10):
-    """Sample polar multiplicities of f over `trials` random frames.
+def read_frame(f, frame, s):
+    """Read one frame: its gamma^1..gamma^n and its polar ideals for k <= s.
 
-    The reported gamma^k is the minimum over valid frames; the profile is
-    stable when for every k at least ceil(trials/2) frames agree on that
-    minimum.  gamma^0 = 0 and gamma^(n+1) = 1 by convention.  The caller
-    has run the gate of report.build_report, whose check_excluded gave mu, s.
+    For k <= s gamma^k is the multiplicity of the polar ideal,
+    polar_multiplicity of polar_ideal(f, frame, k); for k > s it is the
+    Milnor number of f cut by H_k, all read from one restriction of f
+    (section_multiplicities).  None marks a frame invalid for k, and means
+      - for k <= s, that the cut of the polar ideal is not finite;
+      - for s < k < n, that mu(f|H_k) is INFINITE;
+      - for k = n, that the line H_n lies in V(f).
+    """
+    pols = tuple(polar_ideal(f, frame, k) for k in range(1, s + 1))
+    return tuple(map(polar_multiplicity, pols)) + tuple(section_multiplicities(f, frame, s)), pols
+
+
+def decide(per_trial, mult):
+    """The minimum rule on the readings per_trial[t][k-1] of the frames t.
+
+    Per k, gamma^k is the least valid (not None) reading, agreement[k-1]
+    counts the frames that read it and witness[k-1] is the first of them.
+    The profile is stable when every k has at least threshold =
+    ceil(trials/2) agreeing frames.  Returns (gamma, agreement, witness,
+    threshold, stable), gamma with gamma^0 = 0 and gamma^(n+1) = 1.
+
+    Raises NoValidFrame where a k has no valid reading, and where the least
+    gamma^n is not mult - 1, mult the order of f at 0.  gamma^n in a frame
+    is the order of f on the line H_n minus 1: at least mult - 1, with
+    equality exactly when the line misses the tangent cone, so a minimum
+    above it is a sampling failure.
+    """
+    trials = len(per_trial)
+    gamma, agreement, witness = [0], [], []
+    for k, column in enumerate(zip(*per_trial), start=1):
+        valid = [v for v in column if v is not None]
+        if not valid:
+            raise NoValidFrame(f"no valid frame for k={k} after {trials} trials")
+        gamma.append(min(valid))
+        agreement.append(column.count(gamma[k]))
+        witness.append(column.index(gamma[k]))
+    n = len(witness)
+    if gamma[n] != mult - 1:
+        raise NoValidFrame(
+            f"no frame for k={n} after {trials} trials has its line H_{n} off the tangent cone"
+        )
+    threshold = (trials + 1) // 2
+    stable = all(a >= threshold for a in agreement)
+    return tuple(gamma) + (1,), tuple(agreement), tuple(witness), threshold, stable
+
+
+def gamma_profile(f, mu, s, trials=5, seed=0, bound=10):
+    """Sample polar multiplicities of f over `trials` random frames: draw
+    the frames, read each (read_frame), decide gamma by the minimum rule
+    (decide), then build the polar ideal of each k at its witness frame.
+    The caller has run the gate of report.build_report, whose
+    check_excluded gave mu, s.
 
     For k <= s (s = dim Crit f at 0) gamma^k in a frame is the multiplicity
     of the saturated polar ideal.  For k > s it is the Milnor number of f
@@ -250,68 +297,28 @@ def gamma_profile(f, mu, s, trials=5, seed=0, bound=10):
     where mu(f|H_k) is INFINITE, V(I) cut by H_k holds a curve through 0,
     which meets V(J) = {0} only at 0 and so lies in V(I : J^infinity); the
     cut is not finite either.  For s >= 1 such a frame is invalid for k, as
-    the prepolar condition asks (ROADMAP item 10).
-
-    As f is reduced, s < n, and gamma^n in a frame is the order of f on the
-    line H_n minus 1: at least mult(f) - 1, with equality exactly when the
-    line misses the tangent cone.  A minimum above it is a sampling failure.
-    A frame's gamma^k for k > s all come from one restriction of f, to
-    H_(s+1) (section_multiplicities).
+    the prepolar condition asks (ROADMAP item 10).  As f is reduced, s < n.
     """
-    n = f.nvars - 1
     mult = f.order_of_vanishing()
     frames = tuple(sample_frames(f.nvars, trials, seed, bound))
-
-    per_trial = []
-    by_frame = []
-    for fr in frames:
-        pols = [polar_ideal(f, fr, k) for k in range(1, s + 1)]
-        per_trial.append(
-            tuple(map(polar_multiplicity, pols))
-            + tuple(section_multiplicities(f, fr, s))
-        )
-        by_frame.append(pols)
-    per_trial = tuple(per_trial)
-
-    gamma = [0] * (n + 2)
-    gamma[n + 1] = 1
-    agreement = []
-    witness = []
-    for k in range(1, n + 1):
-        vals = [row[k - 1] for row in per_trial if row[k - 1] is not None]
-        if not vals:
-            raise NoValidFrame(
-                f"no valid frame for k={k} after {trials} trials"
-            )
-        best = min(vals)
-        gamma[k] = best
-        hits = [t for t, row in enumerate(per_trial) if row[k - 1] == best]
-        agreement.append(len(hits))
-        witness.append(hits[0])
-    if gamma[n] != mult - 1:
-        raise NoValidFrame(
-            f"no frame for k={n} after {trials} trials has its line H_{n} off the tangent cone"
-        )
-
+    per_trial, by_frame = zip(*(read_frame(f, fr, s) for fr in frames))
+    gamma, agreement, witness, threshold, stable = decide(per_trial, mult)
     # Above s, the report reads a polar ideal only at the witness frame of k.
     polar_ideals = tuple(
         by_frame[t][k - 1] if k <= s else polar_ideal(f, frames[t], k)
         for k, t in enumerate(witness, start=1)
     )
-
-    threshold = (trials + 1) // 2
-    stable = all(a >= threshold for a in agreement)
     return GammaProfile(
-        n=n,
-        gamma=tuple(gamma),
+        n=f.nvars - 1,
+        gamma=gamma,
         mult=mult,
         s=s,
         mu=mu,
         threshold=threshold,
         stable=stable,
         per_trial=per_trial,
-        agreement=tuple(agreement),
-        witness=tuple(witness),
+        agreement=agreement,
+        witness=witness,
         frames=frames,
         polar_ideals=polar_ideals,
     )

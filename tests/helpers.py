@@ -133,7 +133,7 @@ def saturating_per_trial(f, frames):
     saturated polar ideal: the multiplicity of its cut, None where the cut
     is not finite.  The profile computed it so before it read gamma^k above
     the critical dimension from sections; kept as a test oracle for
-    polar.section_multiplicity."""
+    polar.section_multiplicities."""
     return tuple(
         tuple(polar_multiplicity(polar_ideal(f, fr, k)) for k in range(1, f.nvars)) for fr in frames
     )
@@ -448,24 +448,55 @@ def saturate_by_quotients(I, J):
         exponent += 1
 
 
+def subset_ranks(forms, varnames):
+    """(|S|, rk S) for every subset S of the linear forms, each typed in
+    the variables varnames, rk S the rank of the forms in S, found by exact
+    Fraction elimination."""
+    rows = [parse_polynomial(text, varnames).terms for text in forms]
+    assert all(sum(m) == 1 for row in rows for m in row), forms
+    key = {m: m for row in rows for m in row}
+    for size in range(len(rows) + 1):
+        for subset in combinations(rows, size):
+            yield size, len(fraction_echelon_pivots(subset, key))
+
+
 def arrangement_link_betti(forms, varnames):
     """Reduced Betti numbers b~^0..b~^(2n-1) of the link K of the central
     arrangement of the hyperplanes forms = 0, each form a linear form typed
     in the n + 1 variables varnames.  By Orlik and Solomon the complement
     M of the arrangement has Poincare polynomial
     pi(A, t) = sum over subsets S of the forms of (-1)^(|S| - rk S) t^(rk S),
-    with rk S the rank of the forms in S, here found by exact Fraction
-    elimination.  M retracts onto the complement of K in S^(2n+1), so by
-    Alexander duality b~^i(K) = b~_(2n-i)(M).  A test oracle for the
-    feasibility audit, which shares no code with it."""
+    with rk S the rank of the forms in S (subset_ranks).  M retracts onto
+    the complement of K in S^(2n+1), so by Alexander duality
+    b~^i(K) = b~_(2n-i)(M).  A test oracle for the feasibility audit, which
+    shares no code with it."""
     n = len(varnames) - 1
-    rows = [parse_polynomial(text, varnames).terms for text in forms]
-    assert all(sum(m) == 1 for row in rows for m in row), forms
-    key = {m: m for row in rows for m in row}
     poincare = [0] * (2 * n + 1)
-    for size in range(len(rows) + 1):
-        for subset in combinations(rows, size):
-            rank = len(fraction_echelon_pivots(subset, key))
-            poincare[rank] += (-1) ** (size - rank)
+    for size, rank in subset_ranks(forms, varnames):
+        poincare[rank] += (-1) ** (size - rank)
     poincare[0] -= 1
     return tuple(poincare[2 * n - i] for i in range(2 * n))
+
+
+def arrangement_polar_degrees(forms, varnames):
+    """The polar multiplicities gamma^0..gamma^(n+1) of the central
+    arrangement of the hyperplanes forms = 0 in the n + 1 variables
+    varnames, with no frame.  Its product f is homogeneous, so gamma^k is
+    the degree of the projective polar variety, the projective degree
+    mu^(n+1-k) of the gradient map of f.  By Huh ("Milnor numbers of
+    projective hypersurfaces and the chromatic polynomial of graphs",
+    J. AMS 25, 2012) chi_A(t)/(t - 1) = sum_i (-1)^i mu^i t^(n-i), with the
+    characteristic polynomial chi_A(t) = sum over subsets S of the forms of
+    (-1)^|S| t^(n+1-rk S) (subset_ranks).  mu^0 = 1 is gamma^(n+1).  A test
+    oracle for gamma_profile that is exact on both sides: a gamma read too
+    high fails it as well as one read too low."""
+    n = len(varnames) - 1
+    chi = [0] * (n + 2)  # chi[j] is the coefficient of t^j
+    for size, rank in subset_ranks(forms, varnames):
+        chi[n + 1 - rank] += (-1) ** size
+    mu, carry = [], 0
+    for i, c in enumerate(reversed(chi[1:])):  # divide by t - 1, from t^n down
+        carry += c
+        mu.append((-1) ** i * carry)
+    assert carry + chi[0] == 0, forms  # t = 1 is a root of chi_A
+    return (0,) + tuple(reversed(mu))

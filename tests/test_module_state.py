@@ -142,6 +142,11 @@ def test_the_excluded_cases_are_decided_at_the_gate_alone():
     assert callers("check_excluded") == {"report.build_report", "cli._cmd_oracle_teissier"}
 
 
+def test_the_frame_rule_is_decided_in_one_place():
+    assert callers("NoValidFrame") == {"polar.decide"}
+    assert callers("decide") == {"polar.gamma_profile"}
+
+
 def test_every_excluded_reason_is_documented():
     # A report's error reason for an excluded input is the string literal
     # the gate passes to ExcludedCaseError; each is listed verbatim in the

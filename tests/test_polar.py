@@ -24,11 +24,12 @@ from helpers import (
 )
 from polarlink import oracle, polar, poly, report
 from polarlink.parse import parse_polynomial
-from polarlink.errors import EXIT_EXCLUDED, EXIT_INPUT_ERROR, EXIT_UNSTABLE, ExcludedCaseError
+from polarlink.errors import EXIT_EXCLUDED, EXIT_INPUT_ERROR, EXIT_UNSTABLE, ExcludedCaseError, NoValidFrame
 from polarlink.ideals import Ideal, dimension, local_colength, mora_standard_basis
 from polarlink.polar import (
     CoordinateFrame,
     check_excluded,
+    decide,
     gamma_profile,
     jacobian_ideal,
     milnor_number,
@@ -477,6 +478,40 @@ def test_gamma_profile_carries_mu_and_threshold():
     prof = gamma_profile(f, mu, s, trials=5, seed=0)
     assert (prof.mu, prof.s, prof.threshold) == (mu, s, 3)
     assert gated_profile(p3("y^2 - x^2*z"), trials=4, seed=0).mu is INFINITE
+
+
+# decide on hand-written readings: per_trial[t][k-1] is gamma^k in frame t,
+# None where frame t is invalid for k.
+@pytest.mark.parametrize(
+    "per_trial, mult, decided",
+    [
+        # Two values held by two trials each: the minimum wins, and its
+        # witness is the first trial that reads it.
+        (((3, 1), (2, 1), (3, 1), (2, 1)), 2, ((0, 2, 1, 1), (2, 4), (1, 0), 2, True)),
+        # Agreement counts the valid readings of the minimum alone.
+        (((None, 1), (2, 1), (2, None), (None, 1), (2, 1)), 2, ((0, 2, 1, 1), (3, 4), (1, 0), 3, True)),
+        # 4 trials need 2 agreeing, not 3.
+        (((1, 1), (1, 1), (2, 1), (2, 1)), 2, ((0, 1, 1, 1), (2, 4), (0, 0), 2, True)),
+        (((1, 1), (2, 1), (2, 1), (2, 1)), 2, ((0, 1, 1, 1), (1, 4), (0, 0), 2, False)),
+        (((4, 2),), 3, ((0, 4, 2, 1), (1, 1), (0, 0), 1, True)),
+    ],
+    ids=["tie", "invalid-readings", "even-stable", "even-unstable", "single-trial"],
+)
+def test_decide_takes_the_least_valid_reading(per_trial, mult, decided):
+    assert decide(per_trial, mult) == decided
+
+
+@pytest.mark.parametrize(
+    "per_trial, message",
+    [
+        (((None, 1), (None, 1), (None, 1)), r"^no valid frame for k=1 after 3 trials$"),
+        (((1, 2), (1, 3)), r"^no frame for k=2 after 2 trials has its line H_2 off the tangent cone$"),
+    ],
+    ids=["no-valid-reading", "gamma-n-above-mult-minus-1"],
+)
+def test_decide_refuses_a_k_that_no_frame_reads_right(per_trial, message):
+    with pytest.raises(NoValidFrame, match=message):
+        decide(per_trial, 2)
 
 
 # Germs that are not reduced at the origin: each has s = n.

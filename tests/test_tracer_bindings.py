@@ -53,7 +53,7 @@ def install_tracer(monkeypatch):
 
 def test_a_traced_request_counts_one_round_per_saturation_exponent(monkeypatch):
     # x*y in (x, y, z) has s = 1, so every frame saturates its first polar
-    # ideal.
+    # ideal: 5 frames, and one witness ideal for k = 2.
     saturations = record_calls(monkeypatch, importlib.import_module("polarlink.polar"), "saturate")
     tracer, (run_compute, canonical_json) = install_tracer(monkeypatch)
     tracer.start_request(0)
@@ -63,6 +63,7 @@ def test_a_traced_request_counts_one_round_per_saturation_exponent(monkeypatch):
     assert code == 0
     assert calls["report.run_compute"] == calls["report.canonical_json"] == 1
     assert calls["ideals.saturate"] == len(saturations) > 0
+    assert calls["polar.polar_ideal"] == 6
     assert tracer.counters["ideals.saturate.rounds"] == sum(e + 1 for _, (_, e) in saturations)
 
 
