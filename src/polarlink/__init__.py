@@ -47,6 +47,6 @@ from .polar import (
     polar_ideal,
     sample_frames,
 )
-from .poly import INFINITE, Polynomial
+from .poly import Polynomial
 
 __version__ = "0.1.0"

@@ -23,7 +23,6 @@ from .ideals import Ideal
 from .oracle import HARD_DEGREE_CAP, default_cap, stable_colength, teissier_check
 from .parse import parse_polynomial
 from .polar import check_excluded, polar_ideal, sample_frames, section_multiplicities
-from .poly import INFINITE
 from .report import (
     ENGINE_VERSION,
     RunConfig,
@@ -176,7 +175,7 @@ def _cmd_oracle_teissier(args):
         wanted = args.frames
         if wanted < 1:
             raise ValueError("--frames must be at least 1")
-        mu, _ = check_excluded(f)
+        mu, s = check_excluded(f)
     except (ParseError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -185,8 +184,8 @@ def _cmd_oracle_teissier(args):
         return EXIT_EXCLUDED
     results = []
     budget = 20 * wanted
-    # No frame is usable when mu is INFINITE, so none is drawn.
-    pool = [] if mu is INFINITE else sample_frames(len(varnames), budget, args.seed, args.bound)
+    # No frame is usable when mu is not finite, so none is drawn.
+    pool = [] if mu is None else sample_frames(len(varnames), budget, args.seed, args.bound)
     for fr in pool:
         if len(results) == wanted:
             break
@@ -198,10 +197,11 @@ def _cmd_oracle_teissier(args):
         results.append({"frame": [list(r) for r in fr.matrix], **v})
     print(json.dumps({"checks": results, "requested": wanted}, indent=2))
     if len(results) < wanted:
-        print(
-            f"error: only {len(results)} usable frames in {budget} draws",
-            file=sys.stderr,
-        )
+        if mu is None:
+            cause = f"no usable frames: the singularity is not isolated (s={s}), so no frame is drawn"
+        else:
+            cause = f"only {len(results)} usable frames in {budget} draws"
+        print(f"error: {cause}", file=sys.stderr)
         return EXIT_UNSTABLE
     return EXIT_OK if all(r["passed"] for r in results) else EXIT_UNSTABLE
 

@@ -53,7 +53,7 @@ from .orders import (
     mono_lcm,
     mono_mul,
 )
-from .poly import INFINITE, Polynomial, integer_terms, mul_terms
+from .poly import Polynomial, integer_terms, mul_terms
 
 
 @dataclass(frozen=True)
@@ -69,9 +69,6 @@ class Ideal:
             raise ValueError("generators live in different rings")
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "nvars", nvars)
-
-    def is_zero(self):
-        return not self.gens
 
 
 # --- elements and division ---------------------------------------------
@@ -382,17 +379,16 @@ def _staircase(lms, nvars):
 
 def local_colength(I):
     """Vector-space dimension of the local ring O at the origin modulo I;
-    INFINITE when the quotient has positive local dimension.
+    None when the quotient has positive local dimension.
 
     The monomials outside the leads of I*O (``mora_standard_basis``) form a
     basis of O/I*O (Greuel-Pfister, section 1.7), so the colength is their
-    count, INFINITE exactly when there are infinitely many (``_staircase``).
+    count, None exactly when there are infinitely many (``_staircase``).
 
     Before any basis, fewer generators than variables, all vanishing at 0,
-    give INFINITE at once: by Krull's height theorem every minimal prime of
+    give None at once: by Krull's height theorem every minimal prime of
     I*O then has height at most the number of generators, less than v, the
     number of variables, so I*O is not m-primary."""
     if len(I.gens) < I.nvars and not any(g.constant_term() for g in I.gens):
-        return INFINITE
-    count = _staircase(mora_standard_basis(I), I.nvars)
-    return INFINITE if count is None else count
+        return None
+    return _staircase(mora_standard_basis(I), I.nvars)

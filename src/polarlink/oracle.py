@@ -183,7 +183,7 @@ def teissier_check(pol, mu, mu_slice):
     The polar ideal is not zero: it contains the derivatives d_1, ..., d_n
     of f along the columns 1..n of M, so were it zero, f o M would be a
     polynomial in z_0 alone, with Jacobian ideal (d(f o M)/dz_0), and mu
-    INFINITE.  The polar curve then cuts V(f) in finite colength, so the
+    not finite.  The polar curve then cuts V(f) in finite colength, so the
     meet is counted by ideals.local_colength.  In the frame, by curve
     selection, take an arc gamma(t) through 0 in V(meet).  The meet
     contains the partials of f o M along z_1, ..., z_n and f o M, so on the

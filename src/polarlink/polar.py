@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import ExcludedCaseError, NoValidFrame
 from .ideals import Ideal, _staircase, dimension, local_colength, mora_standard_basis, saturate
-from .poly import INFINITE, Polynomial, det
+from .poly import Polynomial, det
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ def jacobian_ideal(f):
 
 
 def milnor_number(g):
-    """Local colength of the Jacobian ideal of g, given g(0) = 0; INFINITE
+    """Local colength of the Jacobian ideal of g, given g(0) = 0; None
     when the singularity at the origin is not isolated, as for g = 0."""
     return local_colength(jacobian_ideal(g))
 
@@ -123,20 +123,6 @@ def polar_ideal(f, frame, k):
     return PolarIdeal(sat, exponent, k, f, frame)
 
 
-def polar_multiplicity(pol):
-    """Local multiplicity of a polar ideal for index k = pol.k: the local
-    colength of its cut by the plane z_0 = ... = z_(k-1) = 0, 0 when the
-    polar variety misses the origin, or None when the cut is not finite.
-
-    A finite cut is a proper one: the polar ideal is (df/dz_k, ...,
-    df/dz_n) : J^infinity, so by Krull's height theorem every component of
-    its germ has dimension at least k, and a cut by k hyperplanes of finite
-    colength forces dimension k.
-    """
-    c = local_colength(plane_cut(pol))
-    return None if c is INFINITE else c
-
-
 def section_multiplicities(f, frame, s):
     """gamma^k in the frame for k = s + 1, ..., n in turn, each None when
     invalid (see read_frame), all read from one restriction of f,
@@ -150,8 +136,7 @@ def section_multiplicities(f, frame, s):
     g = frame.restrict(f, s + 1)
     for drop in range(g.nvars - 1):  # k = s + 1 + drop < n
         section = {m[drop:]: c for m, c in g.terms.items() if not any(m[:drop])}
-        mu = milnor_number(Polynomial(g.nvars - drop, section))
-        yield None if mu is INFINITE else mu
+        yield milnor_number(Polynomial(g.nvars - drop, section))
     line = [m[-1] for m in g.terms if not any(m[:-1])]
     yield min(line) - 1 if line else None
 
@@ -178,15 +163,14 @@ class GammaProfile:
     witness frame of k, frames[witness[k-1]]: for k <= s the one that gave
     gamma^k there, for k > s the only one built for k.  The report's checks
     read these ideals instead of building them again.
-    mu (INFINITE unless s = 0) and s come from the gate, check_excluded;
-    threshold is the agreement every k needs.
+    s comes from the gate, check_excluded; threshold is the agreement
+    every k needs.
     """
 
     n: int
     gamma: tuple
     mult: int
     s: int
-    mu: object
     threshold: int
     stable: bool
     per_trial: tuple
@@ -203,7 +187,9 @@ def check_excluded(f):
     J (``mora_standard_basis``, by Lazard's homogenization).  s is the
     dimension of the monomial ideal they generate; for s = 0 the leads
     leave finitely many monomials outside, and mu, the colength of J*O, is
-    their count; for s >= 1, mu is INFINITE.
+    their count; for s >= 1 there are infinitely many, and mu is None
+    (``_staircase`` is None exactly when the leads have positive
+    dimension).
 
     For f(0) = 0 in n + 1 variables, f is reduced at 0 exactly when
     s <= n - 1.  If g^2 divides f with g(0) = 0, df vanishes on V(g), so
@@ -221,23 +207,28 @@ def check_excluded(f):
     s = dimension(lms, f.nvars)
     if s == f.nvars - 1:
         raise ExcludedCaseError("f is not reduced at the origin")
-    mu = _staircase(lms, f.nvars) if s == 0 else INFINITE
-    return mu, s
+    return _staircase(lms, f.nvars), s
 
 
 def read_frame(f, frame, s):
     """Read one frame: its gamma^1..gamma^n and its polar ideals for k <= s.
 
-    For k <= s gamma^k is the multiplicity of the polar ideal,
-    polar_multiplicity of polar_ideal(f, frame, k); for k > s it is the
-    Milnor number of f cut by H_k, all read from one restriction of f
+    For k <= s gamma^k is the multiplicity of the polar ideal
+    polar_ideal(f, frame, k): the local colength of its cut by H_k
+    (plane_cut), 0 when the polar variety misses the origin.  A finite cut
+    is a proper one: the polar ideal is (df/dz_k, ..., df/dz_n) :
+    J^infinity, so by Krull's height theorem every component of its germ
+    has dimension at least k, and a cut by k hyperplanes of finite
+    colength forces dimension k.  For k > s gamma^k is the Milnor number
+    of f cut by H_k, all read from one restriction of f
     (section_multiplicities).  None marks a frame invalid for k, and means
       - for k <= s, that the cut of the polar ideal is not finite;
-      - for s < k < n, that mu(f|H_k) is INFINITE;
+      - for s < k < n, that mu(f|H_k) is not finite;
       - for k = n, that the line H_n lies in V(f).
     """
     pols = tuple(polar_ideal(f, frame, k) for k in range(1, s + 1))
-    return tuple(map(polar_multiplicity, pols)) + tuple(section_multiplicities(f, frame, s)), pols
+    cuts = tuple(local_colength(plane_cut(pol)) for pol in pols)
+    return cuts + tuple(section_multiplicities(f, frame, s)), pols
 
 
 def decide(per_trial, mult):
@@ -274,12 +265,12 @@ def decide(per_trial, mult):
     return tuple(gamma) + (1,), tuple(agreement), tuple(witness), threshold, stable
 
 
-def gamma_profile(f, mu, s, trials=5, seed=0, bound=10):
+def gamma_profile(f, s, trials=5, seed=0, bound=10):
     """Sample polar multiplicities of f over `trials` random frames: draw
     the frames, read each (read_frame), decide gamma by the minimum rule
     (decide), then build the polar ideal of each k at its witness frame.
     The caller has run the gate of report.build_report, whose
-    check_excluded gave mu, s.
+    check_excluded gave s.
 
     For k <= s (s = dim Crit f at 0) gamma^k in a frame is the multiplicity
     of the saturated polar ideal.  For k > s it is the Milnor number of f
@@ -294,7 +285,7 @@ def gamma_profile(f, mu, s, trials=5, seed=0, bound=10):
     with every associated prime of dimension k.  V(J) has dimension s < k,
     so no associated prime contains J, (I : J^infinity)*O = I*O, and the
     cut by H_k has colength mu(f|H_k).  For s = 0 the converse holds too:
-    where mu(f|H_k) is INFINITE, V(I) cut by H_k holds a curve through 0,
+    where mu(f|H_k) is not finite, V(I) cut by H_k holds a curve through 0,
     which meets V(J) = {0} only at 0 and so lies in V(I : J^infinity); the
     cut is not finite either.  For s >= 1 such a frame is invalid for k, as
     the prepolar condition asks (ROADMAP item 10).  As f is reduced, s < n.
@@ -313,7 +304,6 @@ def gamma_profile(f, mu, s, trials=5, seed=0, bound=10):
         gamma=gamma,
         mult=mult,
         s=s,
-        mu=mu,
         threshold=threshold,
         stable=stable,
         per_trial=per_trial,

@@ -23,8 +23,6 @@ from operator import add
 
 from .orders import GLOBAL, mono_deg
 
-INFINITE = "infinite"
-
 
 class Polynomial:
     """Immutable sparse polynomial in a fixed number of variables."""
@@ -77,8 +75,8 @@ class Polynomial:
         return max(map(mono_deg, self.terms), default=-1)
 
     def order_of_vanishing(self):
-        """Minimal total degree of a term; INFINITE for zero."""
-        return min(map(mono_deg, self.terms), default=INFINITE)
+        """Minimal total degree of a term; None for zero."""
+        return min(map(mono_deg, self.terms), default=None)
 
     # --- arithmetic ----------------------------------------------------
 

@@ -75,10 +75,10 @@ class RunConfig:
             raise ValueError("component count must be positive")
 
 
-def _oracle_diagnostics(f, profile):
+def _oracle_diagnostics(f, profile, mu):
     """Cross-checks recorded with every report: the boundary identities,
     the truncated-colength oracle against each accepted gamma value and
-    against the Milnor number, and the Teissier sum when f is isolated.
+    against the Milnor number mu, and the Teissier sum when f is isolated.
     Also collects the saturation exponents seen at the witness frames.
     gamma^k = 0 exactly when the witness polar ideal misses the origin,
     which leaves nothing for the colength oracle to count."""
@@ -104,13 +104,13 @@ def _oracle_diagnostics(f, profile):
         verdicts.append(
             verdict(
                 "colength_oracle_milnor",
-                profile.mu,
+                mu,
                 r.value if r.stable else "unstable",
                 context=f"cap={r.cap}",
             )
         )
         # gamma^1 is the Milnor number of the slice z_0 = 0 at its witness frame.
-        verdicts.append(teissier_check(profile.polar_ideals[0], profile.mu, profile.gamma[1]))
+        verdicts.append(teissier_check(profile.polar_ideals[0], mu, profile.gamma[1]))
     return verdicts, exponents
 
 
@@ -149,13 +149,13 @@ def build_report(cfg):
             )
         betti = BettiVector(tuple(cfg.betti), cfg.components)
     mu, s = check_excluded(f)
-    profile = gamma_profile(f, mu, s, cfg.trials, cfg.seed, cfg.bound)
+    profile = gamma_profile(f, s, cfg.trials, cfg.seed, cfg.bound)
 
     lam = lambda_from_gamma(profile)
     complex_spec = chain_complex(lam)
     telescope = telescope_table(profile, lam)
     bounds = morse_bounds(profile, betti)
-    oracles, exponents = _oracle_diagnostics(f, profile)
+    oracles, exponents = _oracle_diagnostics(f, profile, mu)
 
     doc = {
         "schema_version": SCHEMA_VERSION,

@@ -15,6 +15,7 @@ from polarlink.ideals import (
     _normal_form,
     _standard_basis_raw,
     _terms,
+    local_colength,
     saturate,
 )
 from polarlink.oracle import _echelon_pivots, monomials_of_degree
@@ -26,10 +27,10 @@ from polarlink.polar import (
     gamma_profile,
     jacobian_ideal,
     milnor_number,
+    plane_cut,
     polar_ideal,
-    polar_multiplicity,
 )
-from polarlink.poly import INFINITE, Polynomial, integer_terms
+from polarlink.poly import Polynomial, integer_terms
 
 V2 = ["x", "y"]
 V3 = ["x", "y", "z"]
@@ -105,14 +106,16 @@ def identity_frame(nvars):
 
 
 def gated_profile(f, trials=5, seed=0, bound=10):
-    """gamma_profile of f with the mu and s that the gate reads, as a
-    report computes it."""
-    return gamma_profile(f, *check_excluded(f), trials, seed, bound)
+    """gamma_profile of f with the s that the gate reads, as a report
+    computes it."""
+    _, s = check_excluded(f)
+    return gamma_profile(f, s, trials, seed, bound)
 
 
 def gamma_in_frame(f, frame, k):
-    """The polar multiplicity gamma^k of f measured in one frame."""
-    return polar_multiplicity(polar_ideal(f, frame, k))
+    """The polar multiplicity gamma^k of f measured in one frame: the
+    local colength of the polar ideal's cut, None where it is not finite."""
+    return local_colength(plane_cut(polar_ideal(f, frame, k)))
 
 
 def frame_polar_ideal(f, frame, k):
@@ -135,18 +138,17 @@ def saturating_per_trial(f, frames):
     the critical dimension from sections; kept as a test oracle for
     polar.section_multiplicities."""
     return tuple(
-        tuple(polar_multiplicity(polar_ideal(f, fr, k)) for k in range(1, f.nvars)) for fr in frames
+        tuple(gamma_in_frame(f, fr, k) for k in range(1, f.nvars)) for fr in frames
     )
 
 
 def sections_by_restriction(f, frame, s):
     """gamma^k of f in the frame for k = s + 1, ..., n, each the Milnor
     number of f restricted to the plane H_k by a substitution of its own,
-    frame.restrict(f, k), None where it is INFINITE.  The profile read each
-    section so before it read all of a frame's from one restriction; kept
-    as a test oracle for polar.section_multiplicities."""
-    sections = (milnor_number(frame.restrict(f, k)) for k in range(s + 1, f.nvars))
-    return tuple(None if mu is INFINITE else mu for mu in sections)
+    frame.restrict(f, k), None where it is not finite.  The profile read
+    each section so before it read all of a frame's from one restriction;
+    kept as a test oracle for polar.section_multiplicities."""
+    return tuple(milnor_number(frame.restrict(f, k)) for k in range(s + 1, f.nvars))
 
 
 def macaulay_leads(I, top):
@@ -336,7 +338,7 @@ def truncated_colength_by_two_eliminations(I, cap):
         pivots = _echelon_pivots(rows, {m: GLOBAL.key(m) for m in below})
         return [m for m in below if m not in pivots]
 
-    if I.is_zero():
+    if not I.gens:
         return len(monomials_below(I.nvars, cap)), False, cap
     here, nxt = survivors(cap), survivors(cap + 1)
     stable = len(here) == len(nxt) and all(sum(m) < cap - 1 for m in here)
@@ -399,7 +401,7 @@ def intersect(I, J):
     """I intersect J as the tag-free part of t*I + (1-t)*J (Cox-Little-
     O'Shea, section 4.3)."""
     n = I.nvars
-    if I.is_zero() or J.is_zero():
+    if not I.gens or not J.gens:
         return Ideal((), n)
     one, t = Polynomial.constant(n + 1, 1), Polynomial.variable(n + 1, 0)
     both = [tagged(f, (1,)) for f in I.gens] + [(one - t) * tagged(g, (0,)) for g in J.gens]
@@ -408,10 +410,10 @@ def intersect(I, J):
 
 def ideal_quotient(I, J):
     """I : J, via single-generator quotients (I intersect (g))/g, intersected."""
-    if J.is_zero():
+    if not J.gens:
         raise ValueError("quotient by the zero ideal")
     n = I.nvars
-    if I.is_zero():
+    if not I.gens:
         return I
     gb = reduced_basis(I)
     parts = []

@@ -491,14 +491,16 @@ def test_oracle_teissier_draws_no_frame_when_mu_is_infinite(capsys, monkeypatch)
     )
     assert code == 2
     assert json.loads(out) == {"checks": [], "requested": 1}
-    assert err == "error: only 0 usable frames in 20 draws\n"
+    assert err == (
+        "error: no usable frames: the singularity is not isolated (s=1), so no frame is drawn\n"
+    )
     assert draws == []
 
 
 def test_oracle_teissier_on_a_dense_nonisolated_input_exits_at_once(capsys):
     # x^2*y^2+z^2*w typed in a random frame: the gate's s ran past 25 s in
-    # Mora's uncut loop, and Lazard's basis reads it at once.  mu is
-    # INFINITE, so no frame is usable.
+    # Mora's uncut loop, and Lazard's basis reads it at once.  mu is not
+    # finite, so no frame is usable.
     (frame,) = sample_frames(4, 1, 0)
     V4 = ("x", "y", "z", "w")
     poly = frame.restrict(parse_polynomial("x^2*y^2+z^2*w", V4), 0).to_str(V4)
@@ -508,7 +510,9 @@ def test_oracle_teissier_on_a_dense_nonisolated_input_exits_at_once(capsys):
         )
     assert code == 2
     assert json.loads(out) == {"checks": [], "requested": 1}
-    assert err == "error: only 0 usable frames in 20 draws\n"
+    assert err == (
+        "error: no usable frames: the singularity is not isolated (s=2), so no frame is drawn\n"
+    )
 
 
 def test_oracle_teissier_builds_no_polar_ideal_in_an_unusable_frame(capsys, monkeypatch):

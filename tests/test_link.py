@@ -30,7 +30,6 @@ def fake_profile(gamma, mult=None, s=0):
         gamma=tuple(gamma),
         mult=mult,
         s=s,
-        mu=None,
         threshold=1,
         stable=True,
         per_trial=((None,) * n,),

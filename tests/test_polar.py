@@ -38,7 +38,7 @@ from polarlink.polar import (
     sample_frames,
     section_multiplicities,
 )
-from polarlink.poly import INFINITE, Polynomial, det
+from polarlink.poly import Polynomial, det
 from polarlink.report import RunConfig, bundled_corpus_path, run_compute
 from test_report_bytes import FOUR_VARIABLE_SHA256, load_workloads
 
@@ -75,7 +75,7 @@ def test_critical_dimension_smooth_origin_is_excluded():
 def test_milnor_numbers():
     assert milnor_number(p2("x^2+y^3")) == 2
     assert milnor_number(p2("x^2+y^2")) == 1
-    assert milnor_number(p3("y^2 - x^2*z")) is INFINITE
+    assert milnor_number(p3("y^2 - x^2*z")) is None
     assert milnor_number(p3("x^3+y^3+z^3")) == 8
 
 
@@ -203,7 +203,7 @@ def assert_polar_ideal_matches_the_frame_route(f, frame, k):
     assert pol.saturation_exponent == exponent
     ref_cut = Ideal([substitute_zero(g, range(k)) for g in ref.gens], f.nvars - k)
     assert local_colength(plane_cut(pol)) == local_colength(ref_cut)
-    if k == 1 and INFINITE not in (milnor_number(f), milnor_number(substitute_zero(fM, [0]))):
+    if k == 1 and None not in (milnor_number(f), milnor_number(substitute_zero(fM, [0]))):
         meet = local_colength(Ideal(pol.ideal.gens + (f,), f.nvars))
         assert meet == local_colength(Ideal(ref.gens + (fM,), f.nvars))
 
@@ -296,7 +296,7 @@ def test_the_gate_reads_s_of_a_dense_nonisolated_input(text, s):
     (frame,) = sample_frames(4, 1, 0)
     f = frame.restrict(parse_polynomial(text, ("x", "y", "z", "w")), 0)
     with time_limit(10):
-        assert check_excluded(f) == (INFINITE, s)
+        assert check_excluded(f) == (None, s)
 
 
 def test_the_critical_dimension_of_a_dense_curve_singularity_is_one():
@@ -311,19 +311,21 @@ def test_a_profile_in_dense_coordinates_matches_the_adapted_one():
     # x^2+y^4+z^5 written in a bound-5 frame: the uncut basis of its
     # Jacobian ideal ran past 60 s.
     (frame,) = sample_frames(3, 1, 0, 5)
+    g = frame.restrict(p3("x^2+y^4+z^5"), 0)
     with time_limit(10):
-        prof = gated_profile(frame.restrict(p3("x^2+y^4+z^5"), 0))
-    assert (prof.s, prof.mu, prof.gamma, prof.stable) == (0, 12, (0, 3, 1, 1), True)
+        mu, s = check_excluded(g)
+        prof = gamma_profile(g, s)
+    assert (s, mu, prof.gamma, prof.stable) == (0, 12, (0, 3, 1, 1), True)
 
 
 def test_the_gate_builds_one_lazard_basis_and_the_profile_none(monkeypatch):
     # The gate reads mu and s from the leads of one Lazard basis of the
     # Jacobian ideal, isolated or not; the profile builds no such basis.
     built = record_calls(monkeypatch, polar, "mora_standard_basis")
-    for text, gate in (("x^3+y^3+z^3", (8, 0)), ("y^2 - x^2*z", (INFINITE, 1))):
+    for text, gate in (("x^3+y^3+z^3", (8, 0)), ("y^2 - x^2*z", (None, 1))):
         f = p3(text)
         assert check_excluded(f) == gate
-        gamma_profile(f, *gate, trials=1)
+        gamma_profile(f, gate[1], trials=1)
         assert [args for args, _ in built] == [(jacobian_ideal(f),)]
         built.clear()
 
@@ -348,7 +350,7 @@ def gate_inputs(monkeypatch):
 def test_the_sections_of_a_frame_are_the_milnor_numbers_of_its_planes(monkeypatch):
     # Each input at its own frame seeds and at frame seeds 0-2: every
     # gamma^k above s read from one restriction of f is the Milnor number
-    # of f restricted to H_k on its own, None where that is INFINITE.
+    # of f restricted to H_k on its own, None where that is not finite.
     inputs = gate_inputs(monkeypatch)
     assert len(inputs) == 54
     for (text, varnames, trials, bound), seeds in inputs.items():
@@ -360,23 +362,23 @@ def test_the_sections_of_a_frame_are_the_milnor_numbers_of_its_planes(monkeypatc
 
 
 def test_the_gate_reads_mu_as_the_colength_of_the_jacobian_ideal(monkeypatch):
-    # mu is the count below the Lazard leads where s = 0 and INFINITE
+    # mu is the count below the Lazard leads where s = 0 and None
     # elsewhere, as typed and in a dense frame.
     for text, varnames, _, _ in gate_inputs(monkeypatch):
         f = parse_polynomial(text, varnames)
         for g in (f, sample_frames(f.nvars, 1, 99)[0].restrict(f, 0)):
             mu, s = check_excluded(g)
             assert mu == local_colength(jacobian_ideal(g)), text
-            assert (mu is INFINITE) == (s > 0), text
+            assert (mu is None) == (s > 0), text
 
 
 @pytest.mark.parametrize("text, varnames", [("(x^2-y^3)^2+z^7", ("x", "y", "z")), ("x*y+z^2*w", ("x", "y", "z", "w"))])
 def test_a_dense_critical_curve_is_gated_at_once(text, varnames):
     # Typed in a dense frame, each took seconds at the gate while the cut
-    # loop proved mu INFINITE; the Lazard leads give s = 1, and mu with it.
+    # loop proved mu not finite; the Lazard leads give s = 1, and mu with it.
     f = sample_frames(len(varnames), 1, 99)[0].restrict(parse_polynomial(text, varnames), 0)
     with time_limit(0.5):
-        assert check_excluded(f) == (INFINITE, 1)
+        assert check_excluded(f) == (None, 1)
 
 
 def test_a_curve_request_counts_only_its_teissier_meet(monkeypatch):
@@ -470,14 +472,15 @@ def test_gamma_profile_keeps_one_polar_ideal_per_k_at_its_witness_frame(text):
         assert pol.frame is prof.frames[prof.witness[k - 1]]
 
 
-def test_gamma_profile_carries_mu_and_threshold():
-    # mu and s come from the gate, which reads them once.
+def test_gamma_profile_carries_s_and_threshold():
+    # mu and s come from the gate, which reads them once; the profile
+    # keeps s, and the report takes mu from the gate.
     f = p3("x^3+y^3+z^3")
     mu, s = check_excluded(f)
     assert (mu, s) == (milnor_number(f), 0)
-    prof = gamma_profile(f, mu, s, trials=5, seed=0)
-    assert (prof.mu, prof.s, prof.threshold) == (mu, s, 3)
-    assert gated_profile(p3("y^2 - x^2*z"), trials=4, seed=0).mu is INFINITE
+    prof = gamma_profile(f, s, trials=5, seed=0)
+    assert (prof.s, prof.threshold) == (s, 3)
+    assert check_excluded(p3("y^2 - x^2*z"))[0] is None
 
 
 # decide on hand-written readings: per_trial[t][k-1] is gamma^k in frame t,
@@ -539,7 +542,7 @@ def test_a_non_reduced_germ_is_refused_before_any_frame(monkeypatch, text, varna
 
 def test_a_reduced_germ_with_a_square_in_it_is_admitted():
     # (x^2-y^3)^2 is not reduced, but adding z^7 makes it so: s = 1 < n = 2.
-    assert check_excluded(p3("(x^2-y^3)^2+z^7")) == (INFINITE, 1)
+    assert check_excluded(p3("(x^2-y^3)^2+z^7")) == (None, 1)
 
 
 def test_a_frame_line_in_the_tangent_cone_is_a_sampling_failure():

@@ -160,7 +160,7 @@ def invariants(f):
     """(mu, s, mult) from the gate, and gamma at frame seed 0 where the
     profile is stable (None where it is not)."""
     mu, s = check_excluded(f)
-    profile = gamma_profile(f, mu, s, seed=0)
+    profile = gamma_profile(f, s, seed=0)
     return (mu, s, f.order_of_vanishing()), profile.gamma if profile.stable else None
 
 

@@ -53,7 +53,9 @@ def install_tracer(monkeypatch):
 
 def test_a_traced_request_counts_one_round_per_saturation_exponent(monkeypatch):
     # x*y in (x, y, z) has s = 1, so every frame saturates its first polar
-    # ideal: 5 frames, and one witness ideal for k = 2.
+    # ideal: 5 frames, and one witness ideal for k = 2.  Each frame counts
+    # the colength of that ideal's cut, and the gate and the cuts build 6
+    # local standard bases in all.
     saturations = record_calls(monkeypatch, importlib.import_module("polarlink.polar"), "saturate")
     tracer, (run_compute, canonical_json) = install_tracer(monkeypatch)
     tracer.start_request(0)
@@ -64,6 +66,8 @@ def test_a_traced_request_counts_one_round_per_saturation_exponent(monkeypatch):
     assert calls["report.run_compute"] == calls["report.canonical_json"] == 1
     assert calls["ideals.saturate"] == len(saturations) > 0
     assert calls["polar.polar_ideal"] == 6
+    assert calls["ideals.local_colength"] == 5
+    assert calls["ideals.mora_standard_basis"] == 6
     assert tracer.counters["ideals.saturate.rounds"] == sum(e + 1 for _, (_, e) in saturations)
 
 
