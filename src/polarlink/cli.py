@@ -171,10 +171,10 @@ def _cmd_oracle_teissier(args):
     try:
         varnames = _split_vars(args.vars)
         RunConfig(args.poly, varnames, seed=args.seed, bound=args.bound).validate()
-        f = parse_polynomial(args.poly, varnames)
         wanted = args.frames
         if wanted < 1:
             raise ValueError("--frames must be at least 1")
+        f = parse_polynomial(args.poly, varnames)
         mu, s = check_excluded(f)
     except (ParseError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -6,11 +6,7 @@ EXIT_UNSTABLE = 2
 EXIT_EXCLUDED = 3
 
 
-class PolarlinkError(Exception):
-    """Base class for all engine errors."""
-
-
-class ParseError(PolarlinkError):
+class ParseError(Exception):
     """Raised on malformed polynomial input; carries the offending position."""
 
     def __init__(self, message, position):
@@ -18,7 +14,7 @@ class ParseError(PolarlinkError):
         self.position = position
 
 
-class ExcludedCaseError(PolarlinkError):
+class ExcludedCaseError(Exception):
     """The input falls outside the standing assumptions: f(0) = 0 and the
     origin a singular point of a not-locally-constant f reduced there.
 
@@ -30,11 +26,11 @@ class ExcludedCaseError(PolarlinkError):
         self.reason = reason
 
 
-class NoValidFrame(PolarlinkError):
+class NoValidFrame(Exception):
     """For some k, no sampled frame was valid, or for k = n, the line H_n of
     every valid frame lay in the tangent cone: a sampling failure."""
 
 
-class DegreeLimitError(PolarlinkError, ValueError):
+class DegreeLimitError(ValueError):
     """A monomial's total degree reached orders.DEGREE_LIMIT, beyond which
     the packed order keys would no longer be exact."""

@@ -9,13 +9,13 @@ Morse-type upper bounds, one per end of the complex.
 
 The builders return the report's JSON values themselves: chain_complex,
 telescope_table, morse_bounds and n1_exact_sequence the blocks of the same
-names in docs/report_schema.md, betti_feasibility and components_force_s
-the {name, passed, detail} objects of the feasibility block.
+names in docs/report_schema.md, betti_feasibility the {name, passed,
+detail} objects of the feasibility block.  A Betti hypothesis is a tuple
+of reduced Betti numbers b~^0..b~^(2n-1), judged by RunConfig.validate
+before it reaches them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 
 def lambda_from_gamma(profile):
@@ -48,19 +48,6 @@ def telescope_table(profile, lam):
     ]
 
 
-@dataclass(frozen=True)
-class BettiVector:
-    """Hypothesized reduced Betti numbers b~^0..b~^(2n-1) of the link,
-    optionally with the number of connected components of the germ."""
-
-    values: tuple
-    components: object = None
-
-    def __post_init__(self):
-        if any(v < 0 for v in self.values):
-            raise ValueError("Betti numbers must be non-negative")
-
-
 def morse_bounds(profile, betti=None):
     """Both families of link inequalities for p = 0..n.
 
@@ -79,7 +66,7 @@ def morse_bounds(profile, betti=None):
             (2, [2 * n - k - 1 for k in range(p + 1)], (-1) ** p + g[n - p]),
         ):
             terms = [[(-1) ** (p + k), d] for k, d in enumerate(degrees)]
-            lhs = None if betti is None else sum(sign * betti.values[d] for sign, d in terms)
+            lhs = None if betti is None else sum(sign * betti[d] for sign, d in terms)
             satisfied = None if lhs is None else lhs <= rhs
             out.append({"family": family, "p": p, "terms": terms, "rhs": rhs, "lhs": lhs, "satisfied": satisfied})
     return out
@@ -95,61 +82,59 @@ def allowed_degrees(n, s):
     return tuple(sorted(out))
 
 
-def betti_feasibility(betti, profile, bounds):
-    """Audit a Betti hypothesis against everything the profile forces.
+def betti_feasibility(betti, components, profile, bounds):
+    """Audit a Betti hypothesis and a component count, either of them None,
+    against everything the profile forces.
 
-    Checks the vanishing window, both families of Morse bounds at every p
-    (bounds, as morse_bounds fills them for betti), the reduced Euler
-    characteristic, and the component count when given.
-    All at the level of ranks; a clean pass does not certify the vector is
-    realized by the actual link.
+    For betti, checks the vanishing window, both families of Morse bounds
+    at every p (bounds, as morse_bounds fills them for betti) and the
+    reduced Euler characteristic; with components too, that the top Betti
+    number counts them.  A germ with more than one component has
+    s = n - 1, checked with or without betti.  All at the level of ranks;
+    a clean pass does not certify the vector is realized by the actual
+    link.  Returns [] when neither is given.
     """
     n = profile.n
-    window = allowed_degrees(n, profile.s)
-    bad = [k for k, v in enumerate(betti.values) if v != 0 and k not in window]
-    detail = f"allowed degrees {list(window)}" + (f", nonzero outside at {bad}" if bad else "")
-    checks = [{"name": "vanishing_window", "passed": not bad, "detail": detail}]
-    for b in bounds:
+    checks = []
+    if betti is not None:
+        window = allowed_degrees(n, profile.s)
+        bad = [k for k, v in enumerate(betti) if v != 0 and k not in window]
+        detail = f"allowed degrees {list(window)}" + (f", nonzero outside at {bad}" if bad else "")
+        checks.append({"name": "vanishing_window", "passed": not bad, "detail": detail})
+        for b in bounds:
+            checks.append(
+                {
+                    "name": f"morse_family{b['family']}_p{b['p']}",
+                    "passed": bool(b["satisfied"]),
+                    "detail": f"lhs {b['lhs']} <= rhs {b['rhs']}",
+                }
+            )
+        euler = sum((-1) ** k * v for k, v in enumerate(betti))
         checks.append(
             {
-                "name": f"morse_family{b['family']}_p{b['p']}",
-                "passed": bool(b["satisfied"]),
-                "detail": f"lhs {b['lhs']} <= rhs {b['rhs']}",
+                "name": "reduced_euler_characteristic",
+                "passed": euler == -1,
+                "detail": f"alternating sum {euler}, required -1",
             }
         )
-
-    euler = sum((-1) ** k * v for k, v in enumerate(betti.values))
-    checks.append(
-        {
-            "name": "reduced_euler_characteristic",
-            "passed": euler == -1,
-            "detail": f"alternating sum {euler}, required -1",
-        }
-    )
-
-    if betti.components is not None:
-        c = betti.components
-        top = betti.values[2 * n - 1]
+        if components is not None:
+            top = betti[2 * n - 1]
+            checks.append(
+                {
+                    "name": "components_equal_top_betti",
+                    "passed": top == components,
+                    "detail": f"b~^{2 * n - 1} = {top}, components = {components}",
+                }
+            )
+    if components is not None and components != 1:
         checks.append(
             {
-                "name": "components_equal_top_betti",
-                "passed": top == c,
-                "detail": f"b~^{2 * n - 1} = {top}, components = {c}",
+                "name": "multiple_components_force_s",
+                "passed": profile.s == n - 1,
+                "detail": f"components {components} != 1 requires s = n-1 = {n - 1}, s = {profile.s}",
             }
         )
-        if c != 1:
-            checks.append(components_force_s(c, profile))
     return checks
-
-
-def components_force_s(components, profile):
-    """A germ with more than one component has s = n - 1."""
-    n = profile.n
-    return {
-        "name": "multiple_components_force_s",
-        "passed": profile.s == n - 1,
-        "detail": f"components {components} != 1 requires s = n-1 = {n - 1}, s = {profile.s}",
-    }
 
 
 def n1_exact_sequence(profile, betti=None):
@@ -161,7 +146,7 @@ def n1_exact_sequence(profile, betti=None):
     mult = profile.mult
     if betti is None:
         return {"ranks": [None, mult - 1, mult, None], "checks": []}
-    b0, b1 = betti.values
+    b0, b1 = betti
     checks = [
         {
             "name": "difference_is_one",

@@ -24,11 +24,9 @@ from .errors import (
 # unused; perfbench/tracer.py rebinds them (ROADMAP item 5)
 from .ideals import dimension, local_colength, mora_standard_basis
 from .link import (
-    BettiVector,
     allowed_degrees,
     betti_feasibility,
     chain_complex,
-    components_force_s,
     lambda_from_gamma,
     morse_bounds,
     n1_exact_sequence,
@@ -73,6 +71,14 @@ class RunConfig:
             raise ValueError("need at least two variables")
         if self.components is not None and self.components < 1:
             raise ValueError("component count must be positive")
+        if self.betti is not None:
+            n = len(self.varnames) - 1
+            if len(self.betti) != 2 * n:
+                raise ValueError(
+                    f"expected {2 * n} Betti numbers for n={n}, got {len(self.betti)}"
+                )
+            if any(v < 0 for v in self.betti):
+                raise ValueError("Betti numbers must be non-negative")
 
 
 def _oracle_diagnostics(f, profile, mu):
@@ -141,20 +147,13 @@ def build_report(cfg):
     cfg.validate()
     f = parse_polynomial(cfg.poly_text, cfg.varnames)
     n = f.nvars - 1
-    betti = None
-    if cfg.betti is not None:
-        if len(cfg.betti) != 2 * n:
-            raise ValueError(
-                f"expected {2 * n} Betti numbers for n={n}, got {len(cfg.betti)}"
-            )
-        betti = BettiVector(tuple(cfg.betti), cfg.components)
     mu, s = check_excluded(f)
     profile = gamma_profile(f, s, cfg.trials, cfg.seed, cfg.bound)
 
     lam = lambda_from_gamma(profile)
     complex_spec = chain_complex(lam)
     telescope = telescope_table(profile, lam)
-    bounds = morse_bounds(profile, betti)
+    bounds = morse_bounds(profile, cfg.betti)
     oracles, exponents = _oracle_diagnostics(f, profile, mu)
 
     doc = {
@@ -191,15 +190,12 @@ def build_report(cfg):
         },
     }
 
-    seq = n1_exact_sequence(profile, betti) if n == 1 else None
+    seq = n1_exact_sequence(profile, cfg.betti) if n == 1 else None
     doc["n1_exact_sequence"] = seq
 
-    checks = None
-    if betti is not None:
-        checks = betti_feasibility(betti, profile, bounds) + (seq["checks"] if seq else [])
-    elif cfg.components is not None and cfg.components != 1:
-        checks = [components_force_s(cfg.components, profile)]
-    doc["feasibility"] = None if checks is None else {
+    checks = betti_feasibility(cfg.betti, cfg.components, profile, bounds)
+    checks += seq["checks"] if seq else []
+    doc["feasibility"] = None if not checks else {
         "checks": checks,
         "all_passed": all(c["passed"] for c in checks),
         "note": "rank-level checks only; torsion is invisible to them",

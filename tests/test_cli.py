@@ -1,6 +1,8 @@
 """End-to-end CLI behaviour: output formats, determinism, exit codes."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -157,8 +159,15 @@ def test_unknown_flag_exits_1(capsys):
 
 
 def test_version_flag_exits_0(capsys):
+    # The version is stated twice, in the report engine and the project
+    # metadata; both must agree with what the flag prints.
     code, out, _ = run_cli(capsys, "--version")
     assert code == 0
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    project = pyproject.split("[project]", 1)[1].split("\n[", 1)[0]
+    (declared,) = re.findall(r'^version\s*=\s*"([^"]+)"', project, re.MULTILINE)
+    assert out == f"polarlink {report.ENGINE_VERSION}\n"
+    assert declared == report.ENGINE_VERSION
 
 
 def test_corpus_bundled_all_audits_pass(capsys):
@@ -338,6 +347,9 @@ EDGES = (
     ("smooth-origin", ("--poly", "x + y^2"), BOTH, 3, "origin is a smooth point of V(f)"),
     ("non-reduced", ("--poly", "x^2*y"), BOTH, 3, "f is not reduced at the origin"),
     ("frames-0", ("--frames", "0"), ("teissier",), 1, "--frames must be at least 1"),
+    # Every option is judged before the input is read.
+    ("betti-before-parse", ("--poly", "x +", "--betti", "1,2,3"), ("compute",), 1, "expected 2 Betti numbers"),
+    ("frames-before-parse", ("--poly", "x +", "--frames", "0"), ("teissier",), 1, "--frames must be at least 1"),
 )
 ENTRY = {"compute": ("compute",), "teissier": ("oracle", "teissier")}
 
@@ -373,7 +385,6 @@ def test_module_entry_point_runs():
     import os
     import subprocess
     import sys
-    from pathlib import Path
 
     import polarlink
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from helpers import arrangement_link_betti, arrangement_polar_degrees, gated_profile, p2, p3
 from polarlink.link import (
-    BettiVector,
     allowed_degrees,
     betti_feasibility,
     chain_complex,
@@ -103,7 +102,7 @@ def test_morse_bounds_p1_signs():
 
 def test_morse_bounds_with_betti_values():
     prof = fake_profile([0, 4, 2, 1])
-    betti = BettiVector((0, 2, 2, 1))
+    betti = (0, 2, 2, 1)
     rows = morse_bounds(prof, betti)
     fam1_p0 = next(b for b in rows if b["family"] == 1 and b["p"] == 0)
     assert (fam1_p0["lhs"], fam1_p0["satisfied"]) == (2, True)
@@ -118,28 +117,28 @@ def test_allowed_degrees_windows():
     assert allowed_degrees(3, 1) == (0, 2, 3, 4, 5)
 
 
-def feasibility(betti, prof):
+def feasibility(betti, prof, components=None):
     """betti_feasibility with the bounds filled for betti, as build_report
     hands them over."""
-    return betti_feasibility(betti, prof, morse_bounds(prof, betti))
+    return betti_feasibility(betti, components, prof, morse_bounds(prof, betti))
 
 
 def test_feasibility_two_lines_passes():
     prof = gated_profile(p2("x*y"), trials=3, seed=0)
-    checks = feasibility(BettiVector((1, 2), components=2), prof)
+    checks = feasibility((1, 2), prof, components=2)
     assert all(c["passed"] for c in checks)
 
 
 def test_feasibility_two_lines_overcount_fails_family1_p0():
     prof = gated_profile(p2("x*y"), trials=3, seed=0)
-    checks = feasibility(BettiVector((2, 3)), prof)
+    checks = feasibility((2, 3), prof)
     failed = {c["name"] for c in checks if not c["passed"]}
     assert "morse_family1_p0" in failed
 
 
 def test_feasibility_a1_surface():
     prof = gated_profile(p3("x^2+y^2+z^2"), trials=3, seed=0)
-    checks = feasibility(BettiVector((0, 0, 0, 1)), prof)
+    checks = feasibility((0, 0, 0, 1), prof)
     assert all(c["passed"] for c in checks)
 
 
@@ -147,23 +146,33 @@ def test_feasibility_window_violation_detected():
     prof = gated_profile(p3("x^2+y^2+z^2+x^3"), trials=3, seed=0)
     # degree 0 and 3 are fine for n=2, but a fake value anywhere is caught
     # by euler/window/bounds; use an s=0 window with a bad degree-0 entry
-    checks = feasibility(BettiVector((1, 0, 0, 1)), prof)
+    checks = feasibility((1, 0, 0, 1), prof)
     names = {c["name"]: c["passed"] for c in checks}
     assert not names["reduced_euler_characteristic"]
 
 
 def test_feasibility_component_checks():
     prof = gated_profile(p2("x*y"), trials=3, seed=0)
-    checks = feasibility(BettiVector((1, 2), components=3), prof)
+    checks = feasibility((1, 2), prof, components=3)
     names = {c["name"]: c["passed"] for c in checks}
     assert not names["components_equal_top_betti"]
     # c != 1 forces s = n-1 = 0, which holds for xy
     assert names["multiple_components_force_s"]
 
 
+def test_feasibility_without_betti_checks_only_the_components():
+    prof = gated_profile(p2("x*y"), trials=3, seed=0)
+    assert betti_feasibility(None, None, prof, morse_bounds(prof)) == []
+    assert betti_feasibility(None, 1, prof, morse_bounds(prof)) == []
+    checks = betti_feasibility(None, 3, prof, morse_bounds(prof))
+    assert [(c["name"], c["passed"]) for c in checks] == [("multiple_components_force_s", True)]
+
+
 def test_betti_vector_validation():
     with pytest.raises(ValueError, match="non-negative"):
-        BettiVector((1, -1))
+        RunConfig("x*y", ("x", "y"), betti=(1, -1)).validate()
+    with pytest.raises(ValueError, match="expected 2 Betti numbers"):
+        RunConfig("x*y", ("x", "y"), betti=(1, 2, 3)).validate()
     cfg = RunConfig("x*y", ("x", "y"), betti=(1, 2), components=0)
     with pytest.raises(ValueError, match="component count"):
         cfg.validate()
@@ -178,14 +187,14 @@ def test_n1_sequence_ranks():
 
 def test_n1_sequence_with_betti():
     prof = gated_profile(p2("x^2+y^3"), trials=3, seed=0)
-    seq = n1_exact_sequence(prof, BettiVector((0, 1)))
+    seq = n1_exact_sequence(prof, (0, 1))
     assert seq["ranks"] == [0, 1, 2, 1]
     assert all(c["passed"] for c in seq["checks"])
 
 
 def test_n1_sequence_detects_broken_relation():
     prof = gated_profile(p2("x*y"), trials=3, seed=0)
-    seq = n1_exact_sequence(prof, BettiVector((0, 2)))
+    seq = n1_exact_sequence(prof, (0, 2))
     names = {c["name"]: c["passed"] for c in seq["checks"]}
     assert not names["difference_is_one"]
 

@@ -9,13 +9,15 @@ so no module reads an environment variable.  And the package keeps only
 what a report, the CLI or the benchmark runs: a function that only tests
 call is not part of it, nor a field that only tests read.  A request is
 judged once, at its entry point: the standing assumptions on f are decided
-in one function, which only the entry points call.
+in one function, which only the entry points call, and the Betti hypothesis
+in RunConfig.validate.
 """
 
 import ast
 import builtins
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import polarlink
@@ -66,11 +68,20 @@ def sources():
         yield path, ast.parse(path.read_text(encoding="utf-8"))
 
 
+def test_the_package_module_binds_only_its_docstring():
+    # Every caller imports the submodules, so a re-export in __init__.py
+    # would be a name no caller reads, and one the scans below count as a
+    # caller of what it re-exports.
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert [type(node).__name__ for node in tree.body] == ["Expr"]
+    assert ast.get_docstring(tree)
+
+
 def test_every_package_name_has_a_caller():
-    # Callers are the package's modules but __init__.py, which only
-    # re-exports, and the benchmark's, which call the package from outside;
-    # its tests are not callers.  A top-level function or class counts as
-    # called when its name is read, a method when it is read as an attribute.
+    # Callers are the package's modules and the benchmark's, which call the
+    # package from outside; its tests are not callers.  A top-level
+    # function or class counts as called when its name is read, a method
+    # when it is read as an attribute.
     defined, names, attributes = [], set(), set()
     for path, tree in sources():
         if path.parent == PACKAGE:
@@ -83,12 +94,11 @@ def test_every_package_name_has_a_caller():
                         for m in node.body
                         if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")
                     ]
-        if path.name != "__init__.py":
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Name):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    attributes.add(node.attr)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
     uncalled = [
         full
         for full, name, method in defined
@@ -112,12 +122,11 @@ def test_every_package_field_is_read():
                 for field in node.body
                 if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
             ]
-        if path.name != "__init__.py":
-            reads.update(
-                node.attr
-                for node in ast.walk(tree)
-                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-            )
+        reads.update(
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        )
     assert [full for full, name in fields if name not in reads] == []
 
 
@@ -145,6 +154,21 @@ def test_the_excluded_cases_are_decided_at_the_gate_alone():
 def test_the_frame_rule_is_decided_in_one_place():
     assert callers("NoValidFrame") == {"polar.decide"}
     assert callers("decide") == {"polar.gamma_profile"}
+
+
+def test_the_betti_hypothesis_is_judged_in_validate_alone():
+    # Each refusal of a Betti vector or a component count is raised in one
+    # method; link reads only what it has passed.
+    raisers = {
+        f"{path.stem}.{fn.name}"
+        for path, tree in sources()
+        if path.parent == PACKAGE
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Raise) and re.search("Betti|component", ast.unparse(node))
+    }
+    assert raisers == {"report.validate"}
 
 
 def test_every_excluded_reason_is_documented():
